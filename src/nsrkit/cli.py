@@ -45,13 +45,14 @@ from .errors import (
     TruncationError,
     UndefinedResidualError,
 )
-from .estimation import assess_observable, pure_unitary_family, pure_unitary_qfi, qfi, sld
+from .estimation import assess_observable, pure_unitary_family, pure_unitary_qfi, sld
 from .montecarlo import adaptive_calibrate, mean_inversion_condition, run_trials
 from .operators import (
     GaussianProbeSpec,
     Operator,
     StateVector,
     default_truncation_dim,
+    expectation,
     fock_state,
     gaussian_probe,
     number_operator,
@@ -230,7 +231,6 @@ def cmd_qfi(args) -> int:
         psi = _parse_state(args.state, dim)
         fam = pure_unitary_family(h, psi)
         x = args.x
-        value = qfi(fam, x)
         report = {
             "command": "qfi",
             "family": "pure",
@@ -238,14 +238,12 @@ def cmd_qfi(args) -> int:
             "state": args.state,
             "dim": dim,
             "x": x,
-            "qfi": value,
             "pure_form_4var": pure_unitary_qfi(h, psi),
         }
     else:
-        phi_true = args.phi_true
-        spec = _dephasing_spec(args, phi_true)
+        x = args.phi_true
+        spec = _dephasing_spec(args, x)
         fam = dephasing_family(spec)
-        value = qfi(fam, phi_true)
         report = {
             "command": "qfi",
             "family": "dephasing",
@@ -253,12 +251,15 @@ def cmd_qfi(args) -> int:
             "r": spec.probe.r,
             "beta": args.beta,
             "dim": spec.dim,
-            "phi_true": phi_true,
-            "qfi": value,
+            "phi_true": x,
             "fnsr_quadrature": analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta),
         }
-    l_op = sld(fam.state_at(report.get("x", report.get("phi_true"))),
-               fam.derivative_at(report.get("x", report.get("phi_true"))))
+    if not fam.contains(x):
+        raise ContractViolationError(f"x={x} outside family domain {fam.domain}")
+    # One SLD gives both the QFI <L^2> (the arithmetic of qfi) and the spectrum.
+    rho = fam.state_at(x)
+    l_op = sld(rho, fam.derivative_at(x))
+    report["qfi"] = expectation(rho, Operator(l_op.matrix @ l_op.matrix, hermitian=True))
     evals = np.linalg.eigvalsh(l_op.matrix)
     report["sld_spectrum"] = {
         "min": float(evals.min()),

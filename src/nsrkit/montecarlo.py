@@ -11,11 +11,9 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .dephasing import dephasing_family, optimal_calibration, quadrature
 from .errors import (
@@ -83,12 +81,14 @@ class CalibrationCurve:
     """Tabulated <m>_x with the largest monotone window around the grid middle.
 
     window is a half-open index range (start, stop) into xs/means on which the
-    means are strictly monotone.
+    means are strictly monotone; slopes are the PCHIP node slopes there.
     """
 
     xs: np.ndarray
     means: np.ndarray
     window: tuple[int, int]
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    _ascending_means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -103,10 +103,11 @@ class CalibrationCurve:
         d = np.diff(means[lo:hi])
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ContractViolationError("means are not strictly monotone on window")
-        xs.setflags(write=False)
-        means.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "means", means)
+        slopes = _pchip_slopes(np.diff(xs[lo:hi]), d / np.diff(xs[lo:hi]))
+        for name, arr in (("xs", xs), ("means", means), ("slopes", slopes),
+                          ("_ascending_means", means[lo:hi] * np.sign(d[0]))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def window_xs(self) -> np.ndarray:
@@ -115,6 +116,23 @@ class CalibrationCurve:
     @property
     def window_means(self) -> np.ndarray:
         return self.means[self.window[0] : self.window[1]]
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """PCHIP node slopes for spacings h and secants m, all secants of one sign.
+
+    Interior: weighted harmonic mean of the neighbouring secants (Fritsch &
+    Butland, SIAM J. Sci. Stat. Comput. 5, 300 (1984)). Ends: one-sided
+    three-point estimate, zeroed if its sign differs from the end secant; the
+    usual 3x-secant cap needs end secants of opposite sign, so never applies.
+    """
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d = np.empty(h.size + 1)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    d[[0, -1]] = np.where(end * m0 > 0, end, 0.0)
+    return d
 
 
 def _monotone_window(means: np.ndarray, mid: int) -> tuple[int, int]:
@@ -155,25 +173,33 @@ def _invert(curve: CalibrationCurve, observed_mean: float) -> tuple[float, bool]
     ys = curve.window_means
     increasing = ys[-1] > ys[0]
     y_lo, y_hi = (ys[0], ys[-1]) if increasing else (ys[-1], ys[0])
+    if math.isnan(observed_mean):
+        raise ContractViolationError("observed mean is NaN")
     if observed_mean < y_lo or observed_mean > y_hi:
-        clamped_x = (
-            xs[0]
-            if (observed_mean < y_lo) == increasing
-            else xs[-1]
-        )
-        return float(clamped_x), True
-    interp = PchipInterpolator(xs, ys)
+        return float(xs[0] if (observed_mean < y_lo) == increasing else xs[-1]), True
+    i = int(np.searchsorted(curve._ascending_means,
+                            observed_mean if increasing else -observed_mean))
     # Exact hits on the tabulated nodes must invert to their grid point.
-    exact = np.nonzero(ys == observed_mean)[0]
-    if exact.size:
-        return float(xs[exact[0]]), False
-    root = brentq(lambda x: interp(x) - observed_mean, xs[0], xs[-1], xtol=1e-14)
-    return float(root), False
+    if ys[i] == observed_mean:
+        return float(xs[i]), False
+    # Bisect the Hermite cubic of the bracketing piece, in s = x - x0.
+    (x0, x1), (y0, y1), (d0, d1) = (a[i - 1 : i + 1].tolist() for a in (xs, ys, curve.slopes))
+    h, secant = x1 - x0, (y1 - y0) / (x1 - x0)
+    t = (d0 + d1 - 2 * secant) / h
+    c3, c2 = t / h, (secant - d0) / h - t
+    lo, hi = 0.0, h
+    while hi - lo > 1e-14:
+        s = 0.5 * (lo + hi)
+        if (((c3 * s + c2) * s + d0) * s + y0 > observed_mean) == increasing:
+            hi = s
+        else:
+            lo = s
+    return x0 + 0.5 * (lo + hi), False
 
 
 def invert_mean(curve: CalibrationCurve, observed_mean: float) -> float:
-    """Estimate x from an observed sample mean by monotone cubic interpolation
-    of the calibration curve plus root finding.
+    """Estimate x from an observed sample mean by inverting the monotone cubic
+    (PCHIP) interpolant of the calibration window to 1e-14 in x.
 
     Means outside the window range clamp to the window edge (with a
     CalibrationRangeWarning) rather than failing, so variance statistics over
@@ -247,6 +273,8 @@ def run_trials(
     Per-repeat RNG streams derive from (seed, repeat index), so repeats are
     order-independent and the whole run is reproducible bit for bit.
     """
+    if nu < 1:
+        raise ContractViolationError(f"sample count must be positive, got {nu}")
     if repeats < 2:
         raise ContractViolationError("need at least 2 repeats for a variance")
     fam = dephasing_family(spec)
@@ -303,6 +331,8 @@ def adaptive_calibrate(
     Starts at the domain midpoint minus pi/2. Raises EstimatorDivergenceError
     (carrying the round index) if the inversion window leaves the domain.
     """
+    if rounds < 1:
+        raise ContractViolationError(f"need at least 1 round, got {rounds}")
     fam = dephasing_family(spec)
     domain = fam.domain
     if not fam.contains(phi_true_hidden):

@@ -2,9 +2,12 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nsrkit
 from nsrkit import analytic_fnsr, quadrature
 from nsrkit.cli import main
 
@@ -13,6 +16,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cold(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as rc 1
+    plus a traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
+    return subprocess.run([sys.executable, "-m", "nsrkit.cli", *argv], env=env,
+                          capture_output=True, text=True)
 
 
 def last_json(out: str) -> dict:
@@ -210,6 +221,16 @@ class TestMcCommand:
                                "--repeats", "3")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("--nu", "0", "--repeats", "5"),
+        ("--adaptive", "--rounds", "0"),
+    ], ids=["nu-zero", "adaptive-rounds-zero"])
+    def test_zero_count_exit_2(self, argv):
+        proc = run_cold("mc", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_numerical_error_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "nsr", "--alpha", "2", "--r", "0.8",

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import nsrkit
 from nsrkit import (
     CalibrationCurve,
     CalibrationRangeWarning,
@@ -191,6 +195,77 @@ class TestInvertMean:
         with pytest.warns(CalibrationRangeWarning):
             est = invert_mean(curve, -0.5)
         assert est == curve.xs[0]
+
+    def test_nan_mean_rejected(self):
+        with pytest.raises(ContractViolationError):
+            invert_mean(self.linear_curve(), math.nan)
+
+
+def case_study_curve():
+    spec = case_study_spec()
+    fam = dephasing_family(spec)
+    phi_exp = optimal_calibration(0.7)
+    return build_curve(fam, quadrature(phi_exp, spec.dim), _curve_grid(phi_exp, fam.domain, 2001))
+
+
+def nonuniform_increasing_curve():
+    xs = np.geomspace(0.01, 3.0, 60)
+    return CalibrationCurve(xs=xs, means=np.log1p(xs) + 0.1 * xs**3, window=(4, 57))
+
+
+def end_limited_curve():
+    # The steep second secant flips the sign of the one-sided end estimate
+    # at both ends, so the end slopes are clamped to zero.
+    xs = np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 1.0])
+    means = np.array([0.0, 0.01, 1.0, 1.5, 1.8, 2.95, 2.96])
+    return CalibrationCurve(xs=xs, means=means, window=(0, 7))
+
+
+class TestInvertMeanMatchesScipyPchip:
+    """invert_mean against scipy's PCHIP interpolant plus brentq(xtol=1e-14)."""
+
+    @staticmethod
+    def reference(curve, y):
+        from scipy.interpolate import PchipInterpolator
+        from scipy.optimize import brentq
+
+        xs, ys = curve.window_xs, curve.window_means
+        exact = np.nonzero(ys == y)[0]
+        if exact.size:
+            return float(xs[exact[0]])
+        interp = PchipInterpolator(xs, ys)
+        return brentq(lambda x: interp(x) - y, xs[0], xs[-1], xtol=1e-14)
+
+    @pytest.mark.parametrize("make_curve", [
+        case_study_curve, nonuniform_increasing_curve, end_limited_curve,
+    ], ids=["case-study-decreasing", "nonuniform-increasing", "end-limiter"])
+    def test_estimates_agree(self, make_curve):
+        pytest.importorskip("scipy")
+        curve = make_curve()
+        ys = curve.window_means
+        targets = np.concatenate([np.linspace(ys.min(), ys.max(), 301), ys[::7]])
+        for y in targets:
+            assert invert_mean(curve, float(y)) == pytest.approx(
+                self.reference(curve, float(y)), abs=1e-12)
+
+    def test_end_limiter_fires(self):
+        pytest.importorskip("scipy")
+        from scipy.interpolate import PchipInterpolator
+
+        curve = end_limited_curve()
+        assert curve.slopes[0] == curve.slopes[-1] == 0.0
+        interp = PchipInterpolator(curve.window_xs, curve.window_means)
+        np.testing.assert_allclose(curve.slopes, interp.derivative()(curve.window_xs),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, nsrkit, nsrkit.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestRunTrials:
