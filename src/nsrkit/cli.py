@@ -409,6 +409,9 @@ def cmd_scan(args) -> int:
     betas = _parse_grid(args.grid_beta) if args.grid_beta else np.array([args.beta])
     if alphas is None:
         alphas = np.array([_resolve_alpha(args)])
+    for name, values in (("alpha", alphas), ("r", rs)):
+        if not np.isfinite(values).all():
+            raise ContractViolationError(f"{name} must be finite, got {values}")
     header = ["alpha", "r", "beta", "fnsr"]
     if args.numeric:
         header.append("fisher_numeric")
@@ -416,12 +419,13 @@ def cmd_scan(args) -> int:
     for a in alphas:
         for r in rs:
             for b in betas:
-                row = [float(a), float(r), float(b), analytic_fnsr(r, a, b)]
+                diffusion = DiffusionParams(float(b))
+                row = [float(a), float(r), float(b), analytic_fnsr(r, a, diffusion.beta)]
                 if args.numeric:
                     dim = args.dim or default_truncation_dim(float(a), float(r))
                     spec = PhaseFamilySpec(
                         probe=GaussianProbeSpec(float(a), float(r), dim),
-                        diffusion=DiffusionParams(float(b)),
+                        diffusion=diffusion,
                         phi_domain=(args.phi_true - math.pi, args.phi_true + math.pi),
                     )
                     fam = dephasing_family(spec)

@@ -98,24 +98,25 @@ def dephase_channel(rho: DensityMatrix, phi: float, beta: float) -> DensityMatri
 
 
 def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
-    """Family phi -> dephased probe, with the exact coherence-weighted derivative."""
+    """Family phi -> dephased probe, with the exact coherence-weighted derivative.
+
+    The dephased state at phi = 0 is validated once, here; every state_at(phi)
+    is its phase-shifted copy, which has the same diagonal and spectrum.
+    """
     psi = spec.probe_state()
-    rho0 = psi.density_matrix()
+    amp = psi.amplitudes
     beta = spec.diffusion.beta
     dn = _delta_n(psi.dim)
     decay = np.exp(-(beta**2) * dn.astype(float) ** 2)
-    base = rho0.matrix * decay
-
-    def state_at(phi: float) -> DensityMatrix:
-        return DensityMatrix(Operator(base * np.exp(-1j * phi * dn), hermitian=True))
+    base = DensityMatrix(Operator(np.outer(amp, amp.conj()) * decay, hermitian=True))
 
     def derivative_at(phi: float) -> Operator:
-        d = -1j * dn * (base * np.exp(-1j * phi * dn))
+        d = -1j * dn * (base.matrix * np.exp(-1j * phi * dn))
         return Operator((d + d.conj().T) / 2, hermitian=True)
 
     return ParamFamily(
         dim=psi.dim,
-        state_at=state_at,
+        state_at=base.phase_shifted,
         derivative_at=derivative_at,
         domain=spec.phi_domain,
     )

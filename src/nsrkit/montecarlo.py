@@ -24,13 +24,15 @@ from .errors import (
     NumericalConsistencyError,
 )
 from .estimation import ParamFamily, SensitivityReport, assess_observable
-from .operators import expectation
+from .operators import IMAG_RESIDUE_TOL, expectation
 
 log = logging.getLogger(__name__)
 
 PROB_NEG_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 MIN_WINDOW_POINTS = 5
+# Buckets of the sampling guide table; a power of two, so scaling is exact.
+GUIDE_BUCKETS = 2**12
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,55 @@ class MeasurementModel:
         return p / total
 
 
+class _GuideTable:
+    """Inverse-CDF sampler of nu indices 0..len(p)-1 at a time, with a guide
+    table (Chen & Asau, AIIE Trans. 6, 163 (1974)).
+
+    The CDF is built as Generator.choice builds it and scaled by the power of
+    two GUIDE_BUCKETS, which is exact, so a draw returns exactly
+    cdf.searchsorted(rng.random(nu), side="right"): the indices choice(p=p)
+    draws from the same stream. A uniform whose bucket holds no CDF node takes
+    the bucket's first index; only the others are searched. Draws fill arrays
+    the table owns, so repeated draws allocate (and page in) no new memory.
+    """
+
+    def __init__(self, p: np.ndarray, nu: int):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self._nodes = cdf * GUIDE_BUCKETS
+        buckets = np.arange(GUIDE_BUCKETS)
+        first = self._nodes.searchsorted(buckets, side="right")
+        holds_node = self._nodes.searchsorted(buckets + 1, side="left") > first
+        # -1 marks a bucket whose index depends on where in it the uniform falls
+        self._guide = np.where(holds_node, -1, first)
+        self._u = np.empty(nu)
+        self._bucket = np.empty(nu, dtype=np.intp)
+        self._idx = np.empty(nu, dtype=np.intp)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Indices of nu draws; the array is overwritten by the next draw."""
+        u, idx = self._u, self._idx
+        rng.random(out=u)
+        u *= GUIDE_BUCKETS
+        np.copyto(self._bucket, u, casting="unsafe")
+        # Buckets are in range as u < 1; mode="raise" would copy idx first.
+        np.take(self._guide, self._bucket, out=idx, mode="clip")
+        search = idx < 0
+        idx[search] = self._nodes.searchsorted(u[search], side="right")
+        return idx
+
+
 def sample_outcomes(rho, m, nu: int, seed) -> np.ndarray:
-    """nu i.i.d. eigenvalue draws of m on rho; deterministic for a fixed seed."""
+    """nu i.i.d. eigenvalue draws of m on rho; deterministic for a fixed seed.
+
+    Draws go through a guide table and are the outcomes
+    Generator.choice(eigenvalues, size=nu, p=probabilities) gives for the seed.
+    """
     if nu < 1:
         raise ContractViolationError(f"sample count must be positive, got {nu}")
     model = MeasurementModel.from_observable(m)
-    probs = model.probabilities(rho)
-    rng = np.random.default_rng(seed)
-    return rng.choice(model.eigenvalues, size=nu, p=probs)
+    table = _GuideTable(model.probabilities(rho), nu)
+    return model.eigenvalues[table.draw(np.random.default_rng(seed))]
 
 
 @dataclass(frozen=True)
@@ -242,7 +285,7 @@ def mean_inversion_condition(report: SensitivityReport, nu: int) -> tuple[float,
     (delta_m, threshold, satisfied) with satisfied = delta_m <= threshold/10.
     """
     delta_m = math.sqrt(report.variance / nu)
-    if report.mean == 0.0:
+    if abs(report.mean) <= IMAG_RESIDUE_TOL:  # a roundoff mean is an exact zero
         return delta_m, math.inf, True
     threshold = 2.0 * report.slope**2 / abs(report.mean)
     return delta_m, threshold, delta_m <= threshold / 10.0
@@ -293,12 +336,13 @@ def run_trials(
     curve = build_curve(fam, m, _curve_grid(phi_exp, fam.domain, grid_points))
     rho_true = fam.state_at(phi_true)
     model = MeasurementModel.from_observable(m)
-    probs = model.probabilities(rho_true)
+    table = _GuideTable(model.probabilities(rho_true), nu)
+    outcomes = np.empty(nu)  # reused, like the table's arrays
     estimates = np.empty(repeats)
     clamped_flags = []
     for k in range(repeats):
-        rng = np.random.default_rng([seed, k])
-        outcomes = rng.choice(model.eigenvalues, size=nu, p=probs)
+        idx = table.draw(np.random.default_rng([seed, k]))
+        np.take(model.eigenvalues, idx, out=outcomes, mode="clip")  # idx < len(p)
         est, clamped = _invert(curve, float(outcomes.mean()))
         estimates[k] = est
         clamped_flags.append(clamped)

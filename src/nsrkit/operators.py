@@ -101,6 +101,22 @@ class DensityMatrix:
         m = _as_complex_matrix(matrix)
         return cls(Operator((m + m.conj().T) / 2, hermitian=True))
 
+    def phase_shifted(self, phi: float) -> "DensityMatrix":
+        """D rho D^dag with D = diag(e^{-i phi n}), n the Fock index.
+
+        Conjugation by a diagonal unitary keeps the diagonal and the spectrum,
+        so the unit trace and positivity checked on this state carry over and
+        are not re-checked; only Operator's O(d^2) Hermiticity check runs.
+        """
+        if not math.isfinite(phi):
+            raise ContractViolationError(f"phase shift must be finite, got {phi}")
+        ph = np.exp(-1j * phi * np.arange(self.dim))
+        shifted = object.__new__(DensityMatrix)
+        object.__setattr__(
+            shifted, "op", Operator(self.matrix * np.outer(ph, ph.conj()), hermitian=True)
+        )
+        return shifted
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -158,6 +174,9 @@ def default_truncation_dim(alpha: float, r: float) -> int:
     until far past the mean, so the cutoff must scale with 1/(-ln tanh|r|);
     displacement along the anti-squeezed axis adds roughly alpha^2 e^{2|r|}.
     """
+    for name, value in (("alpha", alpha), ("r", r)):
+        if not math.isfinite(value):
+            raise ContractViolationError(f"{name} must be finite, got {value}")
     n = alpha**2 + math.sinh(r) ** 2
     dim = max(16, math.ceil(8.0 * (n + 1.0)))
     if r != 0.0:
@@ -222,11 +241,11 @@ def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
     the norm, with a suggested larger dimension.
     """
     big = PROBE_PAD_FACTOR * spec.dim
-    d_op = unitary_from_generator(displacement_generator(spec.alpha, big))
-    s_op = unitary_from_generator(squeezing_generator(spec.r, big))
     vac = np.zeros(big, dtype=complex)
     vac[0] = 1.0
-    psi_big = d_op.matrix @ (s_op.matrix @ vac)
+    # One padded unitary alive at a time: S is freed before D is built.
+    squeezed = unitary_from_generator(squeezing_generator(spec.r, big)).matrix @ vac
+    psi_big = unitary_from_generator(displacement_generator(spec.alpha, big)).matrix @ squeezed
     kept = psi_big[: spec.dim]
     leakage = 1.0 - float(np.linalg.norm(kept) ** 2)
     if leakage > LEAKAGE_TOL:

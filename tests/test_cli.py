@@ -232,6 +232,12 @@ class TestMcCommand:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_small_dm_threshold_inf_at_optimum(self, capsys):
+        code, out, _ = run_cli(capsys, "mc", "--nu", "2000", "--repeats", "3",
+                               "--seed", "7")
+        assert code == 0
+        assert last_json(out)["small_dm"]["threshold"] == "inf"
+
     def test_numerical_error_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "nsr", "--alpha", "2", "--r", "0.8",
                                "--dim", "8")
@@ -271,3 +277,19 @@ class TestScanCommand:
         assert "," in out.splitlines()[0]
         value = out.splitlines()[1].split(",")[-1]
         float(value)  # dot-decimal, parseable
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, name", [
+        (("nsr", "--alpha", "inf"), "alpha"),
+        (("nsr", "--alpha", "nan"), "alpha"),
+        (("nsr", "--r", "nan"), "r"),
+        (("scan", "--beta", "nan"), "beta"),
+        (("scan", "--alpha", "nan"), "alpha"),
+    ], ids=["nsr-alpha-inf", "nsr-alpha-nan", "nsr-r-nan", "scan-beta-nan", "scan-alpha-nan"])
+    def test_exit_2_naming_parameter(self, argv, name):
+        proc = run_cold(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"{name} must be finite" in proc.stderr
+        assert proc.stdout == ""

@@ -12,6 +12,7 @@ from nsrkit import (
     PhaseFamilySpec,
     analytic_fnsr,
     assess_observable,
+    build_curve,
     c_q,
     dephase_channel,
     dephasing_family,
@@ -111,6 +112,40 @@ class TestDephasingFamily:
         fam = dephasing_family(fock_dephasing_spec(1.0, 0.3, 0.3))
         values = [qfi(fam, phi) for phi in (-0.9, 0.0, 1.3)]
         assert max(values) - min(values) <= 1e-9
+
+    def test_state_at_is_phase_shifted_base(self):
+        spec = fock_dephasing_spec(2.0, 1.0, 0.3)
+        fam = dephasing_family(spec)
+        amp = gaussian_probe(spec.probe).amplitudes
+        n = np.arange(spec.dim)
+        dn = n[:, None] - n[None, :]
+        base = np.outer(amp, amp.conj()) * np.exp(-(spec.diffusion.beta**2) * dn**2.0)
+        spectrum0 = np.linalg.eigvalsh(fam.state_at(0.0).matrix)
+        for phi in (-2.9, -0.4, 0.7, 3.1):
+            rho = fam.state_at(phi).matrix
+            np.testing.assert_allclose(rho, base * np.exp(-1j * phi * dn), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.linalg.eigvalsh(rho), spectrum0, rtol=0, atol=1e-12)
+
+    def test_build_curve_checks_no_spectrum(self, monkeypatch):
+        # the family's state is validated once, at construction; tabulating
+        # 2001 states runs no eigensolver
+        spec = PhaseFamilySpec(GaussianProbeSpec.with_default_dim(1.0, 0.0),
+                               DiffusionParams(0.3), (0.7 - math.pi, 0.7 + math.pi))
+        fam = dephasing_family(spec)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        phi_exp = optimal_calibration(0.7)
+        curve = build_curve(fam, quadrature(phi_exp, spec.dim),
+                            np.linspace(phi_exp, phi_exp + math.pi, 2001))
+        assert curve.xs.size == 2001
+        assert calls == []
 
     def test_statevector_probe(self):
         spec = PhaseFamilySpec(fock_state(2, 1), DiffusionParams(0.1), (-1.0, 1.0))

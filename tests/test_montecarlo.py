@@ -36,7 +36,7 @@ from nsrkit import (
     run_trials,
     sample_outcomes,
 )
-from nsrkit.montecarlo import _curve_grid
+from nsrkit.montecarlo import _GuideTable, _curve_grid
 
 from conftest import SIGMA_Z, plus_state
 from oracles import random_density_mat
@@ -116,6 +116,70 @@ class TestSampleOutcomes:
         target = expectation(rho, m)
         sigma = math.sqrt(np.var(draws) / nu)
         assert abs(draws.mean() - target) <= 4 * sigma
+
+
+def choice_cdf(p):
+    """The CDF as Generator.choice builds it."""
+    cdf = np.cumsum(p)
+    return cdf / cdf[-1]
+
+
+def spread_probabilities(dim):
+    """A distribution spread over many decades, with many near-equal CDF nodes."""
+    p = np.random.default_rng(dim).random(dim) ** 12
+    return p / p.sum()
+
+
+def born_probabilities(alpha, r):
+    """Born distribution of the calibrated quadrature on the probe D(alpha)S(r)|0>."""
+    spec = case_study_spec(alpha=alpha, r=r)
+    m = quadrature(optimal_calibration(0.7), spec.dim)
+    return MeasurementModel.from_observable(m).probabilities(dephasing_family(spec).state_at(0.7))
+
+
+class TestGuideTableSampler:
+    @pytest.mark.parametrize("make_p", [
+        lambda: spread_probabilities(2),
+        lambda: spread_probabilities(16),
+        lambda: spread_probabilities(116),
+        lambda: born_probabilities(1.0, 0.0),
+        lambda: born_probabilities(2.0, 1.0),
+    ], ids=["spread-2", "spread-16", "spread-116", "case-study-16", "large-probe-116"])
+    def test_indices_match_searchsorted_and_choice(self, make_p):
+        p = make_p()
+        nu = 20000
+        table, cdf = _GuideTable(p, nu), choice_cdf(p)
+        for seed in range(50):
+            idx = table.draw(np.random.default_rng(seed))
+            u = np.random.default_rng(seed).random(nu)
+            np.testing.assert_array_equal(idx, cdf.searchsorted(u, side="right"))
+            np.testing.assert_array_equal(
+                idx, np.random.default_rng(seed).choice(p.size, size=nu, p=p))
+
+    @pytest.mark.parametrize("p", [
+        [0.0, 0.3, 0.0, 0.0, 0.7, 0.0],
+        [0.25, 0.25, 0.5],
+    ], ids=["zero-entries", "nodes-on-bucket-edges"])
+    def test_edge_distributions(self, p):
+        p = np.array(p)
+        nu = 20000
+        table = _GuideTable(p, nu)
+        for seed in range(50):
+            idx = table.draw(np.random.default_rng(seed))
+            np.testing.assert_array_equal(
+                idx, np.random.default_rng(seed).choice(p.size, size=nu, p=p))
+            assert p[idx].min() > 0.0
+
+    def test_sample_outcomes_matches_choice(self):
+        spec = case_study_spec()
+        rho = dephasing_family(spec).state_at(0.7)
+        m = quadrature(optimal_calibration(0.7), spec.dim)
+        model = MeasurementModel.from_observable(m)
+        p = model.probabilities(rho)
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                sample_outcomes(rho, m, 10000, seed),
+                np.random.default_rng(seed).choice(model.eigenvalues, size=10000, p=p))
 
 
 class TestBuildCurve:
@@ -318,6 +382,23 @@ class TestRunTrials:
         delta_m, threshold, ok = mean_inversion_condition(rep, 10000)
         assert delta_m == pytest.approx(math.sqrt(rep.variance / 10000), rel=1e-12)
         assert ok  # optimal calibration sits at the inflection of the mean curve
+
+    def test_small_dm_threshold_inf_at_optimum(self):
+        # the mean there is a roundoff zero, not a curvature to report
+        spec = case_study_spec()
+        rep = assess_observable(dephasing_family(spec), 0.7,
+                                quadrature(optimal_calibration(0.7), spec.dim))
+        _, threshold, ok = mean_inversion_condition(rep, 100000)
+        assert threshold == math.inf
+        assert ok
+
+    def test_small_dm_threshold_off_optimum(self):
+        spec = case_study_spec()
+        rep = assess_observable(dephasing_family(spec), 0.7,
+                                quadrature(optimal_calibration(0.7) + 0.3, spec.dim))
+        _, threshold, _ = mean_inversion_condition(rep, 100000)
+        assert threshold == 2.0 * rep.slope**2 / abs(rep.mean)
+        assert math.isfinite(threshold)
 
 
 class TestAdaptiveCalibrate:

@@ -193,6 +193,20 @@ class TestVariance:
             assert variance(rho, shifted) == pytest.approx(base, abs=1e-9)
 
 
+class TestPhaseShifted:
+    def test_matches_number_rotation(self, rng):
+        dim, phi = 7, 0.9
+        rho = DensityMatrix.from_matrix(random_density_mat(rng, dim))
+        u = unitary_from_generator(Operator(-1j * phi * number_operator(dim).matrix))
+        expected = u.matrix @ rho.matrix @ u.matrix.conj().T
+        np.testing.assert_allclose(rho.phase_shifted(phi).matrix, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(ContractViolationError):
+            vacuum_density(4).phase_shifted(phi)
+
+
 class TestTypeContracts:
     def test_operator_hermitian_flag_checked(self):
         with pytest.raises(ContractViolationError):
@@ -219,6 +233,13 @@ class TestTypeContracts:
         assert default_truncation_dim(0.0, 0.0) == 16
         assert default_truncation_dim(2.0, 0.0) == 40  # 8 (N+1) with N = 4
         assert default_truncation_dim(1.0, 0.8) > 40  # squeezed tail dominates
+
+    @pytest.mark.parametrize("alpha, r, name", [
+        (math.inf, 0.0, "alpha"), (math.nan, 0.0, "alpha"), (1.0, math.nan, "r"),
+    ])
+    def test_default_truncation_dim_rejects_non_finite(self, alpha, r, name):
+        with pytest.raises(ContractViolationError, match=f"{name} must be finite"):
+            default_truncation_dim(alpha, r)
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(InvalidDimensionError):
