@@ -38,15 +38,13 @@ from .errors import (
     DegenerateObservableError,
     DimensionMismatchError,
     EstimatorDivergenceError,
-    InvalidDimensionError,
     NoInformationError,
     NonInvertibleCurveError,
     NumericalConsistencyError,
     TruncationError,
-    UndefinedResidualError,
 )
 from .estimation import assess_observable, pure_unitary_family, pure_unitary_qfi, sld
-from .montecarlo import adaptive_calibrate, mean_inversion_condition, run_trials
+from .montecarlo import adaptive_calibrate, run_trials
 from .operators import (
     GaussianProbeSpec,
     Operator,
@@ -58,13 +56,6 @@ from .operators import (
     number_operator,
 )
 
-CONFIG_ERRORS = (
-    InvalidDimensionError,
-    DimensionMismatchError,
-    ContractViolationError,
-    UndefinedResidualError,
-    ValueError,
-)
 NUMERICAL_ERRORS = (
     TruncationError,
     NumericalConsistencyError,
@@ -366,22 +357,16 @@ def cmd_mc(args) -> int:
             "fisher_fraction": fishers[-1] / optimal_fisher,
         }
     else:
-        reports = run_trials(
-            spec, phi_true, nu=args.nu, repeats=args.repeats, seed=args.seed
-        )
-        for rep in reports:
+        run = run_trials(spec, phi_true, nu=args.nu, repeats=args.repeats, seed=args.seed)
+        for k, (est, clamped) in enumerate(zip(run.estimates.tolist(), run.clamped.tolist())):
             lines.append(json.dumps(_json_ready({
-                "repeat": rep.repeat,
-                "nu": rep.nu,
-                "estimate": rep.estimate,
-                "clamped": rep.clamped,
+                "repeat": k,
+                "nu": args.nu,
+                "estimate": est,
+                "clamped": clamped,
             }), sort_keys=True))
-        fam = dephasing_family(spec)
-        m = quadrature(optimal_calibration(phi_true), spec.dim)
-        sens = assess_observable(fam, phi_true, m)
-        delta_m, threshold, ok = mean_inversion_condition(sens, args.nu)
+        delta_m, threshold, ok = run.small_dm
         fnsr = analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta)
-        empirical = reports[0].empirical_variance
         summary = {
             "command": "mc",
             "alpha": spec.probe.alpha,
@@ -391,11 +376,11 @@ def cmd_mc(args) -> int:
             "nu": args.nu,
             "repeats": args.repeats,
             "seed": args.seed,
-            "empirical_variance": empirical,
-            "predicted_variance": reports[0].predicted_variance,
+            "empirical_variance": run.empirical_variance,
+            "predicted_variance": run.predicted_variance,
             "fnsr_analytic": fnsr,
-            "nu_var_fnsr": args.nu * empirical * fnsr,
-            "clamped_count": sum(r.clamped for r in reports),
+            "nu_var_fnsr": args.nu * run.empirical_variance * fnsr,
+            "clamped_count": int(run.clamped.sum()),
             "small_dm": {"delta_m": delta_m, "threshold": threshold, "ok": ok},
         }
     text = "\n".join(lines + [json.dumps(_json_ready(summary), sort_keys=True)]) + "\n"
@@ -515,11 +500,11 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CONFIG_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: an input is out of range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -126,6 +126,8 @@ def quadrature(phi_exp: float, dim: int) -> Operator:
     """Observable a e^{i phi_exp} + a^dag e^{-i phi_exp} (vacuum variance 1)."""
     if dim < 2:
         raise InvalidDimensionError(f"quadrature needs dim >= 2, got {dim}")
+    if not math.isfinite(phi_exp):
+        raise ContractViolationError(f"phi_exp must be finite, got {phi_exp}")
     a, adag = fock_ladder(dim)
     m = a.matrix * np.exp(1j * phi_exp) + adag.matrix * np.exp(-1j * phi_exp)
     return Operator(m, hermitian=True)

@@ -60,7 +60,7 @@ class ParamFamily:
     pure_state: StateVector | None = None
 
     def contains(self, x: float) -> bool:
-        return self.domain[0] <= x <= self.domain[1]
+        return math.isfinite(x) and self.domain[0] <= x <= self.domain[1]
 
     def check_derivative(self, x: float, delta: float = 1e-5) -> float:
         """Max elementwise gap between the analytic derivative and a central

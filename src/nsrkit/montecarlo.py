@@ -259,22 +259,21 @@ def invert_mean(curve: CalibrationCurve, observed_mean: float) -> float:
     return estimate
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    """One mean-inversion repeat plus the shared across-repeat statistics.
+@dataclass(frozen=True, eq=False)
+class TrialRun:
+    """What one run_trials run computed.
 
-    empirical_variance is the sample variance of the estimates across all
-    repeats of the run (identical in every report of the run);
-    predicted_variance is nsr^2 / nu from the sensitivity report.
+    estimates and clamped hold one entry per repeat (read-only);
+    empirical_variance is the sample variance of the estimates;
+    predicted_variance is nsr^2 / nu of the calibrated quadrature at phi_true;
+    small_dm is the (delta_m, threshold, ok) of mean_inversion_condition.
     """
 
-    nu: int
-    estimate: float
+    estimates: np.ndarray
+    clamped: np.ndarray
     empirical_variance: float
     predicted_variance: float
-    seed: int
-    repeat: int
-    clamped: bool
+    small_dm: tuple[float, float, bool]
 
 
 def mean_inversion_condition(report: SensitivityReport, nu: int) -> tuple[float, float, bool]:
@@ -302,16 +301,10 @@ def _curve_grid(phi_exp: float, domain: tuple[float, float], points: int) -> np.
     return np.linspace(lo, hi, points)
 
 
-def run_trials(
-    spec,
-    phi_true: float,
-    nu: int,
-    repeats: int,
-    seed: int,
-    grid_points: int = 2001,
-) -> list[TrialReport]:
+def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> TrialRun:
     """Repeat the full protocol: draw nu outcomes at rho(phi_true), average,
-    invert the calibration curve; report the spread of the estimates.
+    invert the calibration curve. Returns one TrialRun with every estimate
+    and the spread of the estimates.
 
     Per-repeat RNG streams derive from (seed, repeat index), so repeats are
     order-independent and the whole run is reproducible bit for bit.
@@ -332,33 +325,28 @@ def run_trials(
             "small-noise condition marginal: delta_M=%.3g vs threshold %.3g",
             delta_m, threshold,
         )
-    predicted = report.nsr**2 / nu
-    curve = build_curve(fam, m, _curve_grid(phi_exp, fam.domain, grid_points))
-    rho_true = fam.state_at(phi_true)
+    # phi_exp is wrapped into (-pi, pi]; the window starts at its 2pi image
+    # whose midpoint is phi_true.
+    start = phi_exp + math.tau * round((phi_true - math.pi / 2 - phi_exp) / math.tau)
+    curve = build_curve(fam, m, _curve_grid(start, fam.domain, 2001))
     model = MeasurementModel.from_observable(m)
-    table = _GuideTable(model.probabilities(rho_true), nu)
+    table = _GuideTable(model.probabilities(fam.state_at(phi_true)), nu)
     outcomes = np.empty(nu)  # reused, like the table's arrays
     estimates = np.empty(repeats)
-    clamped_flags = []
+    clamped = np.empty(repeats, dtype=bool)
     for k in range(repeats):
         idx = table.draw(np.random.default_rng([seed, k]))
         np.take(model.eigenvalues, idx, out=outcomes, mode="clip")  # idx < len(p)
-        est, clamped = _invert(curve, float(outcomes.mean()))
-        estimates[k] = est
-        clamped_flags.append(clamped)
-    empirical = float(np.var(estimates, ddof=1))
-    return [
-        TrialReport(
-            nu=nu,
-            estimate=float(estimates[k]),
-            empirical_variance=empirical,
-            predicted_variance=predicted,
-            seed=seed,
-            repeat=k,
-            clamped=clamped_flags[k],
-        )
-        for k in range(repeats)
-    ]
+        estimates[k], clamped[k] = _invert(curve, float(outcomes.mean()))
+    estimates.setflags(write=False)
+    clamped.setflags(write=False)
+    return TrialRun(
+        estimates=estimates,
+        clamped=clamped,
+        empirical_variance=float(np.var(estimates, ddof=1)),
+        predicted_variance=report.nsr**2 / nu,
+        small_dm=(delta_m, threshold, ok),
+    )
 
 
 def adaptive_calibrate(
@@ -367,7 +355,6 @@ def adaptive_calibrate(
     batch: int,
     rounds: int,
     seed: int,
-    grid_points: int = 1001,
 ) -> list[float]:
     """Adaptive loop: measure a batch at the current quadrature angle, invert
     for phi_hat, re-center the angle to phi_hat - pi/2, repeat.
@@ -385,7 +372,7 @@ def adaptive_calibrate(
     estimates: list[float] = []
     for k in range(rounds):
         try:
-            grid = _curve_grid(phi_exp, domain, grid_points)
+            grid = _curve_grid(phi_exp, domain, 1001)
             m = quadrature(phi_exp, fam.dim)
             curve = build_curve(fam, m, grid)
         except (EstimatorDivergenceError, NonInvertibleCurveError) as exc:

@@ -209,9 +209,9 @@ def test_criterion_9_monte_carlo_attainability():
         phi_domain=(phi_true - math.pi, phi_true + math.pi),
     )
     nu = 100000
-    reports = run_trials(spec, phi_true, nu=nu, repeats=200, seed=7)
+    run = run_trials(spec, phi_true, nu=nu, repeats=200, seed=7)
     fnsr = analytic_fnsr(0.0, 1.0, 0.3)
-    ratio = nu * reports[0].empirical_variance * fnsr
+    ratio = nu * run.empirical_variance * fnsr
     elapsed = time.time() - start
     assert 0.95 <= ratio <= 1.10
     assert elapsed < 120.0

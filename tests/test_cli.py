@@ -18,12 +18,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cold(*argv):
+def run_cold(*argv, cwd=None):
     """The CLI in a fresh interpreter, so an uncaught exception shows as rc 1
     plus a traceback on stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
     return subprocess.run([sys.executable, "-m", "nsrkit.cli", *argv], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=cwd)
 
 
 def last_json(out: str) -> dict:
@@ -286,10 +286,30 @@ class TestNonFiniteInputs:
         (("nsr", "--r", "nan"), "r"),
         (("scan", "--beta", "nan"), "beta"),
         (("scan", "--alpha", "nan"), "alpha"),
-    ], ids=["nsr-alpha-inf", "nsr-alpha-nan", "nsr-r-nan", "scan-beta-nan", "scan-alpha-nan"])
+        (("nsr", "--phi-exp", "nan"), "phi_exp"),
+        (("nsr", "--phi-exp", "inf"), "phi_exp"),
+    ], ids=["nsr-alpha-inf", "nsr-alpha-nan", "nsr-r-nan", "scan-beta-nan", "scan-alpha-nan",
+            "nsr-phi-exp-nan", "nsr-phi-exp-inf"])
     def test_exit_2_naming_parameter(self, argv, name):
         proc = run_cold(*argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"{name} must be finite" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("nsr", "--beta", "1e200", "--dim", "16"),
+        ("qfi", "--beta", "1e200", "--dim", "16"),
+        ("scan", "--beta", "1e200"),
+        ("nsr", "--r", "1e3", "--dim", "16"),
+        ("nsr", "--alpha", "1e200", "--dim", "16"),
+        ("fig2", "--grid-two-beta-sq", "1e300:1e300:1", "--grid-N", "1:1:1"),
+        ("qfi", "--family", "pure", "--x", "inf"),
+    ], ids=["nsr-beta-huge", "qfi-beta-huge", "scan-beta-huge", "nsr-r-huge",
+            "nsr-alpha-huge", "fig2-two-beta-sq-huge", "qfi-pure-x-inf"])
+    def test_out_of_range_exit_2(self, argv, tmp_path):
+        proc = run_cold(*argv, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
         assert proc.stdout == ""

@@ -337,37 +337,42 @@ class TestRunTrials:
         spec = case_study_spec()
         a = run_trials(spec, 0.7, nu=2000, repeats=8, seed=123)
         b = run_trials(spec, 0.7, nu=2000, repeats=8, seed=123)
-        assert a == b
+        np.testing.assert_array_equal(a.estimates, b.estimates)
+        np.testing.assert_array_equal(a.clamped, b.clamped)
+        assert (a.empirical_variance, a.predicted_variance, a.small_dm) == (
+            b.empirical_variance, b.predicted_variance, b.small_dm)
 
     def test_predicted_variance_definition(self):
         spec = case_study_spec()
-        reports = run_trials(spec, 0.7, nu=5000, repeats=5, seed=1)
+        run = run_trials(spec, 0.7, nu=5000, repeats=5, seed=1)
         fam = dephasing_family(spec)
         m = quadrature(optimal_calibration(0.7), spec.dim)
         nsr = assess_observable(fam, 0.7, m).nsr
-        for rep in reports:
-            assert rep.predicted_variance == nsr**2 / rep.nu
-            assert rep.nu == 5000
-            assert rep.seed == 1
+        assert run.predicted_variance == nsr**2 / 5000
+        assert run.estimates.shape == run.clamped.shape == (5,)
 
     def test_variance_tracks_prediction(self):
         spec = case_study_spec()
-        reports = run_trials(spec, 0.7, nu=20000, repeats=150, seed=2)
-        ratio = reports[0].empirical_variance / reports[0].predicted_variance
+        run = run_trials(spec, 0.7, nu=20000, repeats=150, seed=2)
+        ratio = run.empirical_variance / run.predicted_variance
         assert 0.75 <= ratio <= 1.3
 
     def test_variance_halves_when_nu_doubles(self):
         spec = case_study_spec()
-        v1 = run_trials(spec, 0.7, nu=20000, repeats=150, seed=11)[0].empirical_variance
-        v2 = run_trials(spec, 0.7, nu=40000, repeats=150, seed=12)[0].empirical_variance
+        v1 = run_trials(spec, 0.7, nu=20000, repeats=150, seed=11).empirical_variance
+        v2 = run_trials(spec, 0.7, nu=40000, repeats=150, seed=12).empirical_variance
         assert 0.3 <= v2 / v1 <= 0.8
 
-    def test_estimator_unbiased_within_noise(self):
-        spec = case_study_spec()
-        reports = run_trials(spec, 0.7, nu=50000, repeats=100, seed=4)
-        ests = np.array([r.estimate for r in reports])
-        var = reports[0].empirical_variance
-        assert abs(ests.mean() - 0.7) <= 3 * math.sqrt(var / len(ests)) + 1e-4
+    # -3.0 and 5.0 lie outside (-pi/2, 3pi/2], where the wrapped optimal
+    # calibration is a 2pi image away from phi_true.
+    @pytest.mark.parametrize("phi_true", [0.7, -3.0, -math.pi / 2, 5.0],
+                             ids=["0.7", "-3.0", "-half-pi", "5.0"])
+    def test_estimator_unbiased_within_noise(self, phi_true):
+        spec = case_study_spec(phi_true=phi_true)
+        run = run_trials(spec, phi_true, nu=50000, repeats=100, seed=4)
+        var = run.empirical_variance
+        assert abs(run.estimates.mean() - phi_true) <= 3 * math.sqrt(var / 100) + 1e-4
+        assert not run.clamped.any()
 
     def test_phi_true_outside_domain(self):
         spec = case_study_spec()
