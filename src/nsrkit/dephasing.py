@@ -268,14 +268,15 @@ def enhancement_scan(two_beta_sq_grid, n_grid) -> EnhancementScan:
     return EnhancementScan(cells=cells, max_rows=max_rows)
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section maximizer of a unimodal function on [lo, hi]."""
+def _golden_max(fun, lo: float, hi: float) -> float:
+    """Golden-section maximizer of a unimodal function on [lo, hi], to 1e-12
+    relative."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    while b - a > 1e-12 * max(1.0, abs(a) + abs(b)):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -287,32 +288,27 @@ def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
     return (a + b) / 2.0
 
 
-def max_enhancement_ratio(beta: float, n_grid=None) -> tuple[float, float]:
+def max_enhancement_ratio(beta: float) -> tuple[float, float]:
     """Max over N of optimal_fnsr/c_q at fixed beta, refined by golden-section
-    search in log N around the best grid point. Returns (max_ratio, argmax_N)."""
-    if n_grid is None:
-        n_grid = DEFAULT_N_GRID
-    n_values = np.asarray(n_grid, dtype=float)
+    search in log N around the best point of DEFAULT_N_GRID. Returns
+    (max_ratio, argmax_N)."""
 
     def ratio_log(u: float) -> float:
         n = math.exp(u)
         return optimal_fnsr(n, beta) / c_q(n, beta)
 
-    ratios = [optimal_fnsr(float(n), beta) / c_q(float(n), beta) for n in n_values]
+    ratios = [optimal_fnsr(float(n), beta) / c_q(float(n), beta) for n in DEFAULT_N_GRID]
     k = int(np.argmax(ratios))
-    lo = math.log(n_values[max(k - 1, 0)])
-    hi = math.log(n_values[min(k + 1, len(n_values) - 1)])
-    if lo == hi:
-        return ratios[k], float(n_values[k])
+    lo = math.log(DEFAULT_N_GRID[max(k - 1, 0)])
+    hi = math.log(DEFAULT_N_GRID[min(k + 1, DEFAULT_N_GRID.size - 1)])
     u_star = _golden_max(ratio_log, lo, hi)
     return ratio_log(u_star), math.exp(u_star)
 
 
-def enhancement_threshold(
-    lo: float = 0.01, hi: float = 1.0, tol: float = 1e-4
-) -> float:
+def enhancement_threshold() -> float:
     """2 beta^2 at which the best squeezing enhancement crosses the standard
-    benchmark (max ratio = 1), located by bisection."""
+    benchmark (max ratio = 1), located by bisection on [0.01, 1] to 1e-4."""
+    lo, hi = 0.01, 1.0
 
     def excess(tbs: float) -> float:
         beta = math.sqrt(tbs / 2.0)
@@ -323,7 +319,7 @@ def enhancement_threshold(
         raise NumericalConsistencyError(
             f"no sign change on [{lo}, {hi}]: excess {f_lo:.3e} .. {f_hi:.3e}"
         )
-    while hi - lo > tol:
+    while hi - lo > 1e-4:
         mid = (lo + hi) / 2.0
         if excess(mid) > 0:
             lo = mid

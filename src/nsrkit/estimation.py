@@ -62,12 +62,11 @@ class ParamFamily:
     def contains(self, x: float) -> bool:
         return math.isfinite(x) and self.domain[0] <= x <= self.domain[1]
 
-    def check_derivative(self, x: float, delta: float = 1e-5) -> float:
+    def check_derivative(self, x: float) -> float:
         """Max elementwise gap between the analytic derivative and a central
-        finite difference of the states; used by the consistency tests."""
-        fd = (self.state_at(x + delta).matrix - self.state_at(x - delta).matrix) / (
-            2 * delta
-        )
+        finite difference of the states, step 1e-5; used by the consistency
+        tests."""
+        fd = (self.state_at(x + 1e-5).matrix - self.state_at(x - 1e-5).matrix) / 2e-5
         return float(np.abs(fd - self.derivative_at(x).matrix).max())
 
 

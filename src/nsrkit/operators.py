@@ -26,13 +26,8 @@ HERMITICITY_RTOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-10
-UNITARITY_TOL = 1e-10
 LEAKAGE_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
-
-# Padding factor for preparing Gaussian probes on an enlarged space before
-# projecting back to the target truncation.
-PROBE_PAD_FACTOR = 2
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -65,9 +60,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, hermitian=self.hermitian)
 
 
 @dataclass(frozen=True)
@@ -229,27 +221,36 @@ def displacement_generator(alpha: float, dim: int) -> Operator:
     return Operator(alpha * (adag.matrix - a.matrix))
 
 
-def squeezing_generator(r: float, dim: int) -> Operator:
-    a, adag = fock_ladder(dim)
-    return Operator(r * (adag.matrix @ adag.matrix - a.matrix @ a.matrix) / 2)
-
-
 def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
-    """D(alpha) S(r) |0> on a padded space, projected back to spec.dim.
+    """D(alpha) S(r)|0>, S = exp(r (a^dag^2 - a^2)/2), on the first spec.dim
+    Fock states, from the recurrence that its annihilator
+    a cosh r - a^dag sinh r - alpha e^{-r} gives (Yuen, PRA 13, 2226 (1976)):
 
-    Raises TruncationError if the projection loses more than LEAKAGE_TOL of
-    the norm, with a suggested larger dimension.
+        sqrt(n+1) cosh(r) c_{n+1} = alpha e^{-r} c_n + sqrt(n) sinh(r) c_{n-1},
+        c_0 = exp(-alpha^2 (1 - tanh r)/2) / sqrt(cosh r).
+
+    The leakage 1 - sum_{n<dim} c_n^2 is exact. Raises TruncationError, with a
+    suggested larger dimension, if it exceeds LEAKAGE_TOL, and
+    NumericalConsistencyError if c_0 underflows.
     """
-    big = PROBE_PAD_FACTOR * spec.dim
-    vac = np.zeros(big, dtype=complex)
-    vac[0] = 1.0
-    # One padded unitary alive at a time: S is freed before D is built.
-    squeezed = unitary_from_generator(squeezing_generator(spec.r, big)).matrix @ vac
-    psi_big = unitary_from_generator(displacement_generator(spec.alpha, big)).matrix @ squeezed
-    kept = psi_big[: spec.dim]
-    leakage = 1.0 - float(np.linalg.norm(kept) ** 2)
+    alpha, r = spec.alpha, spec.r
+    one_minus_tanh = math.exp(-r) / math.cosh(r)  # 1 - tanh r, without cancellation
+    c = np.empty(spec.dim)
+    c[0] = math.exp(-0.5 * alpha**2 * one_minus_tanh) / math.sqrt(math.cosh(r))
+    if c[0] < np.finfo(float).tiny:
+        raise NumericalConsistencyError(
+            f"probe vacuum amplitude underflows ({c[0]:.3e}) at alpha={alpha}, r={r}"
+        )
+    drive = alpha * one_minus_tanh
+    tanh = math.tanh(r)
+    sqrt_n = np.sqrt(np.arange(spec.dim))
+    prev = 0.0
+    for n in range(spec.dim - 1):
+        c[n + 1] = (drive * c[n] + tanh * sqrt_n[n] * prev) / sqrt_n[n + 1]
+        prev = c[n]
+    leakage = 1.0 - float(c @ c)
     if leakage > LEAKAGE_TOL:
-        suggested = default_truncation_dim(spec.alpha, spec.r)
+        suggested = default_truncation_dim(alpha, r)
         if suggested <= spec.dim:
             suggested = 2 * spec.dim
         raise TruncationError(
@@ -257,14 +258,16 @@ def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
             f"try dim >= {suggested}",
             suggested_dim=suggested,
         )
-    return StateVector(kept / np.linalg.norm(kept))
+    return StateVector(c / np.linalg.norm(c))
 
 
 def expectation(rho: DensityMatrix, m: Operator) -> float:
-    """Tr[rho m]; the imaginary residue must be below IMAG_RESIDUE_TOL."""
+    """Tr[rho m] as the O(d^2) contraction sum_ij conj(rho_ij) m_ij, which is
+    the trace because rho is Hermitian; the imaginary residue must be below
+    IMAG_RESIDUE_TOL."""
     if rho.dim != m.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != observable dim {m.dim}")
-    val = complex(np.trace(rho.matrix @ m.matrix))
+    val = complex(np.vdot(rho.matrix, m.matrix))
     if abs(val.imag) > IMAG_RESIDUE_TOL:
         raise NumericalConsistencyError(
             f"expectation has imaginary residue {val.imag:.3e}"

@@ -3,7 +3,8 @@
 Everything here is deliberately written against the definitions, not against
 the library code paths it checks: Gauss-Hermite quadrature of the diffusion
 integral, golden-section maximization, the Bloch-vector Fisher formula and
-brute-force moment sums.
+brute-force moment sums, and the Gaussian probe amplitudes from matrix
+exponentials (scipy) or from the coherent and squeezed-vacuum closed forms.
 """
 
 import math
@@ -79,3 +80,40 @@ def random_density_mat(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
     return m / np.trace(m).real
+
+
+def expm_gaussian_probe(alpha: float, r: float, big: int) -> np.ndarray:
+    """D(alpha) S(r)|0> on a big-dimensional Fock space, with
+    S = exp(r (a^dag^2 - a^2)/2) and D = exp(alpha (a^dag - a)), each taken
+    by scipy.linalg.expm of its ladder generator. The truncated generators
+    act like the untruncated ones on the low Fock numbers, so the leading
+    amplitudes are exact to roundoff when big is several times the support."""
+    from scipy.linalg import expm
+
+    a = np.diag(np.sqrt(np.arange(1.0, big)), 1)
+    adag = a.T
+    squeezed = expm(r * (adag @ adag - a @ a) / 2)[:, 0]
+    return expm(alpha * (adag - a)) @ squeezed
+
+
+def coherent_amplitudes(alpha: float, dim: int) -> np.ndarray:
+    """<n|alpha> = e^{-alpha^2/2} alpha^n / sqrt(n!) for real alpha, n < dim."""
+    n = np.arange(dim)
+    if alpha == 0.0:
+        return (n == 0).astype(float)
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    log_mag = -alpha**2 / 2 + n * math.log(abs(alpha)) - log_fact / 2
+    return np.sign(alpha) ** n * np.exp(log_mag)
+
+
+def squeezed_vacuum_amplitudes(r: float, dim: int) -> np.ndarray:
+    """<2k|S(r)|0> = (tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)); odd
+    Fock numbers carry none."""
+    out = np.zeros(dim)
+    t = math.tanh(r)
+    for n in range(0, dim, 2):
+        k = n // 2
+        log_mag = (math.lgamma(n + 1) / 2 - k * math.log(2.0) - math.lgamma(k + 1)
+                   - math.log(math.cosh(r)) / 2)
+        out[n] = t**k * math.exp(log_mag)
+    return out

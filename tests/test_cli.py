@@ -136,6 +136,18 @@ class TestNsrCommand:
         assert len(rows) == 2
         assert "fisher" in rows[0]
 
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "40", "--dim", "20000"),
+        ("--alpha", "100"),
+    ], ids=["alpha-40-dim-20000", "alpha-100-default-dim"])
+    def test_probe_underflow_exit_3(self, argv):
+        proc = run_cold("nsr", *argv)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "underflows" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestFig2Command:
     def test_writes_tables_and_threshold(self, capsys, tmp_path):

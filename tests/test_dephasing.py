@@ -221,13 +221,20 @@ class TestOptimalCalibration:
 
     def test_grid_argmax_matches(self):
         # numeric sweep oracle: fisher of quadrature(phi_exp) peaks at
-        # phi_true - pi/2
+        # phi_true - pi/2. The quadrature at phi_exp + pi is minus the one at
+        # phi_exp, so the Fisher value has period pi: a grid over one period
+        # holds a single maximum, where a 2 pi grid holds two exact ties.
         spec = fock_dephasing_spec(1.0, 0.3, 0.4)
         fam = dephasing_family(spec)
         phi_true = 0.7
-        grid = np.linspace(phi_true - math.pi, phi_true + math.pi, 721, endpoint=False)
-        fishers = [assess_observable(fam, phi_true, quadrature(float(p), spec.dim)).fisher
-                   for p in grid]
+
+        def fisher(p):
+            return assess_observable(fam, phi_true, quadrature(float(p), spec.dim)).fisher
+
+        grid = np.linspace(phi_true - math.pi, phi_true, 360, endpoint=False)
+        fishers = [fisher(p) for p in grid]
+        for k in (0, 90, 180, 270):
+            assert fisher(grid[k] + math.pi) == pytest.approx(fishers[k], rel=1e-12)
         best = grid[int(np.argmax(fishers))]
         assert abs(best - optimal_calibration(phi_true)) <= 2 * math.pi / 720 + 1e-12
 

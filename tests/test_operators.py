@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from nsrkit import (
 )
 from nsrkit.operators import displacement_generator
 
-from oracles import random_density_mat, random_hermitian
+from oracles import (
+    coherent_amplitudes,
+    expm_gaussian_probe,
+    random_density_mat,
+    random_hermitian,
+    squeezed_vacuum_amplitudes,
+)
 
 
 def vacuum_density(dim):
@@ -126,6 +133,71 @@ class TestGaussianProbe:
             GaussianProbeSpec(1.0, 0.0, 1)
         with pytest.raises(ContractViolationError):
             GaussianProbeSpec(math.inf, 0.0, 16)
+
+
+# (alpha, r) over both signs of each, at the policy dimension (16 to 239).
+PROBE_SPECS = [
+    (0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (3.0, 0.0), (0.0, 0.3), (0.0, -0.7),
+    (1.0, 0.5), (-1.0, 0.3), (0.5, -0.7), (2.0, -0.5), (1.0, 0.8), (2.0, 1.0),
+    (3.0, 0.2), (1.0, 1.5),
+]
+
+
+def normalized(c):
+    return c / np.linalg.norm(c)
+
+
+def leakage_message(c):
+    """The TruncationError text for oracle amplitudes c kept to len(c)."""
+    return re.escape(f"loses {1.0 - float(c @ c):.3e} of the norm")
+
+
+class TestGaussianProbeReference:
+    """The recurrence against matrix exponentials and closed forms."""
+
+    @pytest.mark.parametrize("alpha, r", PROBE_SPECS,
+                             ids=[f"{a}-{r}" for a, r in PROBE_SPECS])
+    def test_matches_padded_expm(self, alpha, r):
+        pytest.importorskip("scipy")
+        dim = default_truncation_dim(alpha, r)
+        expected = normalized(expm_gaussian_probe(alpha, r, 4 * dim)[:dim])
+        psi = gaussian_probe(GaussianProbeSpec(alpha, r, dim))
+        np.testing.assert_allclose(psi.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_leakage_matches_padded_expm(self):
+        pytest.importorskip("scipy")
+        c = expm_gaussian_probe(2.0, 0.8, 400)[:16]
+        with pytest.raises(TruncationError, match=leakage_message(c)):
+            gaussian_probe(GaussianProbeSpec(2.0, 0.8, 16))
+
+    @pytest.mark.parametrize("alpha", [-1.3, 0.7, 2.5])
+    def test_coherent_closed_form(self, alpha):
+        dim = default_truncation_dim(alpha, 0.0)
+        psi = gaussian_probe(GaussianProbeSpec(alpha, 0.0, dim))
+        np.testing.assert_allclose(psi.amplitudes, normalized(coherent_amplitudes(alpha, dim)),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [-0.7, 0.3, 1.2])
+    def test_squeezed_vacuum_closed_form(self, r):
+        dim = default_truncation_dim(0.0, r)
+        psi = gaussian_probe(GaussianProbeSpec(0.0, r, dim))
+        expected = normalized(squeezed_vacuum_amplitudes(r, dim))
+        np.testing.assert_allclose(psi.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c, spec", [
+        (coherent_amplitudes(2.0, 12), GaussianProbeSpec(2.0, 0.0, 12)),
+        (squeezed_vacuum_amplitudes(0.8, 16), GaussianProbeSpec(0.0, 0.8, 16)),
+    ], ids=["coherent", "squeezed-vacuum"])
+    def test_leakage_is_exact(self, c, spec):
+        with pytest.raises(TruncationError, match=leakage_message(c)):
+            gaussian_probe(spec)
+
+    @pytest.mark.parametrize("alpha", [40.0, 38.5], ids=["zero", "subnormal"])
+    def test_vacuum_amplitude_underflow(self, alpha):
+        # c_0 = e^{-800} is 0.0, which leaves no state; e^{-741} is a
+        # subnormal, which has lost the precision the exact leakage needs.
+        with pytest.raises(NumericalConsistencyError, match="underflows"):
+            gaussian_probe(GaussianProbeSpec(alpha, 0.0, 20000))
 
 
 class TestExpectation:
