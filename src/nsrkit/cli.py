@@ -135,8 +135,12 @@ def _parse_grid(text: str, log: bool = False) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid spec '{text}' must be lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got '{text}'")
     if count < 1 or hi < lo:
         raise ValueError(f"bad grid spec '{text}'")
+    if log and count > 1 and lo <= 0:
+        raise ValueError(f"log-spaced grid needs lo > 0, got '{text}'")
     if count == 1:
         return np.array([lo])
     return np.geomspace(lo, hi, count) if log else np.linspace(lo, hi, count)

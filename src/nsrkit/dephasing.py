@@ -150,9 +150,13 @@ def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
         -----------------------------------------------
         e^{-2r} + (1 - e^{-4 beta^2})(2 alpha^2 + sinh 2r)
 
-    Guarded against overflow for |r| beyond ~300.
+    Guarded against overflow for |r| beyond ~300; raises OverflowError where
+    4 alpha^2 overflows, also for numpy scalars, which are taken as floats.
     """
+    r, alpha, beta = float(r), float(alpha), float(beta)
     num = 4.0 * alpha**2 * math.exp(-2.0 * beta**2)
+    if math.isinf(num):  # float multiplication overflows to inf without raising
+        raise OverflowError(f"4 alpha^2 overflows at alpha={alpha}")
     if num == 0.0:
         return 0.0
     diffusion_noise = -math.expm1(-4.0 * beta**2)  # 1 - e^{-4 beta^2}, exact near 0

@@ -261,18 +261,22 @@ def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
     return StateVector(c / np.linalg.norm(c))
 
 
+def real_trace(a: np.ndarray, b: np.ndarray) -> float:
+    """Tr[a b] for Hermitian a, as the O(d^2) contraction np.vdot(a, b) =
+    sum_ij conj(a_ij) b_ij. The imaginary residue must be at most
+    IMAG_RESIDUE_TOL * max(1, |Tr|): absolute up to |Tr| = 1 and relative
+    above, so the rule does not depend on the scale of b."""
+    val = complex(np.vdot(a, b))
+    if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(val.real)):
+        raise NumericalConsistencyError(f"trace has imaginary residue {val.imag:.3e}")
+    return val.real
+
+
 def expectation(rho: DensityMatrix, m: Operator) -> float:
-    """Tr[rho m] as the O(d^2) contraction sum_ij conj(rho_ij) m_ij, which is
-    the trace because rho is Hermitian; the imaginary residue must be below
-    IMAG_RESIDUE_TOL."""
+    """Tr[rho m] through real_trace, which is O(d^2) because rho is Hermitian."""
     if rho.dim != m.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != observable dim {m.dim}")
-    val = complex(np.vdot(rho.matrix, m.matrix))
-    if abs(val.imag) > IMAG_RESIDUE_TOL:
-        raise NumericalConsistencyError(
-            f"expectation has imaginary residue {val.imag:.3e}"
-        )
-    return val.real
+    return real_trace(rho.matrix, m.matrix)
 
 
 def variance(rho: DensityMatrix, m: Operator) -> float:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against the definitions, not against
 the library code paths it checks: Gauss-Hermite quadrature of the diffusion
-integral, golden-section maximization, the Bloch-vector Fisher formula and
-brute-force moment sums, and the Gaussian probe amplitudes from matrix
-exponentials (scipy) or from the coherent and squeezed-vacuum closed forms.
+integral, golden-section maximization, the Bloch-vector Fisher formula, the
+exact SLD derivative of a phase family, brute-force moment sums, and the
+Gaussian probe amplitudes from matrix exponentials (scipy) or from the
+coherent and squeezed-vacuum closed forms.
 """
 
 import math
@@ -55,6 +56,29 @@ def bloch_qfi(r_vec: np.ndarray, dr_vec: np.ndarray) -> float:
     if r2 < 1.0 - 1e-12:
         val += cross**2 / (1.0 - r2)
     return val
+
+
+def covariant_curvature(rho: np.ndarray, drho: np.ndarray) -> float:
+    """Calibration curvature G = Var(L') - <L' L + L L'>^2 / (4 <L^2>) of a
+    phase family rho(x) = e^{-ixn} rho0 e^{ixn}, whose SLD moves exactly as
+    L' = -i[n, L], i.e. L'_jk = -i (j - k) L_jk in the Fock basis. L is solved
+    in the eigenbasis of rho on the pairs with p_j + p_k above 1e-12 times the
+    largest eigenvalue; the moments are plain traces."""
+    p, v = np.linalg.eigh(rho)
+    sums = p[:, None] + p[None, :]
+    kept = sums > 1e-12 * max(p.max(), 0.0)
+    d = v.conj().T @ drho @ v
+    l_eig = np.where(kept, 2.0 * d / np.where(kept, sums, 1.0), 0.0)
+    l_mat = v @ l_eig @ v.conj().T
+    l_mat = (l_mat + l_mat.conj().T) / 2
+    j = np.arange(rho.shape[0])
+    dl = -1j * (j[:, None] - j[None, :]) * l_mat
+
+    def mean(a):
+        return np.trace(rho @ a).real
+
+    return (mean(dl @ dl) - mean(dl) ** 2) - mean(dl @ l_mat + l_mat @ dl) ** 2 / (
+        4.0 * mean(l_mat @ l_mat))
 
 
 def poisson_central_moment(lam: float, order: int, cutoff: int = 200) -> float:

@@ -177,6 +177,12 @@ class TestFig2Command:
         assert float(row["ratio"]) == pytest.approx(expected, rel=1e-12)
         assert row["enhanced"] == ("1" if expected >= 1 else "0")
 
+    def test_single_point_log_grid_at_zero(self, capsys, tmp_path):
+        # lo > 0 is needed only to space a log grid; one point at 0 is valid
+        code, _, _ = run_cli(capsys, "fig2", "--out", str(tmp_path),
+                             "--grid-two-beta-sq", "0:0:1", "--grid-N", "1:1:1")
+        assert code == 0
+
 
 class TestMcCommand:
     def test_seed_reproducibility(self, capsys):
@@ -300,8 +306,12 @@ class TestNonFiniteInputs:
         (("scan", "--alpha", "nan"), "alpha"),
         (("nsr", "--phi-exp", "nan"), "phi_exp"),
         (("nsr", "--phi-exp", "inf"), "phi_exp"),
+        (("fig2", "--grid-two-beta-sq", "nan:1:3"), "grid bounds"),
+        (("fig2", "--grid-N", "1:inf:3"), "grid bounds"),
+        (("scan", "--grid-r", "nan:1:2"), "grid bounds"),
     ], ids=["nsr-alpha-inf", "nsr-alpha-nan", "nsr-r-nan", "scan-beta-nan", "scan-alpha-nan",
-            "nsr-phi-exp-nan", "nsr-phi-exp-inf"])
+            "nsr-phi-exp-nan", "nsr-phi-exp-inf", "fig2-grid-lo-nan", "fig2-grid-hi-inf",
+            "scan-grid-lo-nan"])
     def test_exit_2_naming_parameter(self, argv, name):
         proc = run_cold(*argv)
         assert proc.returncode == 2
@@ -317,8 +327,14 @@ class TestNonFiniteInputs:
         ("nsr", "--alpha", "1e200", "--dim", "16"),
         ("fig2", "--grid-two-beta-sq", "1e300:1e300:1", "--grid-N", "1:1:1"),
         ("qfi", "--family", "pure", "--x", "inf"),
+        ("scan", "--alpha", "1e200", "--beta", "0.3"),
+        ("scan", "--alpha", "1e154", "--beta", "0.3"),
+        ("fig2", "--grid-two-beta-sq", "0:1:3"),
+        ("fig2", "--grid-N=-1:10:3"),
     ], ids=["nsr-beta-huge", "qfi-beta-huge", "scan-beta-huge", "nsr-r-huge",
-            "nsr-alpha-huge", "fig2-two-beta-sq-huge", "qfi-pure-x-inf"])
+            "nsr-alpha-huge", "fig2-two-beta-sq-huge", "qfi-pure-x-inf",
+            "scan-alpha-huge", "scan-alpha-4sq-huge", "fig2-log-grid-lo-zero",
+            "fig2-log-grid-lo-negative"])
     def test_out_of_range_exit_2(self, argv, tmp_path):
         proc = run_cold(*argv, cwd=tmp_path)
         assert proc.returncode == 2

@@ -196,6 +196,18 @@ class TestAnalyticFnsr:
         assert analytic_fnsr(-400.0, 1.0, 0.3) == pytest.approx(0.0, abs=1e-200)
         assert math.isinf(analytic_fnsr(400.0, 1.0, 0.0))
 
+    def test_numpy_scalars_behave_as_floats(self):
+        args = (np.float64(0.5), np.float64(1.0), np.float64(0.3))
+        assert analytic_fnsr(*args) == analytic_fnsr(0.5, 1.0, 0.3)
+        assert analytic_fnsr(np.float64(400.0), np.float64(1.0), np.float64(0.3)) == 0.0
+        # alpha**2 overflows as it does for a float, not to a silent inf
+        with pytest.raises(OverflowError):
+            analytic_fnsr(0.0, 1e200, 0.3)
+        with pytest.raises(OverflowError):
+            analytic_fnsr(np.float64(0.0), np.float64(1e200), np.float64(0.3))
+        with pytest.raises(OverflowError):  # alpha**2 is finite, 4 alpha^2 is not
+            analytic_fnsr(0.0, 1e154, 0.3)
+
     def test_monotone_up_to_rmax_then_down(self):
         alpha, beta = 1.0, 0.4
         rm = r_max(beta)

@@ -7,10 +7,12 @@ from nsrkit import (
     ContractViolationError,
     DegenerateObservableError,
     DensityMatrix,
+    DiffusionParams,
     GaussianProbeSpec,
     NoInformationError,
     Operator,
     ParamFamily,
+    PhaseFamilySpec,
     StateVector,
     SupportTruncationWarning,
     UndefinedResidualError,
@@ -29,8 +31,14 @@ from nsrkit import (
     variance,
 )
 
-from conftest import SIGMA_Y, SIGMA_Z, dephased_qubit_spec
-from oracles import bloch_qfi, poisson_central_moment, random_hermitian, random_state_vec
+from conftest import SIGMA_Y, SIGMA_Z, dephased_qubit_spec, fock_dephasing_spec
+from oracles import (
+    bloch_qfi,
+    covariant_curvature,
+    poisson_central_moment,
+    random_hermitian,
+    random_state_vec,
+)
 
 
 def coherent_number_family(alpha=1.0):
@@ -137,17 +145,13 @@ class TestSld:
             sld(rho, Operator(np.eye(2, dtype=complex), hermitian=True))
 
     def test_custom_eig_cut_restricts_support(self):
-        # an absolute cut above 2 eps drops the small-eigenvalue block and its
-        # formally huge SLD entry, with a warning about the lost weight
+        # a small eigenvalue far above the relative cut keeps its formally
+        # huge SLD entry
         eps = 1e-6
         rho = DensityMatrix.from_matrix(np.diag([1 - eps, eps]))
         drho = Operator(np.diag([1.0, -1.0]).astype(complex), hermitian=True)
         full = sld(rho, drho)
         assert full.matrix[1, 1].real == pytest.approx(-1 / eps, rel=1e-9)
-        with pytest.warns(SupportTruncationWarning):
-            cut = sld(rho, drho, eig_cut=1e-3)
-        assert cut.matrix[1, 1] == 0.0
-        assert cut.matrix[0, 0].real == pytest.approx(1 / (1 - eps), rel=1e-12)
 
 
 class TestQfi:
@@ -247,7 +251,7 @@ class TestCalibrationCurvature:
         fam, beta = dephased_qubit
         q_sq = math.exp(-2 * beta**2)
         expected = q_sq * (1 - q_sq)
-        assert calibration_curvature(fam, 0.3) == pytest.approx(expected, rel=1e-6)
+        assert calibration_curvature(fam, 0.3) == pytest.approx(expected, rel=1e-8)
 
     def test_exponential_family_second_term_vanishes(self):
         # classical exponential family: dL/dx is a multiple of the identity, so
@@ -270,6 +274,26 @@ class TestCalibrationCurvature:
         assert qfi(fam, 0.25) == pytest.approx(1 / math.cosh(0.25) ** 2, rel=1e-10)
         assert abs(calibration_curvature(fam, 0.25)) <= 1e-9
 
+    def test_classical_family_with_moving_fisher(self):
+        # p(x) = ((1 + x)/2, (1 - x)/2): the Fisher value 1/(1 - x^2) moves with
+        # x, so <L' L + L L'> is not zero; oracle from the classical score
+        # l = p'/p and its derivative l' = -(p'/p)^2
+        x = 0.3
+        p = np.array([1 + x, 1 - x]) / 2
+        score = np.array([0.5, -0.5]) / p
+        dscore = -score**2
+        expected = (p @ dscore**2 - (p @ dscore) ** 2) - (p @ (dscore * score)) ** 2 / (
+            p @ score**2)
+        fam = ParamFamily(
+            dim=2,
+            state_at=lambda t: DensityMatrix.from_matrix(np.diag([1 + t, 1 - t]) / 2),
+            derivative_at=lambda t: Operator(np.diag([0.5, -0.5]).astype(complex),
+                                             hermitian=True),
+            domain=(-0.9, 0.9),
+        )
+        assert abs(p @ (dscore * score)) > 0.1
+        assert calibration_curvature(fam, x) == pytest.approx(expected, rel=1e-8)
+
     def test_coherent_moment_ratio(self):
         # Poisson kurtosis oracle behind the pure-case bound
         alpha = 1.3
@@ -278,18 +302,36 @@ class TestCalibrationCurvature:
         m2 = poisson_central_moment(lam, 2)
         assert m4 / m2**2 == pytest.approx(3 + 1 / lam, rel=1e-10)
 
-    def test_explicit_step_agrees(self, dephased_qubit):
-        fam, beta = dephased_qubit
-        q_sq = math.exp(-2 * beta**2)
-        expected = q_sq * (1 - q_sq)
-        for step in (1e-3, 1e-4):
-            assert calibration_curvature(fam, 0.3, step=step) == pytest.approx(
-                expected, rel=1e-5)
-
     def test_step_must_stay_in_domain(self, dephased_qubit):
         fam, _ = dephased_qubit
         with pytest.raises(ContractViolationError):
-            calibration_curvature(fam, fam.domain[1] - 1e-6, step=1e-3)
+            calibration_curvature(fam, fam.domain[1] - 1e-6)
+
+    @pytest.mark.parametrize("alpha, r, beta, dim", [
+        (1.0, 0.0, 0.3, 16), (1.0, 0.5, 0.3, 40), (2.0, 1.0, 0.3, 116), (1.0, 0.8, 0.1, 66),
+    ], ids=["case-d16", "squeezed-d40", "large-d116", "squeezed-d66"])
+    def test_matches_covariant_oracle(self, alpha, r, beta, dim):
+        # a phase family moves its SLD as dL/dx = -i[n, L], with no derivative
+        # of rho beyond the first
+        spec = PhaseFamilySpec(GaussianProbeSpec(alpha, r, dim), DiffusionParams(beta),
+                               (-math.pi, math.pi))
+        fam = dephasing_family(spec)
+        x = 0.3
+        expected = covariant_curvature(fam.state_at(x).matrix, fam.derivative_at(x).matrix)
+        assert calibration_curvature(fam, x) == pytest.approx(expected, rel=1e-7)
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        fam = dephasing_family(fock_dephasing_spec(1.0, 0.5, 0.3))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calibration_curvature(fam, 0.3)
+        assert len(calls) == 1
 
 
 class TestSampleSizeBound:
@@ -309,17 +351,17 @@ class TestSampleSizeBound:
             pure_unitary_sample_size_bound(h, psi), rel=1e-12)
 
     def test_generic_path_matches_closed_form(self):
-        # strip the generator metadata to force the finite-difference route
+        # strip the generator metadata to force the SLD-equation route
         fam, psi = coherent_number_family(alpha=1.0)
         fd_fam = ParamFamily(dim=fam.dim, state_at=fam.state_at,
                              derivative_at=fam.derivative_at, domain=(-math.pi, math.pi))
         closed = pure_unitary_sample_size_bound(fam.generator, psi)
-        assert sample_size_bound(fd_fam, 0.2) == pytest.approx(closed, rel=1e-4)
+        assert sample_size_bound(fd_fam, 0.2) == pytest.approx(closed, rel=1e-8)
 
     def test_dephased_qubit_generic(self, dephased_qubit):
         fam, beta = dephased_qubit
         q_sq = math.exp(-2 * beta**2)
-        assert sample_size_bound(fam, 0.3) == pytest.approx((1 - q_sq) / q_sq, rel=1e-6)
+        assert sample_size_bound(fam, 0.3) == pytest.approx((1 - q_sq) / q_sq, rel=1e-8)
 
     def test_no_information(self):
         with pytest.raises(NoInformationError):

@@ -24,7 +24,7 @@ from nsrkit import (
     unitary_from_generator,
     variance,
 )
-from nsrkit.operators import displacement_generator
+from nsrkit.operators import displacement_generator, real_trace
 
 from oracles import (
     coherent_amplitudes,
@@ -234,6 +234,21 @@ class TestExpectation:
         rho = DensityMatrix.from_matrix(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
         with pytest.raises(NumericalConsistencyError):
             expectation(rho, m)
+
+    def test_imaginary_residue_rule_scales_with_trace(self):
+        # absolute for |Tr| <= 1, relative to |Tr| above it
+        rho = DensityMatrix.from_matrix(np.diag([1.0, 0.0]))
+        big = 1e6
+
+        def observable(residue):
+            return Operator(np.diag([big + 1j * residue, 0.0]))
+
+        assert expectation(rho, observable(1e-11 * big)) == big
+        with pytest.raises(NumericalConsistencyError):
+            expectation(rho, observable(1e-9 * big))
+        assert real_trace(rho.matrix, observable(1e-11 * big).matrix) == big
+        with pytest.raises(NumericalConsistencyError):  # 1e-9 residue on Tr = 1e-6
+            real_trace(np.diag([1e-6, 0.0]), np.diag([1.0 + 1e-3j, 0.0]))
 
 
 class TestVariance:
