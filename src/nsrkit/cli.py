@@ -160,32 +160,21 @@ def load_observable(path: str) -> Operator:
     return Operator(mat, hermitian=True)
 
 
-def _parse_state(text: str, dim: int) -> StateVector:
+def _parse_state(text: str, dim: int | None = None) -> StateVector:
+    """vacuum | fock:n | coherent:a | gaussian:a:r on dim Fock levels; without
+    dim, on the spec's default truncation."""
     kind, _, rest = text.partition(":")
-    if kind == "vacuum":
-        return fock_state(dim, 0)
-    if kind == "fock":
-        return fock_state(dim, int(rest))
+    if kind in ("vacuum", "fock"):
+        n = int(rest) if kind == "fock" else 0
+        return fock_state(dim or max(16, 2 * (n + 1)), n)
     if kind == "coherent":
-        return gaussian_probe(GaussianProbeSpec(float(rest), 0.0, dim))
-    if kind == "gaussian":
+        alpha, r = float(rest), 0.0
+    elif kind == "gaussian":
         a_str, _, r_str = rest.partition(":")
-        return gaussian_probe(GaussianProbeSpec(float(a_str), float(r_str), dim))
-    raise ValueError(f"unknown state spec '{text}'")
-
-
-def _state_default_dim(text: str) -> int:
-    kind, _, rest = text.partition(":")
-    if kind == "vacuum":
-        return 16
-    if kind == "fock":
-        return max(16, 2 * (int(rest) + 1))
-    if kind == "coherent":
-        return default_truncation_dim(float(rest), 0.0)
-    if kind == "gaussian":
-        a_str, _, r_str = rest.partition(":")
-        return default_truncation_dim(float(a_str), float(r_str))
-    raise ValueError(f"unknown state spec '{text}'")
+        alpha, r = float(a_str), float(r_str)
+    else:
+        raise ValueError(f"unknown state spec '{text}'")
+    return gaussian_probe(GaussianProbeSpec(alpha, r, dim or default_truncation_dim(alpha, r)))
 
 
 def _resolve_alpha(args) -> float:
@@ -214,16 +203,14 @@ def cmd_qfi(args) -> int:
     if args.family == "pure":
         if os.path.exists(args.h):
             h = load_observable(args.h)
-            dim = args.dim or h.dim
+            if args.dim and args.dim != h.dim:
+                raise DimensionMismatchError(f"generator dim {h.dim} != state dim {args.dim}")
+            psi = _parse_state(args.state, h.dim)
+        elif args.h == "number":
+            psi = _parse_state(args.state, args.dim)
+            h = number_operator(psi.dim)
         else:
-            dim = args.dim or _state_default_dim(args.state)
-            if args.h == "number":
-                h = number_operator(dim)
-            else:
-                raise ValueError(f"unknown generator '{args.h}' (not 'number' or a file)")
-        if h.dim != dim:
-            raise DimensionMismatchError(f"generator dim {h.dim} != state dim {dim}")
-        psi = _parse_state(args.state, dim)
+            raise ValueError(f"unknown generator '{args.h}' (not 'number' or a file)")
         fam = pure_unitary_family(h, psi)
         x = args.x
         report = {
@@ -231,7 +218,7 @@ def cmd_qfi(args) -> int:
             "family": "pure",
             "generator": args.h,
             "state": args.state,
-            "dim": dim,
+            "dim": psi.dim,
             "x": x,
             "pure_form_4var": pure_unitary_qfi(h, psi),
         }

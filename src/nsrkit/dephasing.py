@@ -197,13 +197,16 @@ def r_max(beta: float) -> float:
 
 def r_opt(n_mean: float, beta: float) -> float:
     """Squeezing that maximizes the quadrature Fisher value at fixed mean
-    excitation N = alpha^2 + sinh^2 r."""
+    excitation N = alpha^2 + sinh^2 r; raises OverflowError where
+    (2N + 1) e^{2 beta^2} overflows."""
     if n_mean < 0:
         raise ContractViolationError(f"N must be >= 0, got {n_mean}")
     if beta < 0:
         raise ContractViolationError(f"beta must be >= 0, got {beta}")
     tb = 2.0 * beta**2
     script_n = (2.0 * n_mean + 1.0) * math.exp(tb)
+    if math.isinf(script_n):  # float multiplication overflows to inf without raising
+        raise OverflowError(f"(2N + 1) e^{{2 beta^2}} overflows at N={n_mean}")
     root = math.sqrt(1.0 + 2.0 * script_n**2 * math.sinh(2.0 * tb))
     r = 0.5 * math.log(2.0 * script_n * math.cosh(tb) / (1.0 + root))
     if math.sinh(r) ** 2 > n_mean + 1e-12 * max(1.0, n_mean):

@@ -43,7 +43,8 @@ class NoInformationError(RuntimeError):
 
 
 class NonInvertibleCurveError(RuntimeError):
-    """Calibration curve has no usable monotone window around the grid midpoint."""
+    """The observable's mean is flat in the parameter, or not the cosine of a
+    quadrature on a phase family, so it cannot be inverted in closed form."""
 
 
 class EstimatorDivergenceError(RuntimeError):
@@ -64,5 +65,5 @@ class SupportTruncationWarning(UserWarning):
 
 
 class CalibrationRangeWarning(UserWarning):
-    """An observed mean fell outside the calibration curve's monotone range
-    and the estimate was clamped to the window edge."""
+    """An observed mean fell outside the calibration curve's range on its
+    window, and the estimate was clamped to the window edge."""

@@ -47,19 +47,12 @@ CURVATURE_STEP = 1e-5
 
 @dataclass(frozen=True)
 class ParamFamily:
-    """Differentiable map x -> (rho(x), drho/dx) on an interval.
-
-    generator / pure_state are set for families of the unitary form
-    exp(-i x h)|psi>, enabling exact closed forms for the QFI and the
-    calibration sample-size bound.
-    """
+    """Differentiable map x -> (rho(x), drho/dx) on an interval."""
 
     dim: int
     state_at: Callable[[float], DensityMatrix]
     derivative_at: Callable[[float], Operator]
     domain: tuple[float, float]
-    generator: Operator | None = None
-    pure_state: StateVector | None = None
 
     def contains(self, x: float) -> bool:
         return math.isfinite(x) and self.domain[0] <= x <= self.domain[1]
@@ -215,8 +208,6 @@ def pure_unitary_family(h: Operator, psi: StateVector) -> ParamFamily:
         state_at=state_at,
         derivative_at=derivative_at,
         domain=(-math.inf, math.inf),
-        generator=h,
-        pure_state=psi,
     )
 
 
@@ -274,12 +265,9 @@ def sample_size_bound(fam: ParamFamily, x: float) -> float:
     """G(x) / QFI(x)^2; the sample size must dominate this for the calibrated
     measurement to reach the quantum sensitivity.
 
-    Pure unitary families use the exact moment closed form; other families
-    take G from calibration_curvature's single SLD solve, which matches the
-    closed form to about 1e-9 relative.
+    G comes from calibration_curvature's single SLD solve; on pure unitary
+    families it matches pure_unitary_sample_size_bound to about 1e-9 relative.
     """
-    if fam.generator is not None and fam.pure_state is not None:
-        return pure_unitary_sample_size_bound(fam.generator, fam.pure_state)
     q = qfi(fam, x)
     if q <= 0.0:
         raise NoInformationError("zero QFI; sample-size bound undefined")

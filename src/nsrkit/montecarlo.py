@@ -1,7 +1,9 @@
 """Monte Carlo verification of mean-inversion estimation.
 
 Outcomes are Born-rule draws from the observable's eigenbasis; the estimator
-inverts the tabulated calibration curve <M>_x at the observed sample mean.
+inverts the calibration curve <M>_x at the observed sample mean. On a phase
+family a quadrature's mean is an exact cosine in x, so two exact means fix
+the curve and the inversion is an arccos.
 Across repeats, nu * Var(x_hat) must approach the squared noise-to-sensibility
 ratio, and an adaptive loop re-centers the quadrature angle each round.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,6 @@ log = logging.getLogger(__name__)
 
 PROB_NEG_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
-MIN_WINDOW_POINTS = 5
 # Buckets of the sampling guide table; a power of two, so scaling is exact.
 GUIDE_BUCKETS = 2**12
 
@@ -121,138 +122,78 @@ def sample_outcomes(rho, m, nu: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibrationCurve:
-    """Tabulated <m>_x with the largest monotone window around the grid middle.
+    """The exact calibration curve <m>_x = A cos(x - x0) of a quadrature m on
+    a phase family, on the half period where it is monotone.
 
-    window is a half-open index range (start, stop) into xs/means on which the
-    means are strictly monotone; slopes are the PCHIP node slopes there.
+    xs = (x0, x0 + pi) are the ends of that half period and means = (A, -A)
+    the means there; window = (lo, hi), inside xs, is the range of x the
+    estimates are clamped to.
     """
 
     xs: np.ndarray
     means: np.ndarray
-    window: tuple[int, int]
-    slopes: np.ndarray = field(init=False, repr=False, compare=False)
-    _ascending_means: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        if xs.ndim != 1 or xs.shape != means.shape:
-            raise ContractViolationError("xs and means must be equal-length vectors")
-        if not np.all(np.diff(xs) > 0):
-            raise ContractViolationError("xs must be strictly increasing")
-        lo, hi = self.window
-        if not (0 <= lo < hi <= xs.size) or hi - lo < MIN_WINDOW_POINTS:
-            raise ContractViolationError(f"window {self.window} too small")
-        d = np.diff(means[lo:hi])
-        if not (np.all(d > 0) or np.all(d < 0)):
-            raise ContractViolationError("means are not strictly monotone on window")
-        slopes = _pchip_slopes(np.diff(xs[lo:hi]), d / np.diff(xs[lo:hi]))
-        for name, arr in (("xs", xs), ("means", means), ("slopes", slopes),
-                          ("_ascending_means", means[lo:hi] * np.sign(d[0]))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def window_xs(self) -> np.ndarray:
-        return self.xs[self.window[0] : self.window[1]]
-
-    @property
-    def window_means(self) -> np.ndarray:
-        return self.means[self.window[0] : self.window[1]]
+    window: tuple[float, float]
 
 
-def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """PCHIP node slopes for spacings h and secants m, all secants of one sign.
+def build_curve(fam: ParamFamily, m, start: float) -> CalibrationCurve:
+    """The cosine <m>_x, fixed by the exact means at start and start + pi/2,
+    inverted on [start, start + pi] within the family domain.
 
-    Interior: weighted harmonic mean of the neighbouring secants (Fritsch &
-    Butland, SIAM J. Sci. Stat. Comput. 5, 300 (1984)). Ends: one-sided
-    three-point estimate, zeroed if its sign differs from the end secant; the
-    usual 3x-secant cap needs end secants of opposite sign, so never applies.
+    On a phase family a quadrature's mean holds only the harmonics e^{+-ix},
+    so <m>_{start+t} = M0 cos t + M1 sin t. The window is also cut to the
+    monotone half period that holds start + pi/2. A third mean, at the window
+    middle, must match the cosine to 1e-9 relative.
     """
-    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    d = np.empty(h.size + 1)
-    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    d[[0, -1]] = np.where(end * m0 > 0, end, 0.0)
-    return d
-
-
-def _monotone_window(means: np.ndarray, mid: int) -> tuple[int, int]:
-    """Largest run of strictly monotone means whose index range covers mid."""
-    d = np.diff(means)
-    signs = np.sign(d)
-    best = (mid, mid + 1)
-    start = 0
-    for k in range(1, len(d) + 1):
-        if k == len(d) or signs[k] != signs[start] or signs[k] == 0:
-            if signs[start] != 0:
-                lo, hi = start, k + 1  # run of equal nonzero sign -> points [start, k]
-                if lo <= mid <= hi - 1 and hi - lo > best[1] - best[0]:
-                    best = (lo, hi)
-            start = k
-    return best
-
-
-def build_curve(fam: ParamFamily, m, grid) -> CalibrationCurve:
-    """Tabulate <m>_x on the grid and locate the monotone inversion window."""
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1 or xs.size < MIN_WINDOW_POINTS:
-        raise ContractViolationError(f"grid needs at least {MIN_WINDOW_POINTS} points")
-    if not (fam.contains(xs[0]) and fam.contains(xs[-1])):
-        raise ContractViolationError(f"grid leaves the family domain {fam.domain}")
-    means = np.array([expectation(fam.state_at(float(x)), m) for x in xs])
-    lo, hi = _monotone_window(means, xs.size // 2)
-    if hi - lo < MIN_WINDOW_POINTS:
-        raise NonInvertibleCurveError(
-            "no strictly monotone window of >= 5 points around the grid midpoint; "
-            "<m>_x is not invertible there"
+    m0 = expectation(fam.state_at(start), m)
+    m1 = expectation(fam.state_at(start + math.pi / 2), m)
+    amplitude = math.hypot(m0, m1)
+    if amplitude <= IMAG_RESIDUE_TOL:
+        raise NonInvertibleCurveError(f"<m>_x is flat (amplitude {amplitude:.3g}); not invertible")
+    theta = math.atan2(m1, m0)
+    half_periods = math.floor((math.pi / 2 - theta) / math.pi)
+    x0 = start + theta + half_periods * math.pi
+    if half_periods % 2:
+        amplitude = -amplitude
+    lo = max(start, x0, fam.domain[0])
+    hi = min(start + math.pi, x0 + math.pi, fam.domain[1])
+    if hi <= lo:
+        raise EstimatorDivergenceError(
+            f"monotone window ({start:.4g}, {start + math.pi:.4g}) has no "
+            f"overlap with the domain {fam.domain}"
         )
-    return CalibrationCurve(xs=xs, means=means, window=(lo, hi))
+    mid = (lo + hi) / 2
+    residual = expectation(fam.state_at(mid), m) - amplitude * math.cos(mid - x0)
+    if abs(residual) > 1e-9 * max(1.0, abs(amplitude)):
+        raise NonInvertibleCurveError(
+            f"<m>_x is off the cosine through its two means by {residual:.3g}; "
+            "not a quadrature on a phase family"
+        )
+    return CalibrationCurve(xs=np.array([x0, x0 + math.pi]),
+                            means=np.array([amplitude, -amplitude]), window=(lo, hi))
 
 
 def _invert(curve: CalibrationCurve, observed_mean: float) -> tuple[float, bool]:
-    xs = curve.window_xs
-    ys = curve.window_means
-    increasing = ys[-1] > ys[0]
-    y_lo, y_hi = (ys[0], ys[-1]) if increasing else (ys[-1], ys[0])
     if math.isnan(observed_mean):
         raise ContractViolationError("observed mean is NaN")
-    if observed_mean < y_lo or observed_mean > y_hi:
-        return float(xs[0] if (observed_mean < y_lo) == increasing else xs[-1]), True
-    i = int(np.searchsorted(curve._ascending_means,
-                            observed_mean if increasing else -observed_mean))
-    # Exact hits on the tabulated nodes must invert to their grid point.
-    if ys[i] == observed_mean:
-        return float(xs[i]), False
-    # Bisect the Hermite cubic of the bracketing piece, in s = x - x0.
-    (x0, x1), (y0, y1), (d0, d1) = (a[i - 1 : i + 1].tolist() for a in (xs, ys, curve.slopes))
-    h, secant = x1 - x0, (y1 - y0) / (x1 - x0)
-    t = (d0 + d1 - 2 * secant) / h
-    c3, c2 = t / h, (secant - d0) / h - t
-    lo, hi = 0.0, h
-    while hi - lo > 1e-14:
-        s = 0.5 * (lo + hi)
-        if (((c3 * s + c2) * s + d0) * s + y0 > observed_mean) == increasing:
-            hi = s
-        else:
-            lo = s
-    return x0 + 0.5 * (lo + hi), False
+    x0, amplitude = float(curve.xs[0]), float(curve.means[0])
+    x = x0 + math.acos(min(max(observed_mean / amplitude, -1.0), 1.0))
+    lo, hi = curve.window
+    estimate = min(max(x, lo), hi)
+    return estimate, estimate != x or abs(observed_mean) > abs(amplitude)
 
 
 def invert_mean(curve: CalibrationCurve, observed_mean: float) -> float:
-    """Estimate x from an observed sample mean by inverting the monotone cubic
-    (PCHIP) interpolant of the calibration window to 1e-14 in x.
+    """Estimate x from an observed sample mean: x0 + acos(mean / A).
 
-    Means outside the window range clamp to the window edge (with a
-    CalibrationRangeWarning) rather than failing, so variance statistics over
-    many noisy repeats stay well defined.
+    Means beyond the amplitude, or estimates outside the window, clamp to the
+    window (with a CalibrationRangeWarning) rather than failing, so variance
+    statistics over many noisy repeats stay well defined.
     """
     estimate, clamped = _invert(curve, observed_mean)
     if clamped:
         warnings.warn(
             f"observed mean {observed_mean:.6g} outside the curve range; "
-            f"estimate clamped to window edge {estimate:.6g}",
+            f"estimate clamped to {estimate:.6g}",
             CalibrationRangeWarning,
             stacklevel=2,
         )
@@ -290,17 +231,6 @@ def mean_inversion_condition(report: SensitivityReport, nu: int) -> tuple[float,
     return delta_m, threshold, delta_m <= threshold / 10.0
 
 
-def _curve_grid(phi_exp: float, domain: tuple[float, float], points: int) -> np.ndarray:
-    lo = max(phi_exp, domain[0])
-    hi = min(phi_exp + math.pi, domain[1])
-    if hi <= lo:
-        raise EstimatorDivergenceError(
-            f"monotone window ({phi_exp:.4g}, {phi_exp + math.pi:.4g}) has no "
-            f"overlap with the domain {domain}"
-        )
-    return np.linspace(lo, hi, points)
-
-
 def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> TrialRun:
     """Repeat the full protocol: draw nu outcomes at rho(phi_true), average,
     invert the calibration curve. Returns one TrialRun with every estimate
@@ -328,7 +258,7 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
     # phi_exp is wrapped into (-pi, pi]; the window starts at its 2pi image
     # whose midpoint is phi_true.
     start = phi_exp + math.tau * round((phi_true - math.pi / 2 - phi_exp) / math.tau)
-    curve = build_curve(fam, m, _curve_grid(start, fam.domain, 2001))
+    curve = build_curve(fam, m, start)
     model = MeasurementModel.from_observable(m)
     table = _GuideTable(model.probabilities(fam.state_at(phi_true)), nu)
     outcomes = np.empty(nu)  # reused, like the table's arrays
@@ -372,9 +302,8 @@ def adaptive_calibrate(
     estimates: list[float] = []
     for k in range(rounds):
         try:
-            grid = _curve_grid(phi_exp, domain, 1001)
             m = quadrature(phi_exp, fam.dim)
-            curve = build_curve(fam, m, grid)
+            curve = build_curve(fam, m, phi_exp)
         except (EstimatorDivergenceError, NonInvertibleCurveError) as exc:
             raise EstimatorDivergenceError(
                 f"calibration window unusable at round {k}: {exc}", round_index=k

@@ -331,10 +331,11 @@ class TestNonFiniteInputs:
         ("scan", "--alpha", "1e154", "--beta", "0.3"),
         ("fig2", "--grid-two-beta-sq", "0:1:3"),
         ("fig2", "--grid-N=-1:10:3"),
+        ("fig2", "--grid-N", "1e308:1.7e308:3", "--grid-two-beta-sq", "0.1:0.2:2"),
     ], ids=["nsr-beta-huge", "qfi-beta-huge", "scan-beta-huge", "nsr-r-huge",
             "nsr-alpha-huge", "fig2-two-beta-sq-huge", "qfi-pure-x-inf",
             "scan-alpha-huge", "scan-alpha-4sq-huge", "fig2-log-grid-lo-zero",
-            "fig2-log-grid-lo-negative"])
+            "fig2-log-grid-lo-negative", "fig2-N-huge"])
     def test_out_of_range_exit_2(self, argv, tmp_path):
         proc = run_cold(*argv, cwd=tmp_path)
         assert proc.returncode == 2

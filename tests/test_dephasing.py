@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -127,11 +128,17 @@ class TestDephasingFamily:
             np.testing.assert_allclose(np.linalg.eigvalsh(rho), spectrum0, rtol=0, atol=1e-12)
 
     def test_build_curve_checks_no_spectrum(self, monkeypatch):
-        # the family's state is validated once, at construction; tabulating
-        # 2001 states runs no eigensolver
+        # the family's state is validated once, at construction; the curve
+        # takes at most three states and runs no eigensolver
         spec = PhaseFamilySpec(GaussianProbeSpec.with_default_dim(1.0, 0.0),
                                DiffusionParams(0.3), (0.7 - math.pi, 0.7 + math.pi))
         fam = dephasing_family(spec)
+        states = []
+
+        def counted_state_at(phi):
+            states.append(phi)
+            return fam.state_at(phi)
+
         calls = []
         for name in ("eigvalsh", "eigh"):
             original = getattr(np.linalg, name)
@@ -142,9 +149,9 @@ class TestDephasingFamily:
 
             monkeypatch.setattr(np.linalg, name, counted)
         phi_exp = optimal_calibration(0.7)
-        curve = build_curve(fam, quadrature(phi_exp, spec.dim),
-                            np.linspace(phi_exp, phi_exp + math.pi, 2001))
-        assert curve.xs.size == 2001
+        build_curve(dataclasses.replace(fam, state_at=counted_state_at),
+                    quadrature(phi_exp, spec.dim), phi_exp)
+        assert len(states) <= 3
         assert calls == []
 
     def test_statevector_probe(self):

@@ -345,18 +345,15 @@ class TestSampleSizeBound:
 
     def test_scale_invariance(self):
         fam, psi = coherent_number_family(alpha=1.2)
-        h = fam.generator
+        h = number_operator(fam.dim)
         scaled = Operator(3.7 * h.matrix, hermitian=True)
         assert pure_unitary_sample_size_bound(scaled, psi) == pytest.approx(
             pure_unitary_sample_size_bound(h, psi), rel=1e-12)
 
     def test_generic_path_matches_closed_form(self):
-        # strip the generator metadata to force the SLD-equation route
         fam, psi = coherent_number_family(alpha=1.0)
-        fd_fam = ParamFamily(dim=fam.dim, state_at=fam.state_at,
-                             derivative_at=fam.derivative_at, domain=(-math.pi, math.pi))
-        closed = pure_unitary_sample_size_bound(fam.generator, psi)
-        assert sample_size_bound(fd_fam, 0.2) == pytest.approx(closed, rel=1e-8)
+        closed = pure_unitary_sample_size_bound(number_operator(fam.dim), psi)
+        assert sample_size_bound(fam, 0.2) == pytest.approx(closed, rel=1e-8)
 
     def test_dephased_qubit_generic(self, dephased_qubit):
         fam, beta = dephased_qubit

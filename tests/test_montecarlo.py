@@ -21,6 +21,7 @@ from nsrkit import (
     NumericalConsistencyError,
     Operator,
     PhaseFamilySpec,
+    StateVector,
     adaptive_calibrate,
     analytic_fnsr,
     assess_observable,
@@ -28,6 +29,7 @@ from nsrkit import (
     dephasing_family,
     expectation,
     fock_state,
+    gaussian_probe,
     invert_mean,
     mean_inversion_condition,
     optimal_calibration,
@@ -36,7 +38,7 @@ from nsrkit import (
     run_trials,
     sample_outcomes,
 )
-from nsrkit.montecarlo import _GuideTable, _curve_grid
+from nsrkit.montecarlo import _GuideTable
 
 from conftest import SIGMA_Z, plus_state
 from oracles import random_density_mat
@@ -182,145 +184,127 @@ class TestGuideTableSampler:
                 np.random.default_rng(seed).choice(model.eigenvalues, size=10000, p=p))
 
 
+def case_study_curve():
+    spec = case_study_spec()
+    phi_exp = optimal_calibration(0.7)
+    return build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), phi_exp)
+
+
 class TestBuildCurve:
     def test_cosine_mean_closed_form(self):
         alpha, beta = 1.0, 0.3
         spec = case_study_spec(alpha=alpha, beta=beta)
-        fam = dephasing_family(spec)
         phi_exp = optimal_calibration(0.7)
-        grid = np.linspace(phi_exp, phi_exp + math.pi, 201)
-        curve = build_curve(fam, quadrature(phi_exp, spec.dim), grid)
-        expected = 2 * alpha * math.exp(-beta**2) * np.cos(curve.xs - phi_exp)
-        np.testing.assert_allclose(curve.means, expected, atol=1e-7)
-        assert curve.window == (0, 201)  # strictly decreasing across the grid
+        curve = build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), phi_exp)
+        amplitude = 2 * alpha * math.exp(-beta**2)
+        np.testing.assert_allclose(curve.means, [amplitude, -amplitude], atol=1e-7)
+        np.testing.assert_allclose(curve.xs, [phi_exp, phi_exp + math.pi], atol=1e-12)
+        np.testing.assert_allclose(curve.window, [phi_exp, phi_exp + math.pi], atol=1e-12)
 
     def test_beta_zero_amplitude(self):
         spec = case_study_spec(beta=0.0)
-        fam = dephasing_family(spec)
         phi_exp = optimal_calibration(0.7)
-        grid = np.linspace(phi_exp, phi_exp + math.pi, 101)
-        curve = build_curve(fam, quadrature(phi_exp, spec.dim), grid)
-        assert curve.means.max() == pytest.approx(2.0, abs=1e-7)
+        curve = build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), phi_exp)
+        assert curve.means[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_constant_mean_not_invertible(self):
+        # the number operator's mean is constant, not a cosine through its two means
         spec = case_study_spec()
-        fam = dephasing_family(spec)
-        grid = np.linspace(-0.5, 0.5, 41) + 0.7
         with pytest.raises(NonInvertibleCurveError):
-            build_curve(fam, number_operator(spec.dim), grid)
+            build_curve(dephasing_family(spec), number_operator(spec.dim), 0.7 - math.pi / 2)
+
+    def test_flat_quadrature_not_invertible(self):
+        # alpha = 0: every quadrature mean of a squeezed vacuum is zero
+        spec = case_study_spec(alpha=0.0, r=0.5)
+        phi_exp = optimal_calibration(0.7)
+        with pytest.raises(NonInvertibleCurveError):
+            build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), phi_exp)
 
     def test_grid_must_stay_in_domain(self):
         spec = case_study_spec()
         fam = dephasing_family(spec)
-        grid = np.linspace(0.7, 0.7 + 4.0, 41)  # spills past the domain edge
-        with pytest.raises(ContractViolationError):
-            build_curve(fam, quadrature(0.0, spec.dim), grid)
+        start = 0.7 + 2.0  # [start, start + pi] spills past the domain edge
+        curve = build_curve(fam, quadrature(0.0, spec.dim), start)
+        lo, hi = curve.window
+        assert fam.domain[0] <= lo < hi == fam.domain[1]
+        assert curve.xs[0] <= lo and hi <= curve.xs[1]
 
     def test_window_straddles_peak(self):
-        # grid centered on the mean's maximum: the window is one monotone side
+        # [start, start + pi] centered before the mean's maximum at phi_exp:
+        # the window is the monotone side after the peak
         spec = case_study_spec()
+        phi_exp = optimal_calibration(0.7)
+        start = phi_exp - 1.0
+        curve = build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), start)
+        assert curve.window == pytest.approx((phi_exp, start + math.pi), abs=1e-12)
+
+    def test_complex_amplitude_window_trimmed(self):
+        # coherent probe of amplitude e^{i theta}: its mean curve is shifted by theta
+        theta = 0.4
+        psi = gaussian_probe(GaussianProbeSpec.with_default_dim(1.0, 0.0))
+        rotated = StateVector(psi.amplitudes * np.exp(1j * theta * np.arange(psi.dim)))
+        spec = PhaseFamilySpec(rotated, DiffusionParams(0.3), (0.7 - math.pi, 0.7 + math.pi))
         fam = dephasing_family(spec)
         phi_exp = optimal_calibration(0.7)
-        grid = np.linspace(phi_exp - 1.0, phi_exp + 1.0, 81)
-        curve = build_curve(fam, quadrature(phi_exp, spec.dim), grid)
+        m = quadrature(phi_exp, spec.dim)
+        curve = build_curve(fam, m, phi_exp)
+        # the mean peaks at phi_exp + theta, so the window loses [phi_exp, phi_exp + theta)
+        assert curve.window == pytest.approx((phi_exp + theta, phi_exp + math.pi), abs=1e-12)
         lo, hi = curve.window
-        assert hi - lo >= 40  # half the grid
+        for x in np.linspace(lo + 0.1, hi - 0.1, 17):  # away from the flat peak at lo
+            true_mean = expectation(fam.state_at(float(x)), m)
+            assert invert_mean(curve, true_mean) == pytest.approx(float(x), abs=1e-12)
+
+
+def cosine_curve():
+    """<m>_x = 2 cos x on the window [0.5, 2.5] of the half period [0, pi]."""
+    return CalibrationCurve(xs=np.array([0.0, math.pi]), means=np.array([2.0, -2.0]),
+                            window=(0.5, 2.5))
 
 
 class TestInvertMean:
-    def linear_curve(self):
-        xs = np.linspace(0.0, 1.0, 11)
-        return CalibrationCurve(xs=xs, means=2 * xs, window=(0, 11))
-
     def test_node_inversion(self):
-        curve = self.linear_curve()
-        for k in (0, 3, 10):
-            assert invert_mean(curve, curve.means[k]) == pytest.approx(
-                curve.xs[k], abs=1e-10)
+        curve = cosine_curve()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CalibrationRangeWarning)
+            for x in (0.6, 1.2, 2.4):
+                assert invert_mean(curve, 2 * math.cos(x)) == pytest.approx(x, abs=1e-15)
 
     def test_linear_midpoint(self):
-        assert invert_mean(self.linear_curve(), 1.0) == pytest.approx(0.5, abs=1e-12)
+        # the zero crossing of the cosine, where it is closest to linear
+        assert invert_mean(cosine_curve(), 0.0) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_self_consistency_on_window(self):
         spec = case_study_spec()
         fam = dephasing_family(spec)
         phi_exp = optimal_calibration(0.7)
         m = quadrature(phi_exp, spec.dim)
-        curve = build_curve(fam, m, _curve_grid(phi_exp, fam.domain, 2001))
+        curve = build_curve(fam, m, phi_exp)
         for x in np.linspace(phi_exp + 0.1, phi_exp + math.pi - 0.1, 17):
             true_mean = expectation(fam.state_at(float(x)), m)
-            assert invert_mean(curve, true_mean) == pytest.approx(float(x), abs=1e-8)
+            assert invert_mean(curve, true_mean) == pytest.approx(float(x), abs=1e-12)
 
     def test_out_of_range_clamps_with_warning(self):
-        curve = self.linear_curve()
+        curve = case_study_curve()
+        amplitude = curve.means[0]
         with pytest.warns(CalibrationRangeWarning):
-            est = invert_mean(curve, 2.5)
-        assert est == curve.xs[-1]
+            est = invert_mean(curve, 1.5 * amplitude)
+        assert est == curve.window[0]
         with pytest.warns(CalibrationRangeWarning):
-            est = invert_mean(curve, -0.5)
-        assert est == curve.xs[0]
+            est = invert_mean(curve, -1.5 * amplitude)
+        assert est == curve.window[1]
+
+    def test_outside_window_clamps_with_warning(self):
+        # means within the amplitude whose arccos falls outside the window
+        curve = cosine_curve()
+        with pytest.warns(CalibrationRangeWarning):
+            assert invert_mean(curve, 1.9) == 0.5
+        with pytest.warns(CalibrationRangeWarning):
+            assert invert_mean(curve, -1.9) == 2.5
 
     def test_nan_mean_rejected(self):
         with pytest.raises(ContractViolationError):
-            invert_mean(self.linear_curve(), math.nan)
-
-
-def case_study_curve():
-    spec = case_study_spec()
-    fam = dephasing_family(spec)
-    phi_exp = optimal_calibration(0.7)
-    return build_curve(fam, quadrature(phi_exp, spec.dim), _curve_grid(phi_exp, fam.domain, 2001))
-
-
-def nonuniform_increasing_curve():
-    xs = np.geomspace(0.01, 3.0, 60)
-    return CalibrationCurve(xs=xs, means=np.log1p(xs) + 0.1 * xs**3, window=(4, 57))
-
-
-def end_limited_curve():
-    # The steep second secant flips the sign of the one-sided end estimate
-    # at both ends, so the end slopes are clamped to zero.
-    xs = np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 1.0])
-    means = np.array([0.0, 0.01, 1.0, 1.5, 1.8, 2.95, 2.96])
-    return CalibrationCurve(xs=xs, means=means, window=(0, 7))
-
-
-class TestInvertMeanMatchesScipyPchip:
-    """invert_mean against scipy's PCHIP interpolant plus brentq(xtol=1e-14)."""
-
-    @staticmethod
-    def reference(curve, y):
-        from scipy.interpolate import PchipInterpolator
-        from scipy.optimize import brentq
-
-        xs, ys = curve.window_xs, curve.window_means
-        exact = np.nonzero(ys == y)[0]
-        if exact.size:
-            return float(xs[exact[0]])
-        interp = PchipInterpolator(xs, ys)
-        return brentq(lambda x: interp(x) - y, xs[0], xs[-1], xtol=1e-14)
-
-    @pytest.mark.parametrize("make_curve", [
-        case_study_curve, nonuniform_increasing_curve, end_limited_curve,
-    ], ids=["case-study-decreasing", "nonuniform-increasing", "end-limiter"])
-    def test_estimates_agree(self, make_curve):
-        pytest.importorskip("scipy")
-        curve = make_curve()
-        ys = curve.window_means
-        targets = np.concatenate([np.linspace(ys.min(), ys.max(), 301), ys[::7]])
-        for y in targets:
-            assert invert_mean(curve, float(y)) == pytest.approx(
-                self.reference(curve, float(y)), abs=1e-12)
-
-    def test_end_limiter_fires(self):
-        pytest.importorskip("scipy")
-        from scipy.interpolate import PchipInterpolator
-
-        curve = end_limited_curve()
-        assert curve.slopes[0] == curve.slopes[-1] == 0.0
-        interp = PchipInterpolator(curve.window_xs, curve.window_means)
-        np.testing.assert_allclose(curve.slopes, interp.derivative()(curve.window_xs),
-                                   rtol=1e-12, atol=1e-15)
+            invert_mean(cosine_curve(), math.nan)
 
 
 def test_import_does_not_load_scipy():
@@ -464,5 +448,7 @@ class TestAdaptiveCalibrate:
             assert assess_observable(fam, phi_true, m).fisher >= 0.95 * f_opt
 
     def test_divergence_guard(self):
+        spec = case_study_spec()
+        spec = PhaseFamilySpec(spec.probe, spec.diffusion, (0.0, 1.0))
         with pytest.raises(EstimatorDivergenceError):
-            _curve_grid(5.0, (0.0, 1.0), 101)
+            build_curve(dephasing_family(spec), quadrature(5.0, spec.dim), 5.0)
