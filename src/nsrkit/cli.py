@@ -46,9 +46,11 @@ from .errors import (
 from .estimation import assess_observable, pure_unitary_family, pure_unitary_qfi, sld
 from .montecarlo import adaptive_calibrate, run_trials
 from .operators import (
+    MAX_DIM,
     GaussianProbeSpec,
     Operator,
     StateVector,
+    check_dim,
     default_truncation_dim,
     expectation,
     fock_state,
@@ -152,7 +154,7 @@ def load_observable(path: str) -> Operator:
         tokens = fh.read().split()
     if len(tokens) < 2 or tokens[0] != "dim":
         raise ValueError(f"{path}: expected header 'dim <n>'")
-    n = int(tokens[1])
+    n = check_dim(int(tokens[1]))
     entries = tokens[2:]
     if len(entries) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(entries)}")
@@ -166,7 +168,7 @@ def _parse_state(text: str, dim: int | None = None) -> StateVector:
     kind, _, rest = text.partition(":")
     if kind in ("vacuum", "fock"):
         n = int(rest) if kind == "fock" else 0
-        return fock_state(dim or max(16, 2 * (n + 1)), n)
+        return fock_state(check_dim(dim or max(16, 2 * (n + 1))), n)
     if kind == "coherent":
         alpha, r = float(rest), 0.0
     elif kind == "gaussian":
@@ -418,7 +420,8 @@ def _add_family_args(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, default=0.0, help="diffusion degree")
     p.add_argument("--N", type=float, default=None,
                    help="mean excitation; sets alpha = sqrt(N - sinh^2 r) if --alpha absent")
-    p.add_argument("--dim", type=int, default=None, help="Fock truncation (default: policy)")
+    p.add_argument("--dim", type=int, default=None,
+                   help=f"Fock truncation, at most {MAX_DIM} (default: policy)")
     p.add_argument("--phi-true", dest="phi_true", type=float, default=0.0)
 
 

@@ -192,8 +192,11 @@ def pure_unitary_family(h: Operator, psi: StateVector) -> ParamFamily:
         raise DimensionMismatchError(f"h dim {h.dim} != state dim {psi.dim}")
     evals, vecs = np.linalg.eigh(h.matrix)
     psi_eig = vecs.conj().T @ psi.amplitudes
+    scale = float(np.abs(evals).max())
 
     def state_at(x: float) -> DensityMatrix:
+        if not math.isfinite(x * scale):
+            raise ContractViolationError(f"phase x h is not finite at x={x}")
         amp = vecs @ (np.exp(-1j * evals * x) * psi_eig)
         rho = np.outer(amp, amp.conj())
         return DensityMatrix(Operator((rho + rho.conj().T) / 2, hermitian=True))

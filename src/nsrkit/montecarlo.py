@@ -1,9 +1,11 @@
 """Monte Carlo verification of mean-inversion estimation.
 
 Outcomes are Born-rule draws from the observable's eigenbasis; the estimator
-inverts the calibration curve <M>_x at the observed sample mean. On a phase
-family a quadrature's mean is an exact cosine in x, so two exact means fix
-the curve and the inversion is an arccos.
+inverts the calibration curve <M>_x at the observed sample mean. That mean
+needs only how often each eigenvalue came up, so the trials count the draws,
+CHUNK uniforms at a time, and never hold them: memory does not grow with the
+sample count. On a phase family a quadrature's mean is an exact cosine in x,
+so two exact means fix the curve and the inversion is an arccos.
 Across repeats, nu * Var(x_hat) must approach the squared noise-to-sensibility
 ratio, and an adaptive loop re-centers the quadrature angle each round.
 """
@@ -34,6 +36,8 @@ PROB_NEG_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 # Buckets of the sampling guide table; a power of two, so scaling is exact.
 GUIDE_BUCKETS = 2**12
+# Uniforms read per step of the sampler, whatever the sample count.
+CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,8 @@ class MeasurementModel:
 
     def probabilities(self, rho) -> np.ndarray:
         """p_k = <e_k|rho|e_k>, clamped at -1e-12 and renormalized to 1e-10."""
-        p = np.real(np.einsum("ij,jk,ki->i", self.eigenvectors.conj().T, rho.matrix,
-                              self.eigenvectors))
+        vecs = self.eigenvectors
+        p = np.real((vecs.conj() * (rho.matrix @ vecs)).sum(axis=0))
         if p.min() < -PROB_NEG_TOL:
             raise NumericalConsistencyError(
                 f"negative Born probability {p.min():.3e} beyond tolerance"
@@ -70,54 +74,63 @@ class MeasurementModel:
 
 
 class _GuideTable:
-    """Inverse-CDF sampler of nu indices 0..len(p)-1 at a time, with a guide
-    table (Chen & Asau, AIIE Trans. 6, 163 (1974)).
+    """Histogram of nu inverse-CDF draws of the indices 0..len(p)-1, with a
+    guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)).
 
-    The CDF is built as Generator.choice builds it and scaled by the power of
-    two GUIDE_BUCKETS, which is exact, so a draw returns exactly
-    cdf.searchsorted(rng.random(nu), side="right"): the indices choice(p=p)
-    draws from the same stream. A uniform whose bucket holds no CDF node takes
-    the bucket's first index; only the others are searched. Draws fill arrays
-    the table owns, so repeated draws allocate (and page in) no new memory.
+    The CDF is built as Generator.choice builds it, so an index is exactly
+    cdf.searchsorted(u, side="right") of a uniform u: the index choice(p=p)
+    draws from the same stream. A uniform whose bucket floor(u * GUIDE_BUCKETS)
+    holds no CDF node takes the bucket's first index, so only the bucket is
+    counted; the others are searched. Uniforms are read CHUNK at a time into
+    arrays the table owns, so memory does not grow with nu.
     """
 
     def __init__(self, p: np.ndarray, nu: int):
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        self._nodes = cdf * GUIDE_BUCKETS
+        self._cdf = cdf
+        self._nu = nu
+        nodes = cdf * GUIDE_BUCKETS  # exact: GUIDE_BUCKETS is a power of two
         buckets = np.arange(GUIDE_BUCKETS)
-        first = self._nodes.searchsorted(buckets, side="right")
-        holds_node = self._nodes.searchsorted(buckets + 1, side="left") > first
-        # -1 marks a bucket whose index depends on where in it the uniform falls
-        self._guide = np.where(holds_node, -1, first)
-        self._u = np.empty(nu)
-        self._bucket = np.empty(nu, dtype=np.intp)
-        self._idx = np.empty(nu, dtype=np.intp)
+        first = nodes.searchsorted(buckets, side="right")
+        self._holds_node = nodes.searchsorted(buckets + 1, side="left") > first
+        # buckets holding a node spill into the extra bin p.size
+        self._guide = np.where(self._holds_node, p.size, first)
+        n = min(nu, CHUNK)
+        self._u = np.empty(n)
+        self._bucket = np.empty(n, dtype=np.intp)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """Indices of nu draws; the array is overwritten by the next draw."""
-        u, idx = self._u, self._idx
-        rng.random(out=u)
-        u *= GUIDE_BUCKETS
-        np.copyto(self._bucket, u, casting="unsafe")
-        # Buckets are in range as u < 1; mode="raise" would copy idx first.
-        np.take(self._guide, self._bucket, out=idx, mode="clip")
-        search = idx < 0
-        idx[search] = self._nodes.searchsorted(u[search], side="right")
-        return idx
+    def counts(self, rng: np.random.Generator) -> np.ndarray:
+        """How often each index comes up in nu draws from rng, as int64."""
+        d = self._cdf.size
+        per_bucket = np.zeros(GUIDE_BUCKETS, dtype=np.int64)
+        searched = np.zeros(d, dtype=np.int64)
+        for done in range(0, self._nu, CHUNK):
+            n = min(CHUNK, self._nu - done)
+            u, bucket = self._u[:n], self._bucket[:n]
+            rng.random(out=u)
+            # floor(u * GUIDE_BUCKETS), exact since u >= 0 and the scale is 2^12
+            np.multiply(u, GUIDE_BUCKETS, out=bucket, casting="unsafe")
+            per_bucket += np.bincount(bucket, minlength=GUIDE_BUCKETS)
+            in_node = u[self._holds_node[bucket]]
+            searched += np.bincount(self._cdf.searchsorted(in_node, side="right"), minlength=d)
+        guided = np.bincount(self._guide, weights=per_bucket, minlength=d + 1)[:-1]
+        return searched + guided.astype(np.int64)  # weights sum exactly below 2^53
 
 
 def sample_outcomes(rho, m, nu: int, seed) -> np.ndarray:
     """nu i.i.d. eigenvalue draws of m on rho; deterministic for a fixed seed.
 
-    Draws go through a guide table and are the outcomes
-    Generator.choice(eigenvalues, size=nu, p=probabilities) gives for the seed.
+    The draws are the outcomes Generator.choice(eigenvalues, size=nu,
+    p=probabilities) gives for the seed.
     """
     if nu < 1:
         raise ContractViolationError(f"sample count must be positive, got {nu}")
     model = MeasurementModel.from_observable(m)
-    table = _GuideTable(model.probabilities(rho), nu)
-    return model.eigenvalues[table.draw(np.random.default_rng(seed))]
+    cdf = model.probabilities(rho).cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(nu)
+    return model.eigenvalues[cdf.searchsorted(u, side="right")]
 
 
 @dataclass(frozen=True)
@@ -261,13 +274,11 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
     curve = build_curve(fam, m, start)
     model = MeasurementModel.from_observable(m)
     table = _GuideTable(model.probabilities(fam.state_at(phi_true)), nu)
-    outcomes = np.empty(nu)  # reused, like the table's arrays
     estimates = np.empty(repeats)
     clamped = np.empty(repeats, dtype=bool)
     for k in range(repeats):
-        idx = table.draw(np.random.default_rng([seed, k]))
-        np.take(model.eigenvalues, idx, out=outcomes, mode="clip")  # idx < len(p)
-        estimates[k], clamped[k] = _invert(curve, float(outcomes.mean()))
+        counts = table.counts(np.random.default_rng([seed, k]))
+        estimates[k], clamped[k] = _invert(curve, float(counts @ model.eigenvalues) / nu)
     estimates.setflags(write=False)
     clamped.setflags(write=False)
     return TrialRun(
@@ -294,6 +305,8 @@ def adaptive_calibrate(
     """
     if rounds < 1:
         raise ContractViolationError(f"need at least 1 round, got {rounds}")
+    if batch < 1:
+        raise ContractViolationError(f"sample count must be positive, got {batch}")
     fam = dephasing_family(spec)
     domain = fam.domain
     if not fam.contains(phi_true_hidden):
@@ -308,8 +321,10 @@ def adaptive_calibrate(
             raise EstimatorDivergenceError(
                 f"calibration window unusable at round {k}: {exc}", round_index=k
             ) from exc
-        outcomes = sample_outcomes(fam.state_at(phi_true_hidden), m, batch, [seed, k])
-        est = invert_mean(curve, float(outcomes.mean()))  # warns when clamped
+        model = MeasurementModel.from_observable(m)
+        table = _GuideTable(model.probabilities(fam.state_at(phi_true_hidden)), batch)
+        counts = table.counts(np.random.default_rng([seed, k]))
+        est = invert_mean(curve, float(counts @ model.eigenvalues) / batch)  # warns when clamped
         if not fam.contains(est):
             raise EstimatorDivergenceError(
                 f"estimate {est:.4g} left the domain {domain} at round {k}",

@@ -28,6 +28,10 @@ PSD_TOL = 1e-10
 NORM_TOL = 1e-10
 LEAKAGE_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
+# Largest truncation dimension accepted from the policy or a command line. A
+# dense complex matrix at this size is 64 MiB; the heaviest command here,
+# `qfi`, holds about a dozen at once and an eigensolver's work, under 1 GiB.
+MAX_DIM = 2048
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -137,7 +141,13 @@ class StateVector:
 
 @dataclass(frozen=True)
 class GaussianProbeSpec:
-    """Real displacement/squeezing pair defining a probe D(alpha) S(r) |0>."""
+    """Real displacement/squeezing pair defining a probe D(alpha) S(r) |0> on
+    the first dim Fock states.
+
+    Checked in this order: a finite mean excitation, dim >= 2, a vacuum
+    amplitude that does not underflow (NumericalConsistencyError, since no
+    dim can hold such a probe) and dim <= MAX_DIM.
+    """
 
     alpha: float
     r: float
@@ -149,10 +159,22 @@ class GaussianProbeSpec:
             raise ContractViolationError(f"mean excitation {n} must be finite and >= 0")
         if self.dim < 2:
             raise InvalidDimensionError("truncation dimension must be >= 2")
+        c0 = self.vacuum_amplitude
+        if c0 < np.finfo(float).tiny:
+            raise NumericalConsistencyError(
+                f"probe vacuum amplitude underflows ({c0:.3e}) at alpha={self.alpha}, r={self.r}"
+            )
+        check_dim(self.dim)
 
     @property
     def mean_excitation(self) -> float:
         return self.alpha**2 + math.sinh(self.r) ** 2
+
+    @property
+    def vacuum_amplitude(self) -> float:
+        """c_0 = exp(-alpha^2 (1 - tanh r)/2) / sqrt(cosh r)."""
+        one_minus_tanh = math.exp(-self.r) / math.cosh(self.r)  # without cancellation
+        return math.exp(-0.5 * self.alpha**2 * one_minus_tanh) / math.sqrt(math.cosh(self.r))
 
     @classmethod
     def with_default_dim(cls, alpha: float, r: float) -> "GaussianProbeSpec":
@@ -165,15 +187,26 @@ def default_truncation_dim(alpha: float, r: float) -> int:
     The squeezed-vacuum number tail decays geometrically like (tanh^2 r)^(n/2)
     until far past the mean, so the cutoff must scale with 1/(-ln tanh|r|);
     displacement along the anti-squeezed axis adds roughly alpha^2 e^{2|r|}.
+    Above MAX_DIM, which GaussianProbeSpec rejects, the tail term is left out.
     """
     for name, value in (("alpha", alpha), ("r", r)):
         if not math.isfinite(value):
             raise ContractViolationError(f"{name} must be finite, got {value}")
     n = alpha**2 + math.sinh(r) ** 2
     dim = max(16, math.ceil(8.0 * (n + 1.0)))
-    if r != 0.0:
+    # Up to the ceiling |r| < 3.5, so tanh|r| < 1 and its log is nonzero.
+    if r != 0.0 and dim <= MAX_DIM:
         squeeze_tail = 20.75 / (-math.log(math.tanh(abs(r))))
         dim = max(dim, math.ceil(squeeze_tail + alpha**2 * math.exp(2 * abs(r)) + 10))
+    return dim
+
+
+def check_dim(dim: int) -> int:
+    """dim if it is at most MAX_DIM; InvalidDimensionError naming both otherwise."""
+    if dim > MAX_DIM:
+        raise InvalidDimensionError(
+            f"truncation dim {dim} exceeds the ceiling MAX_DIM = {MAX_DIM}"
+        )
     return dim
 
 
@@ -200,27 +233,6 @@ def fock_state(dim: int, n: int) -> StateVector:
     return StateVector(v)
 
 
-def unitary_from_generator(g: Operator) -> Operator:
-    """exp(g) for anti-Hermitian g, via eigendecomposition of the Hermitian i*g.
-
-    The eigendecomposition route keeps the result unitary to roundoff, unlike
-    scaling-and-squaring.
-    """
-    m = g.matrix
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m + m.conj().T).max() > 1e-10 * max(1.0, scale):
-        raise ContractViolationError("generator is not anti-Hermitian within tolerance")
-    h = 1j * m  # Hermitian
-    evals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
-    u = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-    return Operator(u)
-
-
-def displacement_generator(alpha: float, dim: int) -> Operator:
-    a, adag = fock_ladder(dim)
-    return Operator(alpha * (adag.matrix - a.matrix))
-
-
 def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
     """D(alpha) S(r)|0>, S = exp(r (a^dag^2 - a^2)/2), on the first spec.dim
     Fock states, from the recurrence that its annihilator
@@ -230,18 +242,13 @@ def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
         c_0 = exp(-alpha^2 (1 - tanh r)/2) / sqrt(cosh r).
 
     The leakage 1 - sum_{n<dim} c_n^2 is exact. Raises TruncationError, with a
-    suggested larger dimension, if it exceeds LEAKAGE_TOL, and
-    NumericalConsistencyError if c_0 underflows.
+    suggested larger dimension, if it exceeds LEAKAGE_TOL; the spec has
+    already checked that c_0 does not underflow.
     """
     alpha, r = spec.alpha, spec.r
-    one_minus_tanh = math.exp(-r) / math.cosh(r)  # 1 - tanh r, without cancellation
     c = np.empty(spec.dim)
-    c[0] = math.exp(-0.5 * alpha**2 * one_minus_tanh) / math.sqrt(math.cosh(r))
-    if c[0] < np.finfo(float).tiny:
-        raise NumericalConsistencyError(
-            f"probe vacuum amplitude underflows ({c[0]:.3e}) at alpha={alpha}, r={r}"
-        )
-    drive = alpha * one_minus_tanh
+    c[0] = spec.vacuum_amplitude
+    drive = alpha * (math.exp(-r) / math.cosh(r))  # alpha (1 - tanh r), without cancellation
     tanh = math.tanh(r)
     sqrt_n = np.sqrt(np.arange(spec.dim))
     prev = 0.0

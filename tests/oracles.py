@@ -141,3 +141,21 @@ def squeezed_vacuum_amplitudes(r: float, dim: int) -> np.ndarray:
                    - math.log(math.cosh(r)) / 2)
         out[n] = t**k * math.exp(log_mag)
     return out
+
+
+def unitary_from_generator(g: np.ndarray) -> np.ndarray:
+    """exp(g) for anti-Hermitian g, via eigendecomposition of the Hermitian i*g,
+    which keeps the result unitary to roundoff. Raises ValueError if g is not
+    anti-Hermitian to 1e-10."""
+    scale = np.abs(g).max()
+    if scale > 0 and np.abs(g + g.conj().T).max() > 1e-10 * max(1.0, scale):
+        raise ValueError("generator is not anti-Hermitian within tolerance")
+    h = 1j * g
+    evals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+
+
+def displacement_generator(alpha: float, dim: int) -> np.ndarray:
+    """alpha (a^dag - a) on dim Fock levels, whose exponential is D(alpha)."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    return alpha * (a.T - a)

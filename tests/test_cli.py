@@ -10,6 +10,7 @@ import pytest
 import nsrkit
 from nsrkit import analytic_fnsr, quadrature
 from nsrkit.cli import main
+from nsrkit.operators import MAX_DIM
 
 
 def run_cli(capsys, *argv):
@@ -332,13 +333,39 @@ class TestNonFiniteInputs:
         ("fig2", "--grid-two-beta-sq", "0:1:3"),
         ("fig2", "--grid-N=-1:10:3"),
         ("fig2", "--grid-N", "1e308:1.7e308:3", "--grid-two-beta-sq", "0.1:0.2:2"),
+        ("nsr", "--r", "20"),
+        ("qfi", "--family", "pure", "--state", "gaussian:1:20"),
+        ("qfi", "--family", "pure", "--x", "1e308", "--dim", "3"),
     ], ids=["nsr-beta-huge", "qfi-beta-huge", "scan-beta-huge", "nsr-r-huge",
             "nsr-alpha-huge", "fig2-two-beta-sq-huge", "qfi-pure-x-inf",
             "scan-alpha-huge", "scan-alpha-4sq-huge", "fig2-log-grid-lo-zero",
-            "fig2-log-grid-lo-negative", "fig2-N-huge"])
+            "fig2-log-grid-lo-negative", "fig2-N-huge", "nsr-r-20", "qfi-pure-r-20",
+            "qfi-pure-x-huge"])
     def test_out_of_range_exit_2(self, argv, tmp_path):
         proc = run_cold(*argv, cwd=tmp_path)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, dim", [
+        (("nsr", "--alpha", "37.5"), 11258),
+        (("mc", "--r", "3"), 4599),
+        (("scan", "--numeric", "--grid-alpha", "1:20:2"), 3208),
+        (("nsr", "--dim", "5000"), 5000),
+        (("qfi", "--family", "pure", "--state", "fock:5000"), 10002),
+    ], ids=["nsr-alpha-policy", "mc-r-policy", "scan-grid-policy", "nsr-dim-flag",
+            "qfi-pure-fock-default"])
+    def test_dim_above_ceiling_exit_2(self, argv, dim):
+        proc = run_cold(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"dim {dim} exceeds the ceiling MAX_DIM = {MAX_DIM}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_observable_file_above_ceiling_exit_2(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"dim {MAX_DIM + 1}\n0\n")
+        proc = run_cold("nsr", "--observable", str(path))
+        assert proc.returncode == 2
+        assert f"dim {MAX_DIM + 1} exceeds the ceiling" in proc.stderr

@@ -16,7 +16,8 @@ from nsrkit.cli import main  # noqa: E402
 
 VALUES = ["0", "1e-300", "1e-8", "0.3", "0.7", "1", "2.5", "-0.5", "-3",
           "1e3", "1e200", "1e308", "nan", "inf", "-inf"]
-DIMS = ["2", "3", "8", "16"]
+# None leaves the truncation to the policy, which must stay under MAX_DIM.
+DIMS = ["2", "3", "8", "16", None]
 values = st.sampled_from(VALUES)
 
 
@@ -40,7 +41,8 @@ def argvs(draw):
         for flag in ("--grid-two-beta-sq", "--grid-N"):
             argv.append(f"{flag}={draw(grids)}")
         return argv
-    argv = [command, f"--dim={draw(st.sampled_from(DIMS))}"]
+    dim = draw(st.sampled_from(DIMS))
+    argv = [command] + ([f"--dim={dim}"] if dim else [])
     if command == "qfi":
         family = draw(st.sampled_from(["pure", "dephasing"]))
         state = draw(st.sampled_from(["vacuum", "fock:1", "fock:40", "coherent:{}",

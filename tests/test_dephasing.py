@@ -31,12 +31,16 @@ from nsrkit import (
     quadrature,
     r_max,
     r_opt,
-    unitary_from_generator,
 )
 from nsrkit.operators import Operator
 
 from conftest import fock_dephasing_spec
-from oracles import gauss_hermite_dephase, golden_max, random_density_mat
+from oracles import (
+    gauss_hermite_dephase,
+    golden_max,
+    random_density_mat,
+    unitary_from_generator,
+)
 
 
 def fnsr_reference(r, alpha, beta):
@@ -52,8 +56,8 @@ class TestDephaseChannel:
         dim, phi = 7, 0.9
         rho = DensityMatrix.from_matrix(random_density_mat(rng, dim))
         out = dephase_channel(rho, phi, 0.0)
-        u = unitary_from_generator(Operator(-1j * phi * number_operator(dim).matrix))
-        expected = u.matrix @ rho.matrix @ u.matrix.conj().T
+        u = unitary_from_generator(-1j * phi * number_operator(dim).matrix)
+        expected = u @ rho.matrix @ u.conj().T
         np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
     def test_coherence_decay_vs_quadrature_oracle(self, rng):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,10 +39,10 @@ from nsrkit import (
     run_trials,
     sample_outcomes,
 )
-from nsrkit.montecarlo import _GuideTable
+from nsrkit.montecarlo import CHUNK, _GuideTable
 
 from conftest import SIGMA_Z, plus_state
-from oracles import random_density_mat
+from oracles import random_density_mat, random_hermitian
 
 
 def case_study_spec(phi_true=0.7, alpha=1.0, r=0.0, beta=0.3, offset=0.0):
@@ -60,6 +61,14 @@ class TestMeasurementModel:
         p = model.probabilities(rho)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert p.min() >= 0.0
+
+    def test_probabilities_are_eigenbasis_diagonal(self, rng):
+        m = Operator(random_hermitian(rng, 7), hermitian=True)
+        model = MeasurementModel.from_observable(m)
+        rho = DensityMatrix.from_matrix(random_density_mat(rng, 7))
+        vecs = model.eigenvectors
+        expected = np.diag(vecs.conj().T @ rho.matrix @ vecs).real
+        np.testing.assert_allclose(model.probabilities(rho), expected, rtol=0, atol=1e-15)
 
     def test_requires_hermitian(self):
         a = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -139,24 +148,52 @@ def born_probabilities(alpha, r):
     return MeasurementModel.from_observable(m).probabilities(dephasing_family(spec).state_at(0.7))
 
 
+def choice_counts(p, nu, seed):
+    """The histogram of Generator.choice's draws for the seed."""
+    draws = np.random.default_rng(seed).choice(p.size, size=nu, p=p)
+    return np.bincount(draws, minlength=p.size)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose uniforms are given."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values)
+
+    def random(self, out):
+        out[:] = self._values[:out.size]
+        self._values = self._values[out.size:]
+
+
+# One draw, a chunk boundary from both sides, and the benchmark's sample count.
+SAMPLE_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 100000]
+
+
 class TestGuideTableSampler:
+    """counts() is the exact histogram of the indices choice(p=p) draws."""
+
     @pytest.mark.parametrize("make_p", [
         lambda: spread_probabilities(2),
+        lambda: spread_probabilities(3),
         lambda: spread_probabilities(16),
         lambda: spread_probabilities(116),
+        lambda: spread_probabilities(300),
         lambda: born_probabilities(1.0, 0.0),
         lambda: born_probabilities(2.0, 1.0),
-    ], ids=["spread-2", "spread-16", "spread-116", "case-study-16", "large-probe-116"])
+    ], ids=["spread-2", "spread-3", "spread-16", "spread-116", "spread-300",
+            "case-study-16", "large-probe-116"])
     def test_indices_match_searchsorted_and_choice(self, make_p):
         p = make_p()
-        nu = 20000
-        table, cdf = _GuideTable(p, nu), choice_cdf(p)
-        for seed in range(50):
-            idx = table.draw(np.random.default_rng(seed))
-            u = np.random.default_rng(seed).random(nu)
-            np.testing.assert_array_equal(idx, cdf.searchsorted(u, side="right"))
-            np.testing.assert_array_equal(
-                idx, np.random.default_rng(seed).choice(p.size, size=nu, p=p))
+        cdf = choice_cdf(p)
+        for nu in SAMPLE_COUNTS:
+            table = _GuideTable(p, nu)
+            for seed in range(6):
+                counts = table.counts(np.random.default_rng(seed))
+                assert counts.dtype == np.int64
+                u = np.random.default_rng(seed).random(nu)
+                np.testing.assert_array_equal(
+                    counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
+                np.testing.assert_array_equal(counts, choice_counts(p, nu, seed))
 
     @pytest.mark.parametrize("p", [
         [0.0, 0.3, 0.0, 0.0, 0.7, 0.0],
@@ -164,13 +201,37 @@ class TestGuideTableSampler:
     ], ids=["zero-entries", "nodes-on-bucket-edges"])
     def test_edge_distributions(self, p):
         p = np.array(p)
-        nu = 20000
-        table = _GuideTable(p, nu)
-        for seed in range(50):
-            idx = table.draw(np.random.default_rng(seed))
-            np.testing.assert_array_equal(
-                idx, np.random.default_rng(seed).choice(p.size, size=nu, p=p))
-            assert p[idx].min() > 0.0
+        for nu in SAMPLE_COUNTS:
+            table = _GuideTable(p, nu)
+            for seed in range(6):
+                counts = table.counts(np.random.default_rng(seed))
+                np.testing.assert_array_equal(counts, choice_counts(p, nu, seed))
+                assert counts[p == 0.0].sum() == 0
+
+    @pytest.mark.parametrize("p", [[0.3, 0.7], [0.25, 0.25, 0.5]],
+                             ids=["node-inside-bucket", "nodes-on-bucket-edges"])
+    def test_uniform_on_a_node(self, p):
+        # u equal to a CDF node takes the next index (side="right"), as in choice
+        p = np.array(p)
+        cdf = choice_cdf(p)
+        nodes = cdf[:-1]
+        u = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0), [0.0]])
+        table = _GuideTable(p, u.size)
+        counts = table.counts(FixedUniforms(u))
+        np.testing.assert_array_equal(
+            counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
+
+    def test_run_trials_memory_does_not_grow_with_nu(self):
+        # holding the 2e6 draws of one repeat would take 16 MB or more
+        spec = case_study_spec()
+        run_trials(spec, 0.7, nu=1000, repeats=2, seed=0)  # warm caches and imports
+        tracemalloc.start()
+        try:
+            run_trials(spec, 0.7, nu=2_000_000, repeats=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_sample_outcomes_matches_choice(self):
         spec = case_study_spec()

@@ -21,17 +21,18 @@ from nsrkit import (
     gaussian_probe,
     number_operator,
     quadrature,
-    unitary_from_generator,
     variance,
 )
-from nsrkit.operators import displacement_generator, real_trace
+from nsrkit.operators import MAX_DIM, check_dim, real_trace
 
 from oracles import (
     coherent_amplitudes,
+    displacement_generator,
     expm_gaussian_probe,
     random_density_mat,
     random_hermitian,
     squeezed_vacuum_amplitudes,
+    unitary_from_generator,
 )
 
 
@@ -68,14 +69,15 @@ class TestFockLadder:
 
 
 class TestUnitaryFromGenerator:
+    """The eigendecomposition oracle for exp(g), used by the tests below."""
+
     def test_zero_generator(self):
-        u = unitary_from_generator(Operator(np.zeros((4, 4))))
-        np.testing.assert_allclose(u.matrix, np.eye(4), atol=1e-14)
+        u = unitary_from_generator(np.zeros((4, 4)))
+        np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
 
     def test_phase_rotation(self):
-        g = Operator(-1j * math.pi * np.diag([0.0, 1.0]))
-        u = unitary_from_generator(g)
-        np.testing.assert_allclose(u.matrix, np.diag([1.0, -1.0]), atol=1e-12)
+        u = unitary_from_generator(-1j * math.pi * np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(u, np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_coherent_column(self):
         # first column of D(alpha) carries the coherent amplitudes
@@ -84,19 +86,18 @@ class TestUnitaryFromGenerator:
         n = np.arange(30)
         log_fact = np.array([math.lgamma(k + 1) for k in n])
         expected = np.exp(-alpha**2 / 2 + n * math.log(alpha) - log_fact / 2)
-        np.testing.assert_allclose(u.matrix[:30, 0].real, expected, atol=1e-12)
-        assert np.abs(u.matrix[:30, 0].imag).max() < 1e-14
+        np.testing.assert_allclose(u[:30, 0].real, expected, atol=1e-12)
+        assert np.abs(u[:30, 0].imag).max() < 1e-14
 
     def test_unitarity(self, rng):
         for dim in (2, 7, 24):
-            h = random_hermitian(rng, dim)
-            u = unitary_from_generator(Operator(-1j * h))
-            defect = np.abs(u.matrix.conj().T @ u.matrix - np.eye(dim)).max()
+            u = unitary_from_generator(-1j * random_hermitian(rng, dim))
+            defect = np.abs(u.conj().T @ u - np.eye(dim)).max()
             assert defect <= 1e-10
 
     def test_rejects_non_antihermitian(self):
-        with pytest.raises(ContractViolationError):
-            unitary_from_generator(Operator(np.eye(2)))
+        with pytest.raises(ValueError):
+            unitary_from_generator(np.eye(2))
 
 
 class TestGaussianProbe:
@@ -284,8 +285,8 @@ class TestPhaseShifted:
     def test_matches_number_rotation(self, rng):
         dim, phi = 7, 0.9
         rho = DensityMatrix.from_matrix(random_density_mat(rng, dim))
-        u = unitary_from_generator(Operator(-1j * phi * number_operator(dim).matrix))
-        expected = u.matrix @ rho.matrix @ u.matrix.conj().T
+        u = unitary_from_generator(-1j * phi * number_operator(dim).matrix)
+        expected = u @ rho.matrix @ u.conj().T
         np.testing.assert_allclose(rho.phase_shifted(phi).matrix, expected, atol=1e-12)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf])
@@ -327,6 +328,27 @@ class TestTypeContracts:
     def test_default_truncation_dim_rejects_non_finite(self, alpha, r, name):
         with pytest.raises(ContractViolationError, match=f"{name} must be finite"):
             default_truncation_dim(alpha, r)
+
+    @pytest.mark.parametrize("alpha, r, dim", [
+        (37.5, 0.0, 11258), (16.0, 0.0, 2056), (1.0, 3.0, 4599), (1.0, 20.0, None),
+    ], ids=["alpha-37.5", "alpha-16", "r-3", "r-20-tanh-one"])
+    def test_policy_dim_above_ceiling(self, alpha, r, dim):
+        # at r = 20, tanh r rounds to 1, where the squeeze tail would divide by zero
+        if dim is not None:
+            assert default_truncation_dim(alpha, r) == dim
+        with pytest.raises(InvalidDimensionError, match=f"ceiling MAX_DIM = {MAX_DIM}"):
+            GaussianProbeSpec.with_default_dim(alpha, r)
+
+    def test_underflow_reported_before_ceiling(self):
+        # no dimension holds this probe, so the underflow is the error to report
+        with pytest.raises(NumericalConsistencyError, match="underflows"):
+            GaussianProbeSpec(40.0, 0.0, MAX_DIM + 1)
+
+    def test_check_dim_at_ceiling(self):
+        assert check_dim(MAX_DIM) == MAX_DIM
+        assert GaussianProbeSpec(1.0, 0.0, MAX_DIM).dim == MAX_DIM
+        with pytest.raises(InvalidDimensionError, match=f"dim {MAX_DIM + 1} exceeds"):
+            check_dim(MAX_DIM + 1)
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(InvalidDimensionError):
