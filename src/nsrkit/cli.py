@@ -52,10 +52,10 @@ from .operators import (
     StateVector,
     check_dim,
     default_truncation_dim,
-    expectation,
     fock_state,
     gaussian_probe,
     number_operator,
+    real_trace,
 )
 
 NUMERICAL_ERRORS = (
@@ -159,7 +159,7 @@ def load_observable(path: str) -> Operator:
     if len(entries) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(entries)}")
     mat = np.array([complex(t) for t in entries]).reshape(n, n)
-    return Operator(mat, hermitian=True)
+    return Operator(mat)
 
 
 def _parse_state(text: str, dim: int | None = None) -> StateVector:
@@ -190,13 +190,14 @@ def _resolve_alpha(args) -> float:
     return 1.0  # paper case-study default
 
 
-def _dephasing_spec(args, phi_true: float) -> PhaseFamilySpec:
-    alpha = _resolve_alpha(args)
-    dim = args.dim if args.dim else default_truncation_dim(alpha, args.r)
-    probe = GaussianProbeSpec(alpha, args.r, dim)
+def _dephasing_spec(alpha: float, r: float, beta: float, dim: int | None,
+                    phi_true: float) -> PhaseFamilySpec:
+    """The probe D(alpha)S(r)|0> on dim Fock levels (the policy's without
+    dim), diffused by beta, over the phase period centered on phi_true."""
+    probe = GaussianProbeSpec(alpha, r, dim or default_truncation_dim(alpha, r))
     return PhaseFamilySpec(
         probe=probe,
-        diffusion=DiffusionParams(args.beta),
+        diffusion=DiffusionParams(beta),
         phi_domain=(phi_true - math.pi, phi_true + math.pi),
     )
 
@@ -226,7 +227,7 @@ def cmd_qfi(args) -> int:
         }
     else:
         x = args.phi_true
-        spec = _dephasing_spec(args, x)
+        spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, x)
         fam = dephasing_family(spec)
         report = {
             "command": "qfi",
@@ -242,9 +243,9 @@ def cmd_qfi(args) -> int:
         raise ContractViolationError(f"x={x} outside family domain {fam.domain}")
     # One SLD gives both the QFI <L^2> (the arithmetic of qfi) and the spectrum.
     rho = fam.state_at(x)
-    l_op = sld(rho, fam.derivative_at(x))
-    report["qfi"] = expectation(rho, Operator(l_op.matrix @ l_op.matrix, hermitian=True))
-    evals = np.linalg.eigvalsh(l_op.matrix)
+    l_mat = sld(rho, fam.derivative_at(x)).matrix
+    report["qfi"] = real_trace(rho.matrix, l_mat @ l_mat)
+    evals = np.linalg.eigvalsh(l_mat)
     report["sld_spectrum"] = {
         "min": float(evals.min()),
         "max": float(evals.max()),
@@ -256,7 +257,7 @@ def cmd_qfi(args) -> int:
 
 def cmd_nsr(args) -> int:
     phi_true = args.phi_true
-    spec = _dephasing_spec(args, phi_true)
+    spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, phi_true)
     fam = dephasing_family(spec)
     if args.observable == "quadrature":
         phi_exp = args.phi_exp if args.phi_exp is not None else optimal_calibration(phi_true)
@@ -312,7 +313,7 @@ def cmd_fig2(args) -> int:
 
 def cmd_mc(args) -> int:
     phi_true = args.phi_true
-    spec = _dephasing_spec(args, phi_true)
+    spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, phi_true)
     lines: list[str] = []
     if args.adaptive:
         fam = dephasing_family(spec)
@@ -397,17 +398,12 @@ def cmd_scan(args) -> int:
     for a in alphas:
         for r in rs:
             for b in betas:
-                diffusion = DiffusionParams(float(b))
-                row = [float(a), float(r), float(b), analytic_fnsr(r, a, diffusion.beta)]
+                beta = DiffusionParams(float(b)).beta
+                row = [float(a), float(r), beta, analytic_fnsr(r, a, beta)]
                 if args.numeric:
-                    dim = args.dim or default_truncation_dim(float(a), float(r))
-                    spec = PhaseFamilySpec(
-                        probe=GaussianProbeSpec(float(a), float(r), dim),
-                        diffusion=diffusion,
-                        phi_domain=(args.phi_true - math.pi, args.phi_true + math.pi),
-                    )
+                    spec = _dephasing_spec(float(a), float(r), beta, args.dim, args.phi_true)
                     fam = dephasing_family(spec)
-                    m = quadrature(optimal_calibration(args.phi_true), dim)
+                    m = quadrature(optimal_calibration(args.phi_true), spec.dim)
                     row.append(assess_observable(fam, args.phi_true, m).fisher)
                 rows.append(row)
     _emit(_csv_text(header, rows), args.out)

@@ -94,7 +94,7 @@ def dephase_channel(rho: DensityMatrix, phi: float, beta: float) -> DensityMatri
         raise ContractViolationError(f"beta must be >= 0, got {beta}")
     dn = _delta_n(rho.dim)
     kernel = np.exp(-1j * phi * dn - beta**2 * dn.astype(float) ** 2)
-    return DensityMatrix(Operator(rho.matrix * kernel, hermitian=True))
+    return DensityMatrix(rho.matrix * kernel)
 
 
 def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
@@ -108,11 +108,11 @@ def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
     beta = spec.diffusion.beta
     dn = _delta_n(psi.dim)
     decay = np.exp(-(beta**2) * dn.astype(float) ** 2)
-    base = DensityMatrix(Operator(np.outer(amp, amp.conj()) * decay, hermitian=True))
+    base = DensityMatrix(np.outer(amp, amp.conj()) * decay)
 
     def derivative_at(phi: float) -> Operator:
         d = -1j * dn * (base.matrix * np.exp(-1j * phi * dn))
-        return Operator((d + d.conj().T) / 2, hermitian=True)
+        return Operator((d + d.conj().T) / 2)
 
     return ParamFamily(
         dim=psi.dim,
@@ -129,8 +129,7 @@ def quadrature(phi_exp: float, dim: int) -> Operator:
     if not math.isfinite(phi_exp):
         raise ContractViolationError(f"phi_exp must be finite, got {phi_exp}")
     a, adag = fock_ladder(dim)
-    m = a.matrix * np.exp(1j * phi_exp) + adag.matrix * np.exp(-1j * phi_exp)
-    return Operator(m, hermitian=True)
+    return Operator(a * np.exp(1j * phi_exp) + adag * np.exp(-1j * phi_exp))
 
 
 def optimal_calibration(phi_true: float) -> float:
@@ -184,31 +183,48 @@ def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
 def r_max(beta: float) -> float:
     """Squeezing beyond (1/4) ln coth(2 beta^2) starts hurting the sensitivity.
 
-    beta = 0 returns +inf: without diffusion more squeezing always helps.
+    coth(2 beta^2) - 1 = 2 e^{-4 beta^2} / (1 - e^{-4 beta^2}) is formed
+    directly, so log1p takes it without the cancellation of coth -> 1 and
+    nothing overflows; below beta = 1e-4 the leading term -ln(2 beta^2) is
+    exact to roundoff and does not underflow. beta = 0 returns +inf: without
+    diffusion more squeezing always helps.
     """
     if beta < 0:
         raise ContractViolationError(f"beta must be >= 0, got {beta}")
     if beta == 0.0:
         return math.inf
-    x = 2.0 * beta**2
-    coth = math.cosh(x) / math.sinh(x)
-    return 0.25 * math.log(coth)
+    if beta < 1e-4:  # ln coth x = -ln x + x^2/3 + ..., x = 2 beta^2 < 2e-8
+        return -0.25 * (math.log(2.0) + 2.0 * math.log(beta))
+    u = 4.0 * beta**2
+    return 0.25 * math.log1p(2.0 * math.exp(-u) / -math.expm1(-u))
 
 
 def r_opt(n_mean: float, beta: float) -> float:
     """Squeezing that maximizes the quadrature Fisher value at fixed mean
-    excitation N = alpha^2 + sinh^2 r; raises OverflowError where
-    (2N + 1) e^{2 beta^2} overflows."""
+    excitation N = alpha^2 + sinh^2 r:
+
+        r = (1/2) ln[2 S cosh(2 beta^2) / (1 + R)],
+        S = (2N + 1) e^{2 beta^2},  R = sqrt(1 + 2 S^2 sinh(4 beta^2)).
+
+    Raises OverflowError where S overflows. The ratio tends to 1 as beta
+    grows or N -> 0, so r is taken as (1/2) log1p(x), with x rewritten in
+    w = e^{-4 beta^2}, q = 1/(2N + 1), p = 2N q and s = R w q: a quotient of
+    sums of positive terms, which neither cancels nor overflows.
+    """
     if n_mean < 0:
         raise ContractViolationError(f"N must be >= 0, got {n_mean}")
     if beta < 0:
         raise ContractViolationError(f"beta must be >= 0, got {beta}")
-    tb = 2.0 * beta**2
-    script_n = (2.0 * n_mean + 1.0) * math.exp(tb)
-    if math.isinf(script_n):  # float multiplication overflows to inf without raising
+    if math.isinf((2.0 * n_mean + 1.0) * math.exp(2.0 * beta**2)):  # overflows silently
         raise OverflowError(f"(2N + 1) e^{{2 beta^2}} overflows at N={n_mean}")
-    root = math.sqrt(1.0 + 2.0 * script_n**2 * math.sinh(2.0 * tb))
-    r = 0.5 * math.log(2.0 * script_n * math.cosh(tb) / (1.0 + root))
+    w = math.exp(-4.0 * beta**2)
+    q = 1.0 / (2.0 * n_mean + 1.0)
+    p = 2.0 * n_mean * q
+    s = math.hypot(math.sqrt(-math.expm1(-8.0 * beta**2)), w * q)  # sqrt(1 - w^2 + w^2 q^2)
+    a = (1.0 + w) * (2.0 - q) - w * q * q  # >= 1
+    b = q * q * (4.0 + 2.0 * w) + 4.0 * (1.0 + w) * p * (2.0 * q + p)
+    x = w * p * (1.0 + w) * b / ((a + q * s) * (1.0 + w + s) * (w * q + s))
+    r = 0.5 * math.log1p(x)
     if math.sinh(r) ** 2 > n_mean + 1e-12 * max(1.0, n_mean):
         raise NumericalConsistencyError(
             f"r_opt={r} puts sinh^2 r above N={n_mean}; no excitation left for alpha"

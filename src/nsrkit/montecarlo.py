@@ -49,8 +49,6 @@ class MeasurementModel:
 
     @classmethod
     def from_observable(cls, m) -> "MeasurementModel":
-        if not m.hermitian:
-            raise ContractViolationError("measurement model needs a hermitian Operator")
         evals, vecs = np.linalg.eigh(m.matrix)
         evals.setflags(write=False)
         vecs.setflags(write=False)

@@ -1,7 +1,9 @@
 """Dense operators and states on truncated Fock / qubit Hilbert spaces.
 
-Everything is a plain complex numpy matrix wrapped in a thin immutable
-container that checks the declared invariants once, at construction.
+An Operator is a Hermitian matrix by construction, and a DensityMatrix is an
+Operator that also has unit trace and no negative eigenvalue; each checks its
+invariants once, when it is built, and holds a read-only complex numpy
+matrix. The ladder matrices, the only non-Hermitian ones, are plain arrays.
 Conventions: hbar = 1 and the quadrature a e^{i phi} + a^dag e^{-i phi} is
 normalized so the vacuum variance is 1.
 """
@@ -45,19 +47,16 @@ def _as_complex_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """A dense complex square matrix with a declared Hermiticity flag."""
+    """A Hermitian matrix: dense, complex, square and read-only, equal to its
+    conjugate transpose within HERMITICITY_RTOL of its largest entry."""
 
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
-        if self.hermitian:
-            scale = np.abs(m).max()
-            if scale > 0 and np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
-                raise ContractViolationError(
-                    "matrix declared hermitian is not hermitian within tolerance"
-                )
+        scale = np.abs(m).max()
+        if scale > 0 and np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
+            raise ContractViolationError("matrix is not hermitian within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -67,35 +66,24 @@ class Operator:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace operator."""
-
-    op: Operator
+class DensityMatrix(Operator):
+    """Positive-semidefinite, unit-trace Operator."""
 
     def __post_init__(self):
-        if not self.op.hermitian:
-            raise ContractViolationError("density matrix requires a hermitian Operator")
-        tr = np.trace(self.op.matrix)
+        super().__post_init__()
+        tr = np.trace(self.matrix)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ContractViolationError(f"trace {tr} differs from 1 beyond tolerance")
-        evals = np.linalg.eigvalsh(self.op.matrix)
+        evals = np.linalg.eigvalsh(self.matrix)
         if evals.min() < -PSD_TOL:
             raise ContractViolationError(
                 f"negative eigenvalue {evals.min():.3e} beyond tolerance"
             )
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
     @classmethod
     def from_matrix(cls, matrix) -> "DensityMatrix":
         m = _as_complex_matrix(matrix)
-        return cls(Operator((m + m.conj().T) / 2, hermitian=True))
+        return cls((m + m.conj().T) / 2)
 
     def phase_shifted(self, phi: float) -> "DensityMatrix":
         """D rho D^dag with D = diag(e^{-i phi n}), n the Fock index.
@@ -108,9 +96,8 @@ class DensityMatrix:
             raise ContractViolationError(f"phase shift must be finite, got {phi}")
         ph = np.exp(-1j * phi * np.arange(self.dim))
         shifted = object.__new__(DensityMatrix)
-        object.__setattr__(
-            shifted, "op", Operator(self.matrix * np.outer(ph, ph.conj()), hermitian=True)
-        )
+        object.__setattr__(shifted, "matrix", self.matrix * np.outer(ph, ph.conj()))
+        Operator.__post_init__(shifted)
         return shifted
 
 
@@ -135,8 +122,7 @@ class StateVector:
         return self.amplitudes.size
 
     def density_matrix(self) -> DensityMatrix:
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(Operator(rho, hermitian=True))
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -210,19 +196,24 @@ def check_dim(dim: int) -> int:
     return dim
 
 
-def fock_ladder(dim: int) -> tuple[Operator, Operator]:
-    """Annihilation and creation operators on a dim-dimensional Fock space."""
+def fock_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation matrices (a, a^dag) on a dim-dimensional Fock
+    space, as read-only complex arrays: they are not Hermitian, so not
+    Operators."""
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidDimensionError(f"ladder operators need dim >= 2, got {dim}")
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-    return Operator(a), Operator(a.conj().T)
+    adag = a.T.conj()
+    a.setflags(write=False)
+    adag.setflags(write=False)
+    return a, adag
 
 
 def number_operator(dim: int) -> Operator:
     """n = a^dag a, diagonal (0, 1, ..., dim-1)."""
     if dim < 2:
         raise InvalidDimensionError(f"number operator needs dim >= 2, got {dim}")
-    return Operator(np.diag(np.arange(dim, dtype=float)).astype(complex), hermitian=True)
+    return Operator(np.diag(np.arange(dim, dtype=float)).astype(complex))
 
 
 def fock_state(dim: int, n: int) -> StateVector:
@@ -241,9 +232,10 @@ def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
         sqrt(n+1) cosh(r) c_{n+1} = alpha e^{-r} c_n + sqrt(n) sinh(r) c_{n-1},
         c_0 = exp(-alpha^2 (1 - tanh r)/2) / sqrt(cosh r).
 
-    The leakage 1 - sum_{n<dim} c_n^2 is exact. Raises TruncationError, with a
-    suggested larger dimension, if it exceeds LEAKAGE_TOL; the spec has
-    already checked that c_0 does not underflow.
+    The leakage 1 - sum_{n<dim} c_n^2 is exact. Raises TruncationError if it
+    exceeds LEAKAGE_TOL, with a larger dimension up to MAX_DIM to try, or
+    with suggested_dim None at MAX_DIM itself; the spec has already checked
+    that c_0 does not underflow.
     """
     alpha, r = spec.alpha, spec.r
     c = np.empty(spec.dim)
@@ -257,14 +249,16 @@ def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
         prev = c[n]
     leakage = 1.0 - float(c @ c)
     if leakage > LEAKAGE_TOL:
+        lost = f"projection to dim={spec.dim} loses {leakage:.3e} of the norm; "
+        if spec.dim == MAX_DIM:
+            raise TruncationError(
+                lost + f"no truncation up to MAX_DIM = {MAX_DIM} holds the probe"
+            )
         suggested = default_truncation_dim(alpha, r)
         if suggested <= spec.dim:
             suggested = 2 * spec.dim
-        raise TruncationError(
-            f"projection to dim={spec.dim} loses {leakage:.3e} of the norm; "
-            f"try dim >= {suggested}",
-            suggested_dim=suggested,
-        )
+        suggested = min(suggested, MAX_DIM)
+        raise TruncationError(lost + f"try dim >= {suggested}", suggested_dim=suggested)
     return StateVector(c / np.linalg.norm(c))
 
 
@@ -288,6 +282,5 @@ def expectation(rho: DensityMatrix, m: Operator) -> float:
 
 def variance(rho: DensityMatrix, m: Operator) -> float:
     """<m^2> - <m>^2, clamped to >= 0 against roundoff."""
-    mm = Operator(m.matrix @ m.matrix, hermitian=m.hermitian)
-    v = expectation(rho, mm) - expectation(rho, m) ** 2
-    return max(v, 0.0)
+    mean = expectation(rho, m)
+    return max(real_trace(rho.matrix, m.matrix @ m.matrix) - mean**2, 0.0)

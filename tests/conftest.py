@@ -24,7 +24,7 @@ def plus_state() -> StateVector:
 
 def pure_qubit_family():
     """exp(-i x sigma_z/2)|+>": slope 1 / variance 1 / QFI 1 reference case."""
-    h = Operator(SIGMA_Z / 2, hermitian=True)
+    h = Operator(SIGMA_Z / 2)
     return pure_unitary_family(h, plus_state())
 
 

@@ -58,7 +58,7 @@ def test_criterion_1_pure_unitary_qfi_identity():
     worst = 0.0
     for _ in range(20):
         dim = int(rng.integers(2, 33))
-        h = Operator(random_hermitian(rng, dim), hermitian=True)
+        h = Operator(random_hermitian(rng, dim))
         psi = StateVector(random_state_vec(rng, dim))
         fam = pure_unitary_family(h, psi)
         x = float(rng.normal())
@@ -97,7 +97,7 @@ def test_criterion_3_sld_optimality():
     start = time.time()
     rng = np.random.default_rng(1003)
     families = [
-        ("pure qubit", pure_unitary_family(Operator(SIGMA_Z / 2, hermitian=True),
+        ("pure qubit", pure_unitary_family(Operator(SIGMA_Z / 2),
                                            plus_state()), 0.3),
         ("dephased qubit", dephasing_family(dephased_qubit_spec(0.4)), 0.3),
         ("Fock dephasing", dephasing_family(fock_dephasing_spec(1.0, 0.3, 0.3)), 0.4),
@@ -105,7 +105,7 @@ def test_criterion_3_sld_optimality():
     for name, fam, x in families:
         q = qfi(fam, x)
         for _ in range(200):
-            m = Operator(random_hermitian(rng, fam.dim), hermitian=True)
+            m = Operator(random_hermitian(rng, fam.dim))
             fisher = assess_observable(fam, x, m).fisher
             assert fisher <= q + 1e-8, f"{name}: observable beat the SLD"
         l_op = sld(fam.state_at(x), fam.derivative_at(x))
@@ -234,7 +234,7 @@ def test_criterion_10_expansion_and_curvature():
     assert c0 == pytest.approx(q_true, rel=1e-6)
     assert c2 == pytest.approx(-g_true, rel=0.05)
 
-    qubit = pure_unitary_family(Operator(SIGMA_Z / 2, hermitian=True), plus_state())
+    qubit = pure_unitary_family(Operator(SIGMA_Z / 2), plus_state())
     bound = sample_size_bound(qubit, 0.0)
     assert abs(bound) <= 1e-9
     _report(10, f"fit c0 = QFI (rel {abs(c0 - q_true)/q_true:.1e}), "

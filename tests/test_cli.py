@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -369,3 +370,27 @@ class TestNonFiniteInputs:
         proc = run_cold("nsr", "--observable", str(path))
         assert proc.returncode == 2
         assert f"dim {MAX_DIM + 1} exceeds the ceiling" in proc.stderr
+
+
+class TestTruncationHint:
+    def test_hint_capped_at_ceiling(self, capsys):
+        # the policy dim of alpha = 30 is 7208, above the ceiling
+        code, out, err = run_cli(capsys, "nsr", "--alpha", "30", "--dim", "16")
+        assert code == 3
+        assert err.rstrip().endswith(f"try dim >= {MAX_DIM}")
+        assert out == ""
+
+    def test_hint_leads_to_a_run(self, capsys):
+        _, _, err = run_cli(capsys, "nsr", "--alpha", "30", "--dim", "16")
+        hint = re.search(r"try dim >= (\d+)", err).group(1)
+        code, out, _ = run_cli(capsys, "nsr", "--alpha", "30", "--dim", hint)
+        assert code == 0
+        assert json.loads(out)["dim"] == int(hint)
+
+    def test_no_hint_at_ceiling(self, capsys):
+        # the policy asks for 8372 levels; 2048 still lose 8.7e-4 of the norm
+        code, out, err = run_cli(capsys, "nsr", "--r", "3.3", "--dim", str(MAX_DIM))
+        assert code == 3
+        assert f"no truncation up to MAX_DIM = {MAX_DIM} holds the probe" in err
+        assert "try dim" not in err
+        assert out == ""

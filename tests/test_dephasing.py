@@ -170,7 +170,7 @@ class TestQuadrature:
         for phi in (0.0, 0.7, -2.1):
             m = quadrature(phi, 8)
             assert np.abs(m.matrix - m.matrix.conj().T).max() == 0
-            got = expectation(rho, Operator(m.matrix @ m.matrix, hermitian=True))
+            got = expectation(rho, Operator(m.matrix @ m.matrix))
             assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_mean(self):
@@ -272,6 +272,18 @@ class TestRmaxRopt:
     def test_rmax_limits(self):
         assert math.isinf(r_max(0.0))
         assert 0.0 < r_max(3.0) < 1e-7
+
+    def test_finite_and_nonnegative_up_to_overflow(self):
+        # no cancellation to a negative value, an error or a spurious 0.0 on
+        # the way to where (2N + 1) e^{2 beta^2} overflows
+        for beta in np.geomspace(1e-300, 18.6, 300):
+            assert 0.0 <= r_max(float(beta)) < math.inf
+            for n in (0.0, 1e-6, 1.0, 1e6):
+                assert 0.0 <= r_opt(n, float(beta)) < math.inf
+        assert r_max(4.0) > 0.0  # about 8e-29
+        assert r_opt(1.0, 5.0) > 0.0
+        with pytest.raises(OverflowError):
+            r_opt(1.0, 19.0)
 
     def test_ropt_beta_zero(self):
         for n in (0.5, 1.0, 4.0):

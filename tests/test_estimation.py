@@ -49,28 +49,28 @@ def coherent_number_family(alpha=1.0):
 def flat_family(dim=2):
     """rho(x) = I/2 for every x: no information."""
     rho = DensityMatrix.from_matrix(np.eye(dim) / dim)
-    zero = Operator(np.zeros((dim, dim), dtype=complex), hermitian=True)
+    zero = Operator(np.zeros((dim, dim), dtype=complex))
     return ParamFamily(dim=dim, state_at=lambda x: rho, derivative_at=lambda x: zero,
                        domain=(-1.0, 1.0))
 
 
 class TestAssessObservable:
     def test_qubit_sigma_y(self, qubit_family):
-        rep = assess_observable(qubit_family, 0.0, Operator(SIGMA_Y, hermitian=True))
+        rep = assess_observable(qubit_family, 0.0, Operator(SIGMA_Y))
         assert rep.slope == pytest.approx(1.0, abs=1e-12)
         assert rep.variance == pytest.approx(1.0, abs=1e-12)
         assert rep.fisher == pytest.approx(1.0, abs=1e-12)
         assert rep.nsr == pytest.approx(1.0, abs=1e-12)
 
     def test_qubit_sigma_z_blind(self, qubit_family):
-        rep = assess_observable(qubit_family, 0.0, Operator(SIGMA_Z, hermitian=True))
+        rep = assess_observable(qubit_family, 0.0, Operator(SIGMA_Z))
         assert rep.slope == 0.0
         assert rep.fisher == 0.0
         assert math.isinf(rep.nsr)
 
     def test_fisher_nsr_identity(self, qubit_family, rng):
         for _ in range(20):
-            m = Operator(random_hermitian(rng, 2), hermitian=True)
+            m = Operator(random_hermitian(rng, 2))
             rep = assess_observable(qubit_family, 0.3, m)
             if math.isfinite(rep.nsr) and rep.fisher > 0:
                 assert rep.fisher * rep.nsr**2 == pytest.approx(1.0, abs=1e-9)
@@ -80,17 +80,16 @@ class TestAssessObservable:
         fam = ParamFamily(
             dim=2,
             state_at=lambda x: DensityMatrix.from_matrix(np.diag([1.0, 0.0])),
-            derivative_at=lambda x: Operator(np.diag([1.0, -1.0]).astype(complex),
-                                             hermitian=True),
+            derivative_at=lambda x: Operator(np.diag([1.0, -1.0]).astype(complex)),
             domain=(-1.0, 1.0),
         )
         with pytest.raises(DegenerateObservableError):
-            assess_observable(fam, 0.0, Operator(SIGMA_Z, hermitian=True))
+            assess_observable(fam, 0.0, Operator(SIGMA_Z))
 
     def test_domain_enforced(self, qubit_family):
         fam = dephasing_family(dephased_qubit_spec(0.2))
         with pytest.raises(ContractViolationError):
-            assess_observable(fam, 7.0, Operator(SIGMA_Y, hermitian=True))
+            assess_observable(fam, 7.0, Operator(SIGMA_Y))
 
     def test_eigenstate_with_flat_mean(self):
         # Fock-state probe: its number statistics carry no phase signal, and
@@ -122,34 +121,34 @@ class TestSld:
     def test_classical_diagonal(self):
         x = 0.3
         rho = DensityMatrix.from_matrix(np.diag([x, 1 - x]))
-        drho = Operator(np.diag([1.0, -1.0]).astype(complex), hermitian=True)
+        drho = Operator(np.diag([1.0, -1.0]).astype(complex))
         l_op = sld(rho, drho)
         np.testing.assert_allclose(np.diag(l_op.matrix).real, [1 / x, -1 / (1 - x)],
                                    atol=1e-12)
 
     def test_zero_derivative(self):
         rho = DensityMatrix.from_matrix(np.diag([0.5, 0.5]))
-        zero = Operator(np.zeros((2, 2), dtype=complex), hermitian=True)
+        zero = Operator(np.zeros((2, 2), dtype=complex))
         l_op = sld(rho, zero)
         assert np.abs(l_op.matrix).max() == 0.0
 
     def test_support_truncation_warning(self):
         rho = DensityMatrix.from_matrix(np.diag([1.0, 0.0]))
-        drho = Operator(np.diag([-1.0, 1.0]).astype(complex), hermitian=True)
+        drho = Operator(np.diag([-1.0, 1.0]).astype(complex))
         with pytest.warns(SupportTruncationWarning):
             sld(rho, drho)
 
     def test_rejects_traceful_drho(self):
         rho = DensityMatrix.from_matrix(np.diag([0.5, 0.5]))
         with pytest.raises(ContractViolationError):
-            sld(rho, Operator(np.eye(2, dtype=complex), hermitian=True))
+            sld(rho, Operator(np.eye(2, dtype=complex)))
 
     def test_custom_eig_cut_restricts_support(self):
         # a small eigenvalue far above the relative cut keeps its formally
         # huge SLD entry
         eps = 1e-6
         rho = DensityMatrix.from_matrix(np.diag([1 - eps, eps]))
-        drho = Operator(np.diag([1.0, -1.0]).astype(complex), hermitian=True)
+        drho = Operator(np.diag([1.0, -1.0]).astype(complex))
         full = sld(rho, drho)
         assert full.matrix[1, 1].real == pytest.approx(-1 / eps, rel=1e-9)
 
@@ -158,7 +157,7 @@ class TestQfi:
     def test_pure_unitary_identity(self, rng):
         for _ in range(5):
             dim = int(rng.integers(2, 17))
-            h = Operator(random_hermitian(rng, dim), hermitian=True)
+            h = Operator(random_hermitian(rng, dim))
             psi = StateVector(random_state_vec(rng, dim))
             fam = pure_unitary_family(h, psi)
             expected = 4.0 * variance(psi.density_matrix(), h)
@@ -205,14 +204,14 @@ class TestOptimalityResidual:
         for _ in range(5):
             a = rng.normal() or 1.0
             b = rng.normal()
-            m = Operator(a * (l_op.matrix - b * np.eye(2)), hermitian=True)
+            m = Operator(a * (l_op.matrix - b * np.eye(2)))
             assert optimality_residual(rho, drho, m) <= 1e-9
 
     def test_generic_observable_not_stationary(self, dephased_qubit, rng):
         fam, _ = dephased_qubit
         rho, drho = fam.state_at(0.3), fam.derivative_at(0.3)
         q = qfi(fam, 0.3)
-        m = Operator(random_hermitian(rng, 2), hermitian=True)
+        m = Operator(random_hermitian(rng, 2))
         assert optimality_residual(rho, drho, m) > 1e-6
         assert assess_observable(fam, 0.3, m).fisher < q
 
@@ -220,8 +219,7 @@ class TestOptimalityResidual:
         rho = qubit_family.state_at(0.0)
         drho = qubit_family.derivative_at(0.0)
         with pytest.raises(UndefinedResidualError):
-            optimality_residual(rho, drho, Operator(np.eye(2, dtype=complex),
-                                                    hermitian=True))
+            optimality_residual(rho, drho, Operator(np.eye(2, dtype=complex)))
 
 
 class TestPureUnitaryFamily:
@@ -234,7 +232,7 @@ class TestPureUnitaryFamily:
         assert qfi(fam, 0.0) == pytest.approx(4.0, rel=1e-8)
 
     def test_eigenstate_no_information(self):
-        h = Operator(SIGMA_Z / 2, hermitian=True)
+        h = Operator(SIGMA_Z / 2)
         psi = StateVector(np.array([1.0, 0.0]))
         fam = pure_unitary_family(h, psi)
         assert qfi(fam, 0.2) == pytest.approx(0.0, abs=1e-14)
@@ -265,8 +263,7 @@ class TestCalibrationCurvature:
             z = 2 * math.cosh(x)
             t = math.tanh(x)
             return Operator(np.diag([math.exp(x) / z * (1 - t),
-                                     math.exp(-x) / z * (-1 - t)]).astype(complex),
-                            hermitian=True)
+                                     math.exp(-x) / z * (-1 - t)]).astype(complex))
 
         fam = ParamFamily(dim=2, state_at=rho_at, derivative_at=drho_at,
                           domain=(-1.0, 1.0))
@@ -287,8 +284,7 @@ class TestCalibrationCurvature:
         fam = ParamFamily(
             dim=2,
             state_at=lambda t: DensityMatrix.from_matrix(np.diag([1 + t, 1 - t]) / 2),
-            derivative_at=lambda t: Operator(np.diag([0.5, -0.5]).astype(complex),
-                                             hermitian=True),
+            derivative_at=lambda t: Operator(np.diag([0.5, -0.5]).astype(complex)),
             domain=(-0.9, 0.9),
         )
         assert abs(p @ (dscore * score)) > 0.1
@@ -346,7 +342,7 @@ class TestSampleSizeBound:
     def test_scale_invariance(self):
         fam, psi = coherent_number_family(alpha=1.2)
         h = number_operator(fam.dim)
-        scaled = Operator(3.7 * h.matrix, hermitian=True)
+        scaled = Operator(3.7 * h.matrix)
         assert pure_unitary_sample_size_bound(scaled, psi) == pytest.approx(
             pure_unitary_sample_size_bound(h, psi), rel=1e-12)
 
@@ -371,16 +367,16 @@ class TestOptimalityAndInvariance:
         x = 0.3
         q = qfi(fam, x)
         for _ in range(50):
-            m = Operator(random_hermitian(rng, 2), hermitian=True)
+            m = Operator(random_hermitian(rng, 2))
             assert assess_observable(fam, x, m).fisher <= q + 1e-8
 
     def test_nsr_affine_invariance(self, qubit_family, rng):
-        m = Operator(random_hermitian(rng, 2), hermitian=True)
+        m = Operator(random_hermitian(rng, 2))
         base = assess_observable(qubit_family, 0.3, m).nsr
         for _ in range(5):
             a = float(rng.normal()) or 0.7
             b = float(rng.normal())
-            m2 = Operator(a * (m.matrix - b * np.eye(2)), hermitian=True)
+            m2 = Operator(a * (m.matrix - b * np.eye(2)))
             got = assess_observable(qubit_family, 0.3, m2).nsr
             assert got == pytest.approx(base, rel=1e-9)
 

@@ -63,7 +63,7 @@ class TestMeasurementModel:
         assert p.min() >= 0.0
 
     def test_probabilities_are_eigenbasis_diagonal(self, rng):
-        m = Operator(random_hermitian(rng, 7), hermitian=True)
+        m = Operator(random_hermitian(rng, 7))
         model = MeasurementModel.from_observable(m)
         rho = DensityMatrix.from_matrix(random_density_mat(rng, 7))
         vecs = model.eigenvectors
@@ -71,16 +71,16 @@ class TestMeasurementModel:
         np.testing.assert_allclose(model.probabilities(rho), expected, rtol=0, atol=1e-15)
 
     def test_requires_hermitian(self):
-        a = Operator(np.array([[0, 1], [0, 0]], dtype=complex))
+        # a non-hermitian matrix is rejected before it can become an observable
         with pytest.raises(ContractViolationError):
-            MeasurementModel.from_observable(a)
+            MeasurementModel.from_observable(Operator(np.array([[0, 1], [0, 0]], dtype=complex)))
 
     def test_negative_probability_rejected(self):
         # a state that passes the PSD tolerance can still expose a Born
         # probability below the clamp threshold
         eps = 5e-11
         rho = DensityMatrix.from_matrix(np.diag([1.0 + eps, -eps]))
-        model = MeasurementModel.from_observable(Operator(SIGMA_Z, hermitian=True))
+        model = MeasurementModel.from_observable(Operator(SIGMA_Z))
         with pytest.raises(NumericalConsistencyError):
             model.probabilities(rho)
 
@@ -108,13 +108,13 @@ class TestSampleOutcomes:
     def test_plus_state_sigma_z(self):
         rho = plus_state().density_matrix()
         nu = 100000
-        draws = sample_outcomes(rho, Operator(SIGMA_Z, hermitian=True), nu, 11)
+        draws = sample_outcomes(rho, Operator(SIGMA_Z), nu, 11)
         assert abs(draws.mean()) <= 4.0 / math.sqrt(nu)
 
     def test_deterministic(self):
         rho = plus_state().density_matrix()
-        a = sample_outcomes(rho, Operator(SIGMA_Z, hermitian=True), 1000, 42)
-        b = sample_outcomes(rho, Operator(SIGMA_Z, hermitian=True), 1000, 42)
+        a = sample_outcomes(rho, Operator(SIGMA_Z), 1000, 42)
+        b = sample_outcomes(rho, Operator(SIGMA_Z), 1000, 42)
         np.testing.assert_array_equal(a, b)
 
     def test_rotated_coherent_mean(self):

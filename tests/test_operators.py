@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -43,23 +44,23 @@ def vacuum_density(dim):
 class TestFockLadder:
     def test_dim2(self):
         a, adag = fock_ladder(2)
-        np.testing.assert_array_equal(a.matrix, [[0, 1], [0, 0]])
-        np.testing.assert_array_equal(adag.matrix, [[0, 0], [1, 0]])
+        np.testing.assert_array_equal(a, [[0, 1], [0, 0]])
+        np.testing.assert_array_equal(adag, [[0, 0], [1, 0]])
 
     def test_sqrt_elements(self):
         a, _ = fock_ladder(3)
-        assert a.matrix[1, 2] == pytest.approx(math.sqrt(2), abs=1e-15)
+        assert a[1, 2] == pytest.approx(math.sqrt(2), abs=1e-15)
 
     def test_number_spectrum(self):
         a, adag = fock_ladder(16)
-        n = adag.matrix @ a.matrix
+        n = adag @ a
         np.testing.assert_allclose(np.diag(n).real, np.arange(16), atol=1e-13)
         assert np.abs(n - np.diag(np.diag(n))).max() == 0
 
     def test_commutator_block(self):
         # [a, a+] = 1 except in the last row/column clipped by the truncation
         a, adag = fock_ladder(12)
-        comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
+        comm = a @ adag - adag @ a
         np.testing.assert_allclose(comm[:11, :11], np.eye(11), atol=1e-13)
 
     @pytest.mark.parametrize("dim", [0, 1, -3])
@@ -124,6 +125,19 @@ class TestGaussianProbe:
         with pytest.raises(TruncationError) as exc:
             gaussian_probe(GaussianProbeSpec(2.0, 0.8, 16))
         assert exc.value.suggested_dim > 16
+
+    def test_suggested_dim_capped_at_ceiling(self):
+        # the policy dim is 7208; the probe fits in MAX_DIM
+        assert default_truncation_dim(30.0, 0.0) > MAX_DIM
+        with pytest.raises(TruncationError) as exc:
+            gaussian_probe(GaussianProbeSpec(30.0, 0.0, 16))
+        assert exc.value.suggested_dim == MAX_DIM
+        gaussian_probe(GaussianProbeSpec(30.0, 0.0, exc.value.suggested_dim))
+
+    def test_no_suggested_dim_at_ceiling(self):
+        with pytest.raises(TruncationError, match="no truncation up to MAX_DIM") as exc:
+            gaussian_probe(GaussianProbeSpec(0.0, 3.3, MAX_DIM))
+        assert exc.value.suggested_dim is None
 
     def test_policy_dim_passes_for_hard_corner(self):
         spec = GaussianProbeSpec.with_default_dim(2.0, 1.0)
@@ -218,10 +232,10 @@ class TestExpectation:
         dim = 6
         rho = DensityMatrix.from_matrix(random_density_mat(rng, dim))
         for _ in range(5):
-            m1 = Operator(random_hermitian(rng, dim), hermitian=True)
-            m2 = Operator(random_hermitian(rng, dim), hermitian=True)
+            m1 = Operator(random_hermitian(rng, dim))
+            m2 = Operator(random_hermitian(rng, dim))
             c1, c2 = rng.normal(), rng.normal()
-            combo = Operator(c1 * m1.matrix + c2 * m2.matrix, hermitian=True)
+            combo = Operator(c1 * m1.matrix + c2 * m2.matrix)
             lhs = expectation(rho, combo)
             rhs = c1 * expectation(rho, m1) + c2 * expectation(rho, m2)
             assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -231,10 +245,11 @@ class TestExpectation:
             expectation(vacuum_density(4), number_operator(8))
 
     def test_imaginary_residue_rejected(self):
-        m = Operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))  # non-hermitian
+        # an Operator cannot be non-hermitian, so the raw trace is checked
+        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         rho = DensityMatrix.from_matrix(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
         with pytest.raises(NumericalConsistencyError):
-            expectation(rho, m)
+            real_trace(rho.matrix, m)
 
     def test_imaginary_residue_rule_scales_with_trace(self):
         # absolute for |Tr| <= 1, relative to |Tr| above it
@@ -242,12 +257,11 @@ class TestExpectation:
         big = 1e6
 
         def observable(residue):
-            return Operator(np.diag([big + 1j * residue, 0.0]))
+            return np.diag([big + 1j * residue, 0.0])
 
-        assert expectation(rho, observable(1e-11 * big)) == big
+        assert real_trace(rho.matrix, observable(1e-11 * big)) == big
         with pytest.raises(NumericalConsistencyError):
-            expectation(rho, observable(1e-9 * big))
-        assert real_trace(rho.matrix, observable(1e-11 * big).matrix) == big
+            real_trace(rho.matrix, observable(1e-9 * big))
         with pytest.raises(NumericalConsistencyError):  # 1e-9 residue on Tr = 1e-6
             real_trace(np.diag([1e-6, 0.0]), np.diag([1.0 + 1e-3j, 0.0]))
 
@@ -274,10 +288,10 @@ class TestVariance:
     def test_shift_invariance(self, rng):
         dim = 5
         rho = DensityMatrix.from_matrix(random_density_mat(rng, dim))
-        m = Operator(random_hermitian(rng, dim), hermitian=True)
+        m = Operator(random_hermitian(rng, dim))
         base = variance(rho, m)
         for b in rng.normal(size=4) * 3:
-            shifted = Operator(m.matrix + b * np.eye(dim), hermitian=True)
+            shifted = Operator(m.matrix + b * np.eye(dim))
             assert variance(rho, shifted) == pytest.approx(base, abs=1e-9)
 
 
@@ -296,13 +310,23 @@ class TestPhaseShifted:
 
 
 class TestTypeContracts:
-    def test_operator_hermitian_flag_checked(self):
-        with pytest.raises(ContractViolationError):
-            Operator(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
+    def test_operator_rejects_non_hermitian(self):
+        with pytest.raises(ContractViolationError, match="not hermitian"):
+            Operator(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ContractViolationError, match="not hermitian"):
+            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+        # within HERMITICITY_RTOL of the largest entry is hermitian
+        Operator(np.array([[1e3, 1e-10], [0.0, 1.0]], dtype=complex))
+
+    def test_density_is_operator(self):
+        rho = DensityMatrix(np.diag([0.25, 0.75]))
+        assert isinstance(rho, Operator)
+        assert rho.dim == 2
+        assert [f.name for f in dataclasses.fields(rho)] == ["matrix"]
 
     def test_density_trace(self):
-        with pytest.raises(ContractViolationError):
-            DensityMatrix(Operator(np.eye(2, dtype=complex), hermitian=True))
+        with pytest.raises(ContractViolationError, match="trace"):
+            DensityMatrix(np.eye(2, dtype=complex))
 
     def test_density_psd(self):
         with pytest.raises(ContractViolationError):
@@ -313,9 +337,10 @@ class TestTypeContracts:
             StateVector(np.array([1.0, 1.0]))
 
     def test_operator_immutable(self):
-        a, _ = fock_ladder(4)
-        with pytest.raises(ValueError):
-            a.matrix[0, 0] = 5.0
+        a, adag = fock_ladder(4)
+        for m in (a, adag, number_operator(4).matrix, vacuum_density(4).matrix):
+            with pytest.raises(ValueError):
+                m[0, 0] = 5.0
 
     def test_default_truncation_dim_floor(self):
         assert default_truncation_dim(0.0, 0.0) == 16
