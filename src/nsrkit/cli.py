@@ -114,7 +114,12 @@ def _report_text(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_json_ready(report), indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
-    flat = _json_ready(report)
+    flat = {}
+    for key, value in _json_ready(report).items():  # a nested record becomes key_sub columns
+        if isinstance(value, dict):
+            flat.update((f"{key}_{sub}", v) for sub, v in value.items())
+        else:
+            flat[key] = value
     keys = sorted(flat)
     writer = csv.writer(buf)
     writer.writerow(keys)
@@ -322,16 +327,16 @@ def cmd_mc(args) -> int:
         initial_fisher = assess_observable(
             fam, phi_true, quadrature(initial_phi_exp, spec.dim)
         ).fisher
-        estimates = adaptive_calibrate(
+        estimates, clamped = adaptive_calibrate(
             spec, phi_true, batch=args.batch, rounds=args.rounds, seed=args.seed
         )
         fishers = []
-        for k, est in enumerate(estimates):
+        for k, (est, flag) in enumerate(zip(estimates.tolist(), clamped.tolist())):
             m = quadrature(est - math.pi / 2.0, spec.dim)
             fisher = assess_observable(fam, phi_true, m).fisher
             fishers.append(fisher)
             lines.append(json.dumps(_json_ready(
-                {"round": k, "estimate": est, "fisher": fisher}
+                {"round": k, "estimate": est, "fisher": fisher, "clamped": flag}
             ), sort_keys=True))
         m_opt = quadrature(optimal_calibration(phi_true), spec.dim)
         optimal_fisher = assess_observable(fam, phi_true, m_opt).fisher
@@ -349,6 +354,7 @@ def cmd_mc(args) -> int:
             "final_fisher": fishers[-1],
             "optimal_fisher": optimal_fisher,
             "fisher_fraction": fishers[-1] / optimal_fisher,
+            "clamped_count": int(clamped.sum()),
         }
     else:
         run = run_trials(spec, phi_true, nu=args.nu, repeats=args.repeats, seed=args.seed)

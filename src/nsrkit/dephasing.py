@@ -84,17 +84,21 @@ def _delta_n(dim: int) -> np.ndarray:
     return n[:, None] - n[None, :]
 
 
+def _decay(dim: int, beta: float) -> np.ndarray:
+    """The diffusion kernel e^{-beta^2 (n-m)^2} on the Fock coherences."""
+    return np.exp(-(beta**2) * _delta_n(dim).astype(float) ** 2)
+
+
 def dephase_channel(rho: DensityMatrix, phi: float, beta: float) -> DensityMatrix:
     """Apply the phase shift phi with Gaussian phase diffusion beta.
 
     Diagonal populations are untouched; the (n, m) coherence picks up
-    e^{-i phi (n-m)} e^{-beta^2 (n-m)^2}.
+    e^{-i phi (n-m)} e^{-beta^2 (n-m)^2}: the kernel, then the phase rotation
+    the dephasing family uses.
     """
     if beta < 0:
         raise ContractViolationError(f"beta must be >= 0, got {beta}")
-    dn = _delta_n(rho.dim)
-    kernel = np.exp(-1j * phi * dn - beta**2 * dn.astype(float) ** 2)
-    return DensityMatrix(rho.matrix * kernel)
+    return DensityMatrix(rho.matrix * _decay(rho.dim, beta)).phase_shifted(phi)
 
 
 def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
@@ -105,14 +109,11 @@ def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
     """
     psi = spec.probe_state()
     amp = psi.amplitudes
-    beta = spec.diffusion.beta
     dn = _delta_n(psi.dim)
-    decay = np.exp(-(beta**2) * dn.astype(float) ** 2)
-    base = DensityMatrix(np.outer(amp, amp.conj()) * decay)
+    base = DensityMatrix(np.outer(amp, amp.conj()) * _decay(psi.dim, spec.diffusion.beta))
 
     def derivative_at(phi: float) -> Operator:
-        d = -1j * dn * (base.matrix * np.exp(-1j * phi * dn))
-        return Operator((d + d.conj().T) / 2)
+        return Operator(-1j * dn * base.phase_shifted(phi).matrix)
 
     return ParamFamily(
         dim=psi.dim,

@@ -63,7 +63,3 @@ class SupportTruncationWarning(UserWarning):
     """The state derivative has weight outside the regularized support of rho;
     formally divergent directions were dropped from the SLD."""
 
-
-class CalibrationRangeWarning(UserWarning):
-    """An observed mean fell outside the calibration curve's range on its
-    window, and the estimate was clamped to the window edge."""

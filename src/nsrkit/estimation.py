@@ -226,6 +226,11 @@ def calibration_curvature(fam: ParamFamily, x: float) -> float:
     derivative_at at x +- CURVATURE_STEP, which must stay in the domain.
     G is not guaranteed nonnegative; the signed value is returned.
     """
+    return _curvature_and_qfi(fam, x)[0]
+
+
+def _curvature_and_qfi(fam: ParamFamily, x: float) -> tuple[float, float]:
+    """(G, <L^2>) of calibration_curvature's one SLD solve; <L^2> is the QFI."""
     h = CURVATURE_STEP
     if not (fam.contains(x - h) and fam.contains(x + h)):
         raise ContractViolationError(f"x +- {h} leaves the family domain {fam.domain}")
@@ -244,7 +249,7 @@ def calibration_curvature(fam: ParamFamily, x: float) -> float:
     mean_dl = float(p @ dl_eig.diagonal().real)
     mean_dl2 = float(p @ (np.abs(dl_eig) ** 2).sum(axis=1))
     mean_dlsq = 2.0 * float(p @ (dl_eig * l_eig.T).sum(axis=1).real)
-    return (mean_dl2 - mean_dl**2) - mean_dlsq**2 / (4.0 * mean_lsq)
+    return (mean_dl2 - mean_dl**2) - mean_dlsq**2 / (4.0 * mean_lsq), mean_lsq
 
 
 def pure_unitary_sample_size_bound(h: Operator, psi: StateVector) -> float:
@@ -264,10 +269,9 @@ def sample_size_bound(fam: ParamFamily, x: float) -> float:
     """G(x) / QFI(x)^2; the sample size must dominate this for the calibrated
     measurement to reach the quantum sensitivity.
 
-    G comes from calibration_curvature's single SLD solve; on pure unitary
-    families it matches pure_unitary_sample_size_bound to about 1e-9 relative.
+    G and the QFI <L^2> come from calibration_curvature's single SLD solve,
+    which raises NoInformationError at zero QFI; on pure unitary families
+    this matches pure_unitary_sample_size_bound to about 1e-9 relative.
     """
-    q = qfi(fam, x)
-    if q <= 0.0:
-        raise NoInformationError("zero QFI; sample-size bound undefined")
-    return calibration_curvature(fam, x) / q**2
+    g, q = _curvature_and_qfi(fam, x)
+    return g / q**2

@@ -2,26 +2,27 @@
 
 Outcomes are Born-rule draws from the observable's eigenbasis; the estimator
 inverts the calibration curve <M>_x at the observed sample mean. That mean
-needs only how often each eigenvalue came up, so the trials count the draws,
-CHUNK uniforms at a time, and never hold them: memory does not grow with the
-sample count. On a phase family a quadrature's mean is an exact cosine in x,
-so two exact means fix the curve and the inversion is an arccos.
-Across repeats, nu * Var(x_hat) must approach the squared noise-to-sensibility
-ratio, and an adaptive loop re-centers the quadrature angle each round.
+needs only how often each eigenvalue came up, so the one sampler, a guide
+table, counts the draws CHUNK uniforms at a time and never holds them: memory
+does not grow with the sample count. On a phase family a quadrature's mean is
+an exact cosine in x, so two exact means fix the curve and the inversion is an
+arccos. An estimate outside the curve's window is clamped to it and flagged;
+the flags are data, returned with the estimates. Across repeats,
+nu * Var(x_hat) must approach the squared noise-to-sensibility ratio, and an
+adaptive loop re-centers the quadrature angle each round. Both loops draw and
+invert through the same measurement step.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dephasing import dephasing_family, optimal_calibration, quadrature
 from .errors import (
-    CalibrationRangeWarning,
     ContractViolationError,
     EstimatorDivergenceError,
     NonInvertibleCurveError,
@@ -116,21 +117,6 @@ class _GuideTable:
         return searched + guided.astype(np.int64)  # weights sum exactly below 2^53
 
 
-def sample_outcomes(rho, m, nu: int, seed) -> np.ndarray:
-    """nu i.i.d. eigenvalue draws of m on rho; deterministic for a fixed seed.
-
-    The draws are the outcomes Generator.choice(eigenvalues, size=nu,
-    p=probabilities) gives for the seed.
-    """
-    if nu < 1:
-        raise ContractViolationError(f"sample count must be positive, got {nu}")
-    model = MeasurementModel.from_observable(m)
-    cdf = model.probabilities(rho).cumsum()
-    cdf /= cdf[-1]
-    u = np.random.default_rng(seed).random(nu)
-    return model.eigenvalues[cdf.searchsorted(u, side="right")]
-
-
 @dataclass(frozen=True)
 class CalibrationCurve:
     """The exact calibration curve <m>_x = A cos(x - x0) of a quadrature m on
@@ -183,7 +169,13 @@ def build_curve(fam: ParamFamily, m, start: float) -> CalibrationCurve:
                             means=np.array([amplitude, -amplitude]), window=(lo, hi))
 
 
-def _invert(curve: CalibrationCurve, observed_mean: float) -> tuple[float, bool]:
+def invert_mean(curve: CalibrationCurve, observed_mean: float) -> tuple[float, bool]:
+    """Estimate x from an observed sample mean: (x0 + acos(mean / A), clamped).
+
+    A mean beyond the amplitude, or an estimate outside the window, is clamped
+    to the window rather than failing, so variance statistics over many noisy
+    repeats stay well defined; clamped says whether that happened.
+    """
     if math.isnan(observed_mean):
         raise ContractViolationError("observed mean is NaN")
     x0, amplitude = float(curve.xs[0]), float(curve.means[0])
@@ -193,21 +185,17 @@ def _invert(curve: CalibrationCurve, observed_mean: float) -> tuple[float, bool]
     return estimate, estimate != x or abs(observed_mean) > abs(amplitude)
 
 
-def invert_mean(curve: CalibrationCurve, observed_mean: float) -> float:
-    """Estimate x from an observed sample mean: x0 + acos(mean / A).
+def _measurement(fam: ParamFamily, m, start: float, rho_true, nu: int):
+    """The step run_trials and adaptive_calibrate share: the calibration
+    curve of m from start and the guide table of m's Born distribution at
+    rho_true. Returns rng -> invert_mean of the mean of nu draws from rng."""
+    curve = build_curve(fam, m, start)
+    model = MeasurementModel.from_observable(m)
+    table = _GuideTable(model.probabilities(rho_true), nu)
 
-    Means beyond the amplitude, or estimates outside the window, clamp to the
-    window (with a CalibrationRangeWarning) rather than failing, so variance
-    statistics over many noisy repeats stay well defined.
-    """
-    estimate, clamped = _invert(curve, observed_mean)
-    if clamped:
-        warnings.warn(
-            f"observed mean {observed_mean:.6g} outside the curve range; "
-            f"estimate clamped to {estimate:.6g}",
-            CalibrationRangeWarning,
-            stacklevel=2,
-        )
+    def estimate(rng: np.random.Generator) -> tuple[float, bool]:
+        return invert_mean(curve, float(table.counts(rng) @ model.eigenvalues) / nu)
+
     return estimate
 
 
@@ -269,14 +257,11 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
     # phi_exp is wrapped into (-pi, pi]; the window starts at its 2pi image
     # whose midpoint is phi_true.
     start = phi_exp + math.tau * round((phi_true - math.pi / 2 - phi_exp) / math.tau)
-    curve = build_curve(fam, m, start)
-    model = MeasurementModel.from_observable(m)
-    table = _GuideTable(model.probabilities(fam.state_at(phi_true)), nu)
+    estimate = _measurement(fam, m, start, fam.state_at(phi_true), nu)
     estimates = np.empty(repeats)
     clamped = np.empty(repeats, dtype=bool)
     for k in range(repeats):
-        counts = table.counts(np.random.default_rng([seed, k]))
-        estimates[k], clamped[k] = _invert(curve, float(counts @ model.eigenvalues) / nu)
+        estimates[k], clamped[k] = estimate(np.random.default_rng([seed, k]))
     estimates.setflags(write=False)
     clamped.setflags(write=False)
     return TrialRun(
@@ -294,11 +279,12 @@ def adaptive_calibrate(
     batch: int,
     rounds: int,
     seed: int,
-) -> list[float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive loop: measure a batch at the current quadrature angle, invert
     for phi_hat, re-center the angle to phi_hat - pi/2, repeat.
 
-    Starts at the domain midpoint minus pi/2. Raises EstimatorDivergenceError
+    Starts at the domain midpoint minus pi/2. Returns the read-only arrays
+    (estimates, clamped), one entry per round. Raises EstimatorDivergenceError
     (carrying the round index) if the inversion window leaves the domain.
     """
     if rounds < 1:
@@ -309,25 +295,25 @@ def adaptive_calibrate(
     domain = fam.domain
     if not fam.contains(phi_true_hidden):
         raise ContractViolationError(f"phi_true {phi_true_hidden} outside {domain}")
+    rho_true = fam.state_at(phi_true_hidden)
     phi_exp = (domain[0] + domain[1]) / 2.0 - math.pi / 2.0
-    estimates: list[float] = []
+    estimates = np.empty(rounds)
+    clamped = np.empty(rounds, dtype=bool)
     for k in range(rounds):
         try:
-            m = quadrature(phi_exp, fam.dim)
-            curve = build_curve(fam, m, phi_exp)
+            estimate = _measurement(fam, quadrature(phi_exp, fam.dim), phi_exp, rho_true, batch)
         except (EstimatorDivergenceError, NonInvertibleCurveError) as exc:
             raise EstimatorDivergenceError(
                 f"calibration window unusable at round {k}: {exc}", round_index=k
             ) from exc
-        model = MeasurementModel.from_observable(m)
-        table = _GuideTable(model.probabilities(fam.state_at(phi_true_hidden)), batch)
-        counts = table.counts(np.random.default_rng([seed, k]))
-        est = invert_mean(curve, float(counts @ model.eigenvalues) / batch)  # warns when clamped
+        est, clamped[k] = estimate(np.random.default_rng([seed, k]))
         if not fam.contains(est):
             raise EstimatorDivergenceError(
                 f"estimate {est:.4g} left the domain {domain} at round {k}",
                 round_index=k,
             )
-        estimates.append(est)
+        estimates[k] = est
         phi_exp = est - math.pi / 2.0
-    return estimates
+    estimates.setflags(write=False)
+    clamped.setflags(write=False)
+    return estimates, clamped

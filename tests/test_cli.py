@@ -73,6 +73,25 @@ class TestQfiCommand:
         assert code == 0
         assert json.loads(out)["qfi"] == pytest.approx(4.0, rel=1e-6)
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
+        ("--family", "pure", "--state", "coherent:1.0"),
+    ], ids=["dephasing", "pure"])
+    def test_csv_flattens_sld_spectrum(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "qfi", *argv, "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(out.splitlines())
+        cells = dict(zip(header, row))
+        for value in cells.values():  # a number or a plain string, no repr
+            assert not any(c in value for c in "{}[]'\"")
+        assert {"sld_spectrum_min", "sld_spectrum_max", "sld_spectrum_dim"} <= set(cells)
+        assert "sld_spectrum" not in cells
+        code, out, _ = run_cli(capsys, "qfi", *argv)
+        spectrum = json.loads(out)["sld_spectrum"]
+        assert float(cells["sld_spectrum_min"]) == spectrum["min"]
+        assert float(cells["sld_spectrum_max"]) == spectrum["max"]
+        assert int(cells["sld_spectrum_dim"]) == spectrum["dim"]
+
     def test_state_spec_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "qfi", "--family", "pure", "--h", "number",
                                "--state", "fock:20", "--dim", "8")
@@ -219,6 +238,18 @@ class TestMcCommand:
         for a, b in zip(fishers, fishers[1:]):
             assert b >= a - 0.02 * f_opt
         assert summary["fisher_fraction"] >= 0.98
+        assert [r["clamped"] for r in rounds] == [False] * 4
+        assert summary["clamped_count"] == 0
+
+    def test_adaptive_clamp_reported_in_records(self):
+        # one draw per round: round 1's mean lies beyond the curve's amplitude
+        proc = run_cold("mc", "--dim", "16", "--alpha", "1", "--adaptive", "--rounds", "2",
+                        "--batch", "1", "--seed", "2")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["clamped"] for r in records[:-1]] == [False, True]
+        assert records[-1]["clamped_count"] == 1
 
     def test_out_file_atomic(self, capsys, tmp_path):
         target = tmp_path / "mc.jsonl"

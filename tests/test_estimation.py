@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from nsrkit import (
     ContractViolationError,
@@ -30,6 +31,7 @@ from nsrkit import (
     sld,
     variance,
 )
+from nsrkit.estimation import _curvature_and_qfi
 
 from conftest import SIGMA_Y, SIGMA_Z, dephased_qubit_spec, fock_dephasing_spec
 from oracles import (
@@ -359,6 +361,40 @@ class TestSampleSizeBound:
     def test_no_information(self):
         with pytest.raises(NoInformationError):
             sample_size_bound(flat_family(), 0.0)
+
+    @pytest.mark.parametrize("alpha,r", [(1.0, 0.0), (1.0, 0.8), (2.0, 1.0)],
+                             ids=["dim-16", "dim-66", "dim-116"])
+    def test_one_solve_qfi_matches_qfi(self, alpha, r):
+        fam = dephasing_family(fock_dephasing_spec(alpha, r, 0.3))
+        assert _curvature_and_qfi(fam, 0.7)[1] == pytest.approx(qfi(fam, 0.7), rel=1e-13)
+
+
+class TestCalibrationCost:
+    """The SLD calibrated at a first-stage estimate x_hat ~ N(x, 1/(nu QFI))
+    loses a fraction sample_size_bound / nu of the QFI at leading order."""
+
+    @pytest.mark.parametrize("alpha,r,beta,dim,bound", [
+        (1.0, 0.0, 0.3, 16, 0.19387),
+        (1.0, 0.8, 0.1, 66, 0.82705),
+    ], ids=["case-point", "squeezed"])
+    def test_fisher_loss_approaches_bound(self, alpha, r, beta, dim, bound):
+        fam = dephasing_family(fock_dephasing_spec(alpha, r, beta))
+        assert fam.dim == dim
+        x = 0.7
+        q = qfi(fam, x)
+        b = sample_size_bound(fam, x)
+        assert b == pytest.approx(bound, abs=1e-5)
+        t, w = hermegauss(40)  # nodes and weights of the standard normal
+        w = w / w.sum()
+        gaps = []
+        for nu in (1e2, 1e3, 1e4):
+            fisher = [assess_observable(fam, x, sld(fam.state_at(xh), fam.derivative_at(xh))).fisher
+                      for xh in x + t / math.sqrt(nu * q)]
+            gap = nu * (1.0 - w @ fisher / q) - b
+            assert abs(gap) <= 3.0 / nu
+            gaps.append(gap)
+        for a, c in zip(gaps, gaps[1:]):
+            assert abs(c) <= abs(a) / 5.0
 
 
 class TestOptimalityAndInvariance:

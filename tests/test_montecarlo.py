@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ import pytest
 import nsrkit
 from nsrkit import (
     CalibrationCurve,
-    CalibrationRangeWarning,
     ContractViolationError,
     DensityMatrix,
     DiffusionParams,
@@ -37,7 +35,6 @@ from nsrkit import (
     quadrature,
     number_operator,
     run_trials,
-    sample_outcomes,
 )
 from nsrkit.montecarlo import CHUNK, _GuideTable
 
@@ -89,32 +86,38 @@ class TestMeasurementModel:
         fam = dephasing_family(spec)
         rho = fam.state_at(0.7)
         m = quadrature(optimal_calibration(0.7), spec.dim)
-        model = MeasurementModel.from_observable(m)
-        p = model.probabilities(rho)
+        p = MeasurementModel.from_observable(m).probabilities(rho)
         nu = 100000
-        draws = sample_outcomes(rho, m, nu, 5)
+        _, counts = born_counts(rho, m, nu, 5)
         for k in range(p.size):
             if p[k] >= 0.01:
-                freq = np.mean(np.isclose(draws, model.eigenvalues[k]))
-                assert abs(freq - p[k]) <= 5.0 / math.sqrt(nu)
+                assert abs(counts[k] / nu - p[k]) <= 5.0 / math.sqrt(nu)
+
+
+def born_counts(rho, m, nu, seed):
+    """The eigenvalues of m and how often each comes up in nu Born draws on rho."""
+    model = MeasurementModel.from_observable(m)
+    table = _GuideTable(model.probabilities(rho), nu)
+    return model.eigenvalues, table.counts(np.random.default_rng(seed))
 
 
 class TestSampleOutcomes:
+    """Born outcomes as the guide table counts them."""
+
     def test_vacuum_number_all_zero(self):
-        rho = fock_state(6, 0).density_matrix()
-        draws = sample_outcomes(rho, number_operator(6), 100, 3)
-        assert np.all(draws == 0.0)
+        values, counts = born_counts(fock_state(6, 0).density_matrix(), number_operator(6), 100, 3)
+        assert counts.sum() == 100
+        assert counts[values != 0.0].sum() == 0
 
     def test_plus_state_sigma_z(self):
-        rho = plus_state().density_matrix()
         nu = 100000
-        draws = sample_outcomes(rho, Operator(SIGMA_Z), nu, 11)
-        assert abs(draws.mean()) <= 4.0 / math.sqrt(nu)
+        values, counts = born_counts(plus_state().density_matrix(), Operator(SIGMA_Z), nu, 11)
+        assert abs(counts @ values / nu) <= 4.0 / math.sqrt(nu)
 
     def test_deterministic(self):
         rho = plus_state().density_matrix()
-        a = sample_outcomes(rho, Operator(SIGMA_Z), 1000, 42)
-        b = sample_outcomes(rho, Operator(SIGMA_Z), 1000, 42)
+        _, a = born_counts(rho, Operator(SIGMA_Z), 1000, 42)
+        _, b = born_counts(rho, Operator(SIGMA_Z), 1000, 42)
         np.testing.assert_array_equal(a, b)
 
     def test_rotated_coherent_mean(self):
@@ -123,10 +126,10 @@ class TestSampleOutcomes:
         rho = fam.state_at(0.7)
         m = quadrature(optimal_calibration(0.7), spec.dim)
         nu = 100000
-        draws = sample_outcomes(rho, m, nu, 9)
-        target = expectation(rho, m)
-        sigma = math.sqrt(np.var(draws) / nu)
-        assert abs(draws.mean() - target) <= 4 * sigma
+        values, counts = born_counts(rho, m, nu, 9)
+        mean = counts @ values / nu
+        sigma = math.sqrt((counts @ values**2 / nu - mean**2) / nu)
+        assert abs(mean - expectation(rho, m)) <= 4 * sigma
 
 
 def choice_cdf(p):
@@ -233,16 +236,18 @@ class TestGuideTableSampler:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    def test_sample_outcomes_matches_choice(self):
+    def test_born_counts_match_choice(self):
+        # eigh sorts the eigenvalues, so repeating each by its count gives the
+        # sorted outcomes that choice draws from the eigenvalues
         spec = case_study_spec()
         rho = dephasing_family(spec).state_at(0.7)
         m = quadrature(optimal_calibration(0.7), spec.dim)
-        model = MeasurementModel.from_observable(m)
-        p = model.probabilities(rho)
+        p = MeasurementModel.from_observable(m).probabilities(rho)
         for seed in range(5):
+            values, counts = born_counts(rho, m, 10000, seed)
             np.testing.assert_array_equal(
-                sample_outcomes(rho, m, 10000, seed),
-                np.random.default_rng(seed).choice(model.eigenvalues, size=10000, p=p))
+                np.repeat(values, counts),
+                np.sort(np.random.default_rng(seed).choice(values, size=10000, p=p)))
 
 
 def case_study_curve():
@@ -314,7 +319,9 @@ class TestBuildCurve:
         lo, hi = curve.window
         for x in np.linspace(lo + 0.1, hi - 0.1, 17):  # away from the flat peak at lo
             true_mean = expectation(fam.state_at(float(x)), m)
-            assert invert_mean(curve, true_mean) == pytest.approx(float(x), abs=1e-12)
+            estimate, clamped = invert_mean(curve, true_mean)
+            assert estimate == pytest.approx(float(x), abs=1e-12)
+            assert not clamped
 
 
 def cosine_curve():
@@ -326,14 +333,15 @@ def cosine_curve():
 class TestInvertMean:
     def test_node_inversion(self):
         curve = cosine_curve()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CalibrationRangeWarning)
-            for x in (0.6, 1.2, 2.4):
-                assert invert_mean(curve, 2 * math.cos(x)) == pytest.approx(x, abs=1e-15)
+        for x in (0.6, 1.2, 2.4):
+            estimate, clamped = invert_mean(curve, 2 * math.cos(x))
+            assert estimate == pytest.approx(x, abs=1e-15)
+            assert clamped is False
 
     def test_linear_midpoint(self):
         # the zero crossing of the cosine, where it is closest to linear
-        assert invert_mean(cosine_curve(), 0.0) == pytest.approx(math.pi / 2, abs=1e-15)
+        estimate, _ = invert_mean(cosine_curve(), 0.0)
+        assert estimate == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_self_consistency_on_window(self):
         spec = case_study_spec()
@@ -343,25 +351,21 @@ class TestInvertMean:
         curve = build_curve(fam, m, phi_exp)
         for x in np.linspace(phi_exp + 0.1, phi_exp + math.pi - 0.1, 17):
             true_mean = expectation(fam.state_at(float(x)), m)
-            assert invert_mean(curve, true_mean) == pytest.approx(float(x), abs=1e-12)
+            estimate, clamped = invert_mean(curve, true_mean)
+            assert estimate == pytest.approx(float(x), abs=1e-12)
+            assert not clamped
 
-    def test_out_of_range_clamps_with_warning(self):
+    def test_out_of_range_clamps_with_flag(self):
         curve = case_study_curve()
         amplitude = curve.means[0]
-        with pytest.warns(CalibrationRangeWarning):
-            est = invert_mean(curve, 1.5 * amplitude)
-        assert est == curve.window[0]
-        with pytest.warns(CalibrationRangeWarning):
-            est = invert_mean(curve, -1.5 * amplitude)
-        assert est == curve.window[1]
+        assert invert_mean(curve, 1.5 * amplitude) == (curve.window[0], True)
+        assert invert_mean(curve, -1.5 * amplitude) == (curve.window[1], True)
 
-    def test_outside_window_clamps_with_warning(self):
+    def test_outside_window_clamps_with_flag(self):
         # means within the amplitude whose arccos falls outside the window
         curve = cosine_curve()
-        with pytest.warns(CalibrationRangeWarning):
-            assert invert_mean(curve, 1.9) == 0.5
-        with pytest.warns(CalibrationRangeWarning):
-            assert invert_mean(curve, -1.9) == 2.5
+        assert invert_mean(curve, 1.9) == (0.5, True)
+        assert invert_mean(curve, -1.9) == (2.5, True)
 
     def test_nan_mean_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -460,10 +464,11 @@ class TestAdaptiveCalibrate:
     def test_fixed_point_at_optimum(self):
         phi_true = 0.7
         spec = case_study_spec(phi_true=phi_true)  # domain midpoint == phi_true
-        ests = adaptive_calibrate(spec, phi_true, batch=20000, rounds=4, seed=3)
+        ests, clamped = adaptive_calibrate(spec, phi_true, batch=20000, rounds=4, seed=3)
         fisher = analytic_fnsr(0.0, 1.0, 0.3)
         sigma = 1.0 / math.sqrt(20000 * fisher)
         assert all(abs(e - phi_true) <= 5 * sigma for e in ests)
+        assert not clamped.any()
 
     def test_offset_start_improves_fisher(self):
         # start the calibration 0.3 rad off and watch the fisher recover,
@@ -478,8 +483,8 @@ class TestAdaptiveCalibrate:
         per_round = np.zeros(rounds + 1)
         per_round[0] = f_initial
         for seed in range(20):
-            ests = adaptive_calibrate(spec, phi_true, batch=2000, rounds=rounds,
-                                      seed=seed)
+            ests, _ = adaptive_calibrate(spec, phi_true, batch=2000, rounds=rounds,
+                                         seed=seed)
             for k, est in enumerate(ests):
                 m = quadrature(est - math.pi / 2, spec.dim)
                 per_round[k + 1] += assess_observable(fam, phi_true, m).fisher / 20
@@ -497,16 +502,21 @@ class TestAdaptiveCalibrate:
         f_opt = self.optimal_fisher(spec, phi_true)
         fam = dephasing_family(spec)
         for seed in range(3):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CalibrationRangeWarning)
-                try:
-                    ests = adaptive_calibrate(spec, phi_true, batch=2000, rounds=6,
-                                              seed=seed)
-                except EstimatorDivergenceError as exc:
-                    assert exc.round_index is not None
-                    continue
+            try:
+                ests, _ = adaptive_calibrate(spec, phi_true, batch=2000, rounds=6, seed=seed)
+            except EstimatorDivergenceError as exc:
+                assert exc.round_index is not None
+                continue
             m = quadrature(ests[-1] - math.pi / 2, spec.dim)
             assert assess_observable(fam, phi_true, m).fisher >= 0.95 * f_opt
+
+    def test_clamp_flags_returned(self):
+        # one draw per round: round 1's mean lies beyond the curve's amplitude
+        spec = case_study_spec(phi_true=0.0)
+        ests, clamped = adaptive_calibrate(spec, 0.0, batch=1, rounds=2, seed=2)
+        assert clamped.tolist() == [False, True]
+        assert ests.shape == (2,)
+        assert not ests.flags.writeable and not clamped.flags.writeable
 
     def test_divergence_guard(self):
         spec = case_study_spec()
