@@ -84,9 +84,11 @@ def _delta_n(dim: int) -> np.ndarray:
     return n[:, None] - n[None, :]
 
 
-def _decay(dim: int, beta: float) -> np.ndarray:
-    """The diffusion kernel e^{-beta^2 (n-m)^2} on the Fock coherences."""
-    return np.exp(-(beta**2) * _delta_n(dim).astype(float) ** 2)
+def _dephased(state: np.ndarray, beta: float) -> DensityMatrix:
+    """A state's matrix times the PSD, unit-diagonal kernel e^{-beta^2 (n-m)^2}: a
+    state by the Schur product theorem (Horn & Johnson, Matrix Analysis, 7.5.3)."""
+    decay = np.exp(-(beta**2) * _delta_n(state.shape[0]).astype(float) ** 2)
+    return DensityMatrix._positive(state * decay)
 
 
 def dephase_channel(rho: DensityMatrix, phi: float, beta: float) -> DensityMatrix:
@@ -94,23 +96,26 @@ def dephase_channel(rho: DensityMatrix, phi: float, beta: float) -> DensityMatri
 
     Diagonal populations are untouched; the (n, m) coherence picks up
     e^{-i phi (n-m)} e^{-beta^2 (n-m)^2}: the kernel, then the phase rotation
-    the dephasing family uses.
+    the dephasing family uses. rho must be a DensityMatrix, already checked.
     """
-    if beta < 0:
-        raise ContractViolationError(f"beta must be >= 0, got {beta}")
-    return DensityMatrix(rho.matrix * _decay(rho.dim, beta)).phase_shifted(phi)
+    if not isinstance(rho, DensityMatrix):
+        raise ContractViolationError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    if beta < 0 or not math.isfinite(beta):
+        raise ContractViolationError(f"beta must be finite and >= 0, got {beta}")
+    return _dephased(rho.matrix, beta).phase_shifted(phi)
 
 
 def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
     """Family phi -> dephased probe, with the exact coherence-weighted derivative.
 
-    The dephased state at phi = 0 is validated once, here; every state_at(phi)
-    is its phase-shifted copy, which has the same diagonal and spectrum.
+    The dephased state at phi = 0 is built once, here, positive by construction
+    (_dephased); every state_at(phi) is its phase-shifted copy, which has the
+    same diagonal and spectrum.
     """
     psi = spec.probe_state()
     amp = psi.amplitudes
     dn = _delta_n(psi.dim)
-    base = DensityMatrix(np.outer(amp, amp.conj()) * _decay(psi.dim, spec.diffusion.beta))
+    base = _dephased(np.outer(amp, amp.conj()), spec.diffusion.beta)
 
     def derivative_at(phi: float) -> Operator:
         return Operator(-1j * dn * base.phase_shifted(phi).matrix)

@@ -57,13 +57,6 @@ class ParamFamily:
     def contains(self, x: float) -> bool:
         return math.isfinite(x) and self.domain[0] <= x <= self.domain[1]
 
-    def check_derivative(self, x: float) -> float:
-        """Max elementwise gap between the analytic derivative and a central
-        finite difference of the states, step 1e-5; used by the consistency
-        tests."""
-        fd = (self.state_at(x + 1e-5).matrix - self.state_at(x - 1e-5).matrix) / 2e-5
-        return float(np.abs(fd - self.derivative_at(x).matrix).max())
-
 
 @dataclass(frozen=True)
 class SensitivityReport:
@@ -80,11 +73,6 @@ class SensitivityReport:
     fisher: float
 
 
-def _check_dims(fam: ParamFamily, m: Operator):
-    if m.dim != fam.dim:
-        raise DimensionMismatchError(f"observable dim {m.dim} != family dim {fam.dim}")
-
-
 def assess_observable(fam: ParamFamily, x: float, m: Operator) -> SensitivityReport:
     """Mean, variance, slope and noise-to-sensibility ratio of m at rho(x).
 
@@ -93,7 +81,8 @@ def assess_observable(fam: ParamFamily, x: float, m: Operator) -> SensitivityRep
     """
     if not fam.contains(x):
         raise ContractViolationError(f"x={x} outside family domain {fam.domain}")
-    _check_dims(fam, m)
+    if m.dim != fam.dim:
+        raise DimensionMismatchError(f"observable dim {m.dim} != family dim {fam.dim}")
     rho = fam.state_at(x)
     drho = fam.derivative_at(x)
     mean = expectation(rho, m)
@@ -183,28 +172,28 @@ def optimality_residual(rho: DensityMatrix, drho: Operator, m: Operator) -> floa
 
 
 def pure_unitary_family(h: Operator, psi: StateVector) -> ParamFamily:
-    """Family exp(-i x h)|psi><psi|exp(i x h) with exact analytic derivative."""
+    """Family |psi(x)><psi(x)|, psi(x) = e^{-i x h} psi = V e^{-i x evals} V^dag psi
+    from one eigh of h, with the exact derivative |psi'><psi| + |psi><psi'|,
+    psi' = -i h psi(x): no eigensolve or d x d matrix product per call."""
     if h.dim != psi.dim:
         raise DimensionMismatchError(f"h dim {h.dim} != state dim {psi.dim}")
     evals, vecs = np.linalg.eigh(h.matrix)
     psi_eig = vecs.conj().T @ psi.amplitudes
     scale = float(np.abs(evals).max())
 
-    def state_at(x: float) -> DensityMatrix:
+    def psi_at(x: float) -> StateVector:
         if not math.isfinite(x * scale):
             raise ContractViolationError(f"phase x h is not finite at x={x}")
-        amp = vecs @ (np.exp(-1j * evals * x) * psi_eig)
-        rho = np.outer(amp, amp.conj())
-        return DensityMatrix((rho + rho.conj().T) / 2)
+        return StateVector(vecs @ (np.exp(-1j * evals * x) * psi_eig))
 
     def derivative_at(x: float) -> Operator:
-        rho = state_at(x).matrix
-        d = -1j * (h.matrix @ rho - rho @ h.matrix)
-        return Operator((d + d.conj().T) / 2)
+        amp = psi_at(x).amplitudes
+        damp = -1j * (h.matrix @ amp)
+        return Operator(np.outer(damp, amp.conj()) + np.outer(amp, damp.conj()))
 
     return ParamFamily(
         dim=h.dim,
-        state_at=state_at,
+        state_at=lambda x: psi_at(x).density_matrix(),
         derivative_at=derivative_at,
         domain=(-math.inf, math.inf),
     )

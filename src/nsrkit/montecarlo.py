@@ -15,7 +15,6 @@ invert through the same measurement step.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -30,8 +29,6 @@ from .errors import (
 )
 from .estimation import ParamFamily, SensitivityReport, assess_observable
 from .operators import IMAG_RESIDUE_TOL, expectation
-
-log = logging.getLogger(__name__)
 
 PROB_NEG_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
@@ -249,11 +246,6 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
     m = quadrature(phi_exp, fam.dim)
     report = assess_observable(fam, phi_true, m)
     delta_m, threshold, ok = mean_inversion_condition(report, nu)
-    if not ok:
-        log.warning(
-            "small-noise condition marginal: delta_M=%.3g vs threshold %.3g",
-            delta_m, threshold,
-        )
     # phi_exp is wrapped into (-pi, pi]; the window starts at its 2pi image
     # whose midpoint is phi_true.
     start = phi_exp + math.tau * round((phi_true - math.pi / 2 - phi_exp) / math.tau)

@@ -3,7 +3,9 @@
 An Operator is a Hermitian matrix by construction, and a DensityMatrix is an
 Operator that also has unit trace and no negative eigenvalue; each checks its
 invariants once, when it is built, and holds a read-only complex numpy
-matrix. The ladder matrices, the only non-Hermitian ones, are plain arrays.
+matrix. Only DensityMatrix(...) and from_matrix prove positivity, with an
+eigensolve; the states the library builds are positive by construction and
+skip it. The ladder matrices, the only non-Hermitian ones, are plain arrays.
 Conventions: hbar = 1 and the quadrature a e^{i phi} + a^dag e^{-i phi} is
 normalized so the vacuum variance is 1.
 """
@@ -70,15 +72,26 @@ class DensityMatrix(Operator):
     """Positive-semidefinite, unit-trace Operator."""
 
     def __post_init__(self):
-        super().__post_init__()
-        tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ContractViolationError(f"trace {tr} differs from 1 beyond tolerance")
+        self._check_hermitian_unit_trace()
         evals = np.linalg.eigvalsh(self.matrix)
         if evals.min() < -PSD_TOL:
             raise ContractViolationError(
                 f"negative eigenvalue {evals.min():.3e} beyond tolerance"
             )
+
+    def _check_hermitian_unit_trace(self):
+        super().__post_init__()
+        tr = np.trace(self.matrix)
+        if not abs(tr - 1.0) <= TRACE_TOL:  # also rejects a NaN trace
+            raise ContractViolationError(f"trace {tr} differs from 1 beyond tolerance")
+
+    @classmethod
+    def _positive(cls, matrix) -> "DensityMatrix":
+        """A state positive by how the library built it: checked but for the eigensolve."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        rho._check_hermitian_unit_trace()
+        return rho
 
     @classmethod
     def from_matrix(cls, matrix) -> "DensityMatrix":
@@ -88,17 +101,13 @@ class DensityMatrix(Operator):
     def phase_shifted(self, phi: float) -> "DensityMatrix":
         """D rho D^dag with D = diag(e^{-i phi n}), n the Fock index.
 
-        Conjugation by a diagonal unitary keeps the diagonal and the spectrum,
-        so the unit trace and positivity checked on this state carry over and
-        are not re-checked; only Operator's O(d^2) Hermiticity check runs.
+        Conjugation by a unitary keeps the spectrum, so the state stays
+        positive and is built through _positive, without an eigensolve.
         """
         if not math.isfinite(phi):
             raise ContractViolationError(f"phase shift must be finite, got {phi}")
         ph = np.exp(-1j * phi * np.arange(self.dim))
-        shifted = object.__new__(DensityMatrix)
-        object.__setattr__(shifted, "matrix", self.matrix * np.outer(ph, ph.conj()))
-        Operator.__post_init__(shifted)
-        return shifted
+        return DensityMatrix._positive(self.matrix * np.outer(ph, ph.conj()))
 
 
 @dataclass(frozen=True)
@@ -122,7 +131,8 @@ class StateVector:
         return self.amplitudes.size
 
     def density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi|, a projector, so positive by construction."""
+        return DensityMatrix._positive(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)

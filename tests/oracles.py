@@ -3,9 +3,10 @@
 Everything here is deliberately written against the definitions, not against
 the library code paths it checks: Gauss-Hermite quadrature of the diffusion
 integral, golden-section maximization, the Bloch-vector Fisher formula, the
-exact SLD derivative of a phase family, brute-force moment sums, and the
-Gaussian probe amplitudes from matrix exponentials (scipy) or from the
-coherent and squeezed-vacuum closed forms.
+exact SLD derivative of a phase family, a family's finite-difference
+derivative, brute-force moment sums, and the Gaussian probe amplitudes from
+matrix exponentials (scipy) or from the coherent and squeezed-vacuum closed
+forms.
 """
 
 import math
@@ -79,6 +80,13 @@ def covariant_curvature(rho: np.ndarray, drho: np.ndarray) -> float:
 
     return (mean(dl @ dl) - mean(dl) ** 2) - mean(dl @ l_mat + l_mat @ dl) ** 2 / (
         4.0 * mean(l_mat @ l_mat))
+
+
+def check_derivative(fam, x: float) -> float:
+    """Max elementwise gap between a family's analytic derivative at x and the
+    central finite difference of its states, step 1e-5."""
+    fd = (fam.state_at(x + 1e-5).matrix - fam.state_at(x - 1e-5).matrix) / 2e-5
+    return float(np.abs(fd - fam.derivative_at(x).matrix).max())
 
 
 def poisson_central_moment(lam: float, order: int, cutoff: int = 200) -> float:

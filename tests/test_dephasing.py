@@ -15,6 +15,7 @@ from nsrkit import (
     assess_observable,
     build_curve,
     c_q,
+    default_truncation_dim,
     dephase_channel,
     dephasing_family,
     enhancement_scan,
@@ -27,20 +28,36 @@ from nsrkit import (
     number_operator,
     optimal_calibration,
     optimal_fnsr,
+    pure_unitary_family,
     qfi,
     quadrature,
     r_max,
     r_opt,
 )
-from nsrkit.operators import Operator
+from nsrkit.operators import PSD_TOL, TRACE_TOL, Operator
 
 from conftest import fock_dephasing_spec
 from oracles import (
+    check_derivative,
     gauss_hermite_dephase,
     golden_max,
     random_density_mat,
     unitary_from_generator,
 )
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Names of the numpy.linalg eigvalsh and eigh calls made from now on."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def fnsr_reference(r, alpha, beta):
@@ -96,6 +113,16 @@ class TestDephaseChannel:
         with pytest.raises(ContractViolationError):
             dephase_channel(rho, 0.0, -0.1)
 
+    def test_non_finite_beta_and_non_state_rejected(self, rng):
+        # the channel builds its output without an eigensolve, so it takes
+        # only a checked state and a finite kernel
+        rho = DensityMatrix.from_matrix(random_density_mat(rng, 3))
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ContractViolationError, match="beta"):
+                dephase_channel(rho, 0.0, beta)
+        with pytest.raises(ContractViolationError, match="DensityMatrix"):
+            dephase_channel(Operator(np.diag([1.5, -0.5])), 0.0, 0.2)
+
 
 class TestDephasingFamily:
     def test_derivative_traceless_hermitian(self):
@@ -107,7 +134,7 @@ class TestDephasingFamily:
     def test_finite_difference_consistency(self):
         fam = dephasing_family(fock_dephasing_spec(1.0, 0.3, 0.3))
         for phi in (-0.5, 0.8):
-            assert fam.check_derivative(phi) <= 1e-6
+            assert check_derivative(fam, phi) <= 1e-6
 
     def test_beta_zero_coherent_qfi(self):
         fam = dephasing_family(fock_dephasing_spec(1.0, 0.0, 0.0))
@@ -143,15 +170,7 @@ class TestDephasingFamily:
             states.append(phi)
             return fam.state_at(phi)
 
-        calls = []
-        for name in ("eigvalsh", "eigh"):
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_eigensolves(monkeypatch)
         phi_exp = optimal_calibration(0.7)
         build_curve(dataclasses.replace(fam, state_at=counted_state_at),
                     quadrature(phi_exp, spec.dim), phi_exp)
@@ -162,6 +181,55 @@ class TestDephasingFamily:
         spec = PhaseFamilySpec(fock_state(2, 1), DiffusionParams(0.1), (-1.0, 1.0))
         fam = dephasing_family(spec)
         assert qfi(fam, 0.0) == pytest.approx(0.0, abs=1e-12)  # Fock state: no phase info
+
+
+class TestPositiveByConstruction:
+    """The states the library builds skip DensityMatrix's eigensolve: the
+    probe's projector, its product with the diffusion kernel, phase rotations
+    of those, dephase_channel outputs and pure-family states. Their
+    positivity and unit trace are checked here instead, on a grid of probes
+    (alpha, r, beta) at the policy dim or a larger one."""
+
+    @pytest.mark.parametrize("alpha, r, beta, dim", [
+        (1.0, 0.0, 0.3, None),   # case-study point, dim 16
+        (0.3, 0.8, 0.1, None),   # dim 62
+        (2.0, 1.0, 0.3, None),   # dim 116
+        (0.0, 1.2, 0.8, 256),
+        (1.0, 1.5, 0.05, 512),
+        (4.0, 0.0, 0.0, 512),
+    ])
+    def test_library_states_are_states(self, rng, alpha, r, beta, dim):
+        probe = GaussianProbeSpec(alpha, r, dim or default_truncation_dim(alpha, r))
+        spec = PhaseFamilySpec(probe, DiffusionParams(beta), (-math.pi, math.pi))
+        psi = gaussian_probe(probe)
+        mixed = DensityMatrix.from_matrix(random_density_mat(rng, probe.dim))
+        fam = dephasing_family(spec)
+        states = [
+            fam.state_at(0.0),
+            fam.state_at(2.3),
+            dephase_channel(psi.density_matrix(), -1.1, beta),
+            dephase_channel(mixed, 0.4, beta),
+            pure_unitary_family(number_operator(probe.dim), psi).state_at(0.9),
+            pure_unitary_family(quadrature(0.4, probe.dim), psi).state_at(-0.6),
+        ]
+        for rho in states:
+            assert isinstance(rho, DensityMatrix)
+            assert np.linalg.eigvalsh(rho.matrix).min() >= -PSD_TOL
+            assert abs(np.trace(rho.matrix) - 1.0) <= TRACE_TOL
+
+    def test_library_states_run_no_eigensolve(self, monkeypatch):
+        spec = fock_dephasing_spec(2.0, 1.0, 0.3)
+        psi = gaussian_probe(spec.probe)
+        pure = pure_unitary_family(quadrature(0.4, spec.dim), psi)  # its one eigh
+        calls = count_eigensolves(monkeypatch)
+        fam = dephasing_family(spec)
+        rho = psi.density_matrix()
+        dephase_channel(rho, 0.7, 0.3)
+        fam.state_at(0.5)
+        fam.derivative_at(0.5)
+        pure.state_at(0.3)
+        pure.derivative_at(0.3)
+        assert calls == []
 
 
 class TestQuadrature:

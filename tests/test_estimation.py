@@ -36,6 +36,7 @@ from nsrkit.estimation import _curvature_and_qfi
 from conftest import SIGMA_Y, SIGMA_Z, dephased_qubit_spec, fock_dephasing_spec
 from oracles import (
     bloch_qfi,
+    check_derivative,
     covariant_curvature,
     poisson_central_moment,
     random_hermitian,
@@ -240,7 +241,7 @@ class TestPureUnitaryFamily:
         assert qfi(fam, 0.2) == pytest.approx(0.0, abs=1e-14)
 
     def test_finite_difference_consistency(self, qubit_family):
-        assert qubit_family.check_derivative(0.3) <= 1e-6
+        assert check_derivative(qubit_family, 0.3) <= 1e-6
 
 
 class TestCalibrationCurvature:
@@ -269,7 +270,7 @@ class TestCalibrationCurvature:
 
         fam = ParamFamily(dim=2, state_at=rho_at, derivative_at=drho_at,
                           domain=(-1.0, 1.0))
-        assert fam.check_derivative(0.25) <= 1e-6
+        assert check_derivative(fam, 0.25) <= 1e-6
         assert qfi(fam, 0.25) == pytest.approx(1 / math.cosh(0.25) ** 2, rel=1e-10)
         assert abs(calibration_curvature(fam, 0.25)) <= 1e-9
 
@@ -435,4 +436,4 @@ class TestOptimalityAndInvariance:
     def test_family_finite_difference_invariant(self, dephased_qubit):
         fam, _ = dephased_qubit
         for x in (-0.5, 0.0, 0.8):
-            assert fam.check_derivative(x) <= 1e-6
+            assert check_derivative(fam, x) <= 1e-6

@@ -328,6 +328,10 @@ class TestTypeContracts:
         with pytest.raises(ContractViolationError, match="trace"):
             DensityMatrix(np.eye(2, dtype=complex))
 
+    def test_density_nan_trace(self):
+        with pytest.raises(ContractViolationError, match="trace"):
+            DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
+
     def test_density_psd(self):
         with pytest.raises(ContractViolationError):
             DensityMatrix.from_matrix(np.diag([1.5, -0.5]))
