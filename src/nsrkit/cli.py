@@ -36,14 +36,13 @@ from .dephasing import (
 from .errors import (
     ContractViolationError,
     DegenerateObservableError,
-    DimensionMismatchError,
     EstimatorDivergenceError,
     NoInformationError,
     NonInvertibleCurveError,
     NumericalConsistencyError,
     TruncationError,
 )
-from .estimation import assess_observable, pure_unitary_family, pure_unitary_qfi, sld
+from .estimation import _solve_sld, assess_observable, pure_unitary_family, pure_unitary_qfi
 from .montecarlo import adaptive_calibrate, run_trials
 from .operators import (
     MAX_DIM,
@@ -55,7 +54,6 @@ from .operators import (
     fock_state,
     gaussian_probe,
     number_operator,
-    real_trace,
 )
 
 NUMERICAL_ERRORS = (
@@ -173,7 +171,7 @@ def _parse_state(text: str, dim: int | None = None) -> StateVector:
     kind, _, rest = text.partition(":")
     if kind in ("vacuum", "fock"):
         n = int(rest) if kind == "fock" else 0
-        return fock_state(check_dim(dim or max(16, 2 * (n + 1))), n)
+        return fock_state(check_dim(max(16, 2 * (n + 1)) if dim is None else dim), n)
     if kind == "coherent":
         alpha, r = float(rest), 0.0
     elif kind == "gaussian":
@@ -181,7 +179,9 @@ def _parse_state(text: str, dim: int | None = None) -> StateVector:
         alpha, r = float(a_str), float(r_str)
     else:
         raise ValueError(f"unknown state spec '{text}'")
-    return gaussian_probe(GaussianProbeSpec(alpha, r, dim or default_truncation_dim(alpha, r)))
+    if dim is None:
+        dim = default_truncation_dim(alpha, r)
+    return gaussian_probe(GaussianProbeSpec(alpha, r, dim))
 
 
 def _resolve_alpha(args) -> float:
@@ -199,7 +199,7 @@ def _dephasing_spec(alpha: float, r: float, beta: float, dim: int | None,
                     phi_true: float) -> PhaseFamilySpec:
     """The probe D(alpha)S(r)|0> on dim Fock levels (the policy's without
     dim), diffused by beta, over the phase period centered on phi_true."""
-    probe = GaussianProbeSpec(alpha, r, dim or default_truncation_dim(alpha, r))
+    probe = GaussianProbeSpec(alpha, r, default_truncation_dim(alpha, r) if dim is None else dim)
     return PhaseFamilySpec(
         probe=probe,
         diffusion=DiffusionParams(beta),
@@ -211,9 +211,7 @@ def cmd_qfi(args) -> int:
     if args.family == "pure":
         if os.path.exists(args.h):
             h = load_observable(args.h)
-            if args.dim and args.dim != h.dim:
-                raise DimensionMismatchError(f"generator dim {h.dim} != state dim {args.dim}")
-            psi = _parse_state(args.state, h.dim)
+            psi = _parse_state(args.state, h.dim if args.dim is None else args.dim)
         elif args.h == "number":
             psi = _parse_state(args.state, args.dim)
             h = number_operator(psi.dim)
@@ -246,11 +244,10 @@ def cmd_qfi(args) -> int:
         }
     if not fam.contains(x):
         raise ContractViolationError(f"x={x} outside family domain {fam.domain}")
-    # One SLD gives both the QFI <L^2> (the arithmetic of qfi) and the spectrum.
-    rho = fam.state_at(x)
-    l_mat = sld(rho, fam.derivative_at(x)).matrix
-    report["qfi"] = real_trace(rho.matrix, l_mat @ l_mat)
-    evals = np.linalg.eigvalsh(l_mat)
+    # One SLD solve gives the QFI, as qfi() reads it, and L in rho's
+    # eigenbasis, which has the spectrum of L in the Fock basis.
+    *_, l_eig, report["qfi"] = _solve_sld(fam.state_at(x), fam.derivative_at(x))
+    evals = np.linalg.eigvalsh(l_eig)
     report["sld_spectrum"] = {
         "min": float(evals.min()),
         "max": float(evals.max()),

@@ -104,10 +104,11 @@ def assess_observable(fam: ParamFamily, x: float, m: Operator) -> SensitivityRep
 
 
 def _solve_sld(rho: DensityMatrix, drho: Operator):
-    """The SLD equation solved in the eigenbasis V of rho, shared by sld and
-    calibration_curvature: returns the eigenvalues p, V, the pair sums
-    p_j + p_k, the mask of kept pairs, D = V^dag drho V and L in that basis.
-    The checks on drho, the support cut and its warning live here."""
+    """The SLD equation solved in the eigenbasis V of rho, shared by sld, qfi
+    and calibration_curvature: returns the eigenvalues p, V, the pair sums
+    p_j + p_k, the mask of kept pairs, D = V^dag drho V, L in that basis and
+    the QFI <L^2> = sum_jk p_j |L_jk|^2, the one QFI formula (Braunstein &
+    Caves, PRL 72, 3439 (1994)). The checks on drho, the cut and its warning live here."""
     if rho.dim != drho.dim:
         raise DimensionMismatchError(f"rho dim {rho.dim} != drho dim {drho.dim}")
     scale = np.abs(drho.matrix).max()
@@ -126,7 +127,8 @@ def _solve_sld(rho: DensityMatrix, drho: Operator):
         )
     l_eig = np.zeros_like(d_eig)
     np.divide(2.0 * d_eig, pair_sums, out=l_eig, where=kept)
-    return evals, vecs, pair_sums, kept, d_eig, l_eig
+    mean_lsq = float(evals @ (np.abs(l_eig) ** 2).sum(axis=1))
+    return evals, vecs, pair_sums, kept, d_eig, l_eig, mean_lsq
 
 
 def sld(rho: DensityMatrix, drho: Operator) -> Operator:
@@ -136,20 +138,19 @@ def sld(rho: DensityMatrix, drho: Operator) -> Operator:
     pairs with p_j + p_k above SLD_EIG_CUT_REL times the largest eigenvalue;
     the rest are set to zero (the standard support restriction for
     near-singular rho), with a SupportTruncationWarning if drho has weight
-    there. With traceless drho this lands in the gauge <L>_rho = 0.
+    there. With traceless drho this lands in the gauge <L>_rho = 0. Only
+    here is L mapped back to the Fock basis.
     """
-    _, vecs, _, _, _, l_eig = _solve_sld(rho, drho)
+    _, vecs, _, _, _, l_eig, _ = _solve_sld(rho, drho)
     l_mat = vecs @ l_eig @ vecs.conj().T
     return Operator((l_mat + l_mat.conj().T) / 2)
 
 
 def qfi(fam: ParamFamily, x: float) -> float:
-    """Quantum Fisher information <L^2> at rho(x), with L from sld."""
+    """Quantum Fisher information <L^2> at rho(x), read in rho's eigenbasis."""
     if not fam.contains(x):
         raise ContractViolationError(f"x={x} outside family domain {fam.domain}")
-    rho = fam.state_at(x)
-    l_mat = sld(rho, fam.derivative_at(x)).matrix
-    return real_trace(rho.matrix, l_mat @ l_mat)
+    return _solve_sld(fam.state_at(x), fam.derivative_at(x))[-1]
 
 
 def optimality_residual(rho: DensityMatrix, drho: Operator, m: Operator) -> float:
@@ -224,7 +225,7 @@ def _curvature_and_qfi(fam: ParamFamily, x: float) -> tuple[float, float]:
     if not (fam.contains(x - h) and fam.contains(x + h)):
         raise ContractViolationError(f"x +- {h} leaves the family domain {fam.domain}")
     rho = fam.state_at(x)
-    p, vecs, pair_sums, kept, d_eig, l_eig = _solve_sld(rho, fam.derivative_at(x))
+    p, vecs, pair_sums, kept, d_eig, l_eig, mean_lsq = _solve_sld(rho, fam.derivative_at(x))
     d2rho = (fam.derivative_at(x + h).matrix - fam.derivative_at(x - h).matrix) / (2 * h)
     rhs = 2.0 * (vecs.conj().T @ d2rho @ vecs) - (d_eig @ l_eig + l_eig @ d_eig)
     dl_eig = np.zeros_like(rhs)
@@ -232,7 +233,6 @@ def _curvature_and_qfi(fam: ParamFamily, x: float) -> tuple[float, float]:
     dl_eig = (dl_eig + dl_eig.conj().T) / 2
 
     # <A> = sum_j p_j A_jj and <AB> = sum_jk p_j A_jk B_kj in the eigenbasis
-    mean_lsq = float(p @ (np.abs(l_eig) ** 2).sum(axis=1))
     if mean_lsq <= 0.0:
         raise NoInformationError("zero <L^2>; curvature undefined")
     mean_dl = float(p @ dl_eig.diagonal().real)

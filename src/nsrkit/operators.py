@@ -44,6 +44,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise InvalidDimensionError("empty matrix")
+    if not np.isfinite(m).all():
+        raise ContractViolationError("matrix has a non-finite entry")
     return m
 
 
@@ -121,7 +123,7 @@ class StateVector:
         if v.size < 1:
             raise InvalidDimensionError("empty state vector")
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ContractViolationError(f"norm {nrm} differs from 1 beyond tolerance")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)

@@ -9,9 +9,20 @@ import sys
 import pytest
 
 import nsrkit
-from nsrkit import analytic_fnsr, quadrature
+from nsrkit import (
+    GaussianProbeSpec,
+    analytic_fnsr,
+    dephasing_family,
+    gaussian_probe,
+    number_operator,
+    pure_unitary_family,
+    qfi,
+    quadrature,
+)
 from nsrkit.cli import main
 from nsrkit.operators import MAX_DIM
+
+from conftest import fock_dephasing_spec
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +41,12 @@ def run_cold(*argv, cwd=None):
 
 def last_json(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
+
+
+def coherent_number_family():
+    """The family `qfi --family pure --state coherent:1.0` builds."""
+    psi = gaussian_probe(GaussianProbeSpec.with_default_dim(1.0, 0.0))
+    return pure_unitary_family(number_operator(psi.dim), psi)
 
 
 class TestQfiCommand:
@@ -73,11 +90,12 @@ class TestQfiCommand:
         assert code == 0
         assert json.loads(out)["qfi"] == pytest.approx(4.0, rel=1e-6)
 
-    @pytest.mark.parametrize("argv", [
-        ("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
-        ("--family", "pure", "--state", "coherent:1.0"),
+    @pytest.mark.parametrize("argv, family", [
+        (("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
+         lambda: dephasing_family(fock_dephasing_spec(1.0, 0.0, 0.3))),
+        (("--family", "pure", "--state", "coherent:1.0"), coherent_number_family),
     ], ids=["dephasing", "pure"])
-    def test_csv_flattens_sld_spectrum(self, capsys, argv):
+    def test_csv_flattens_sld_spectrum(self, capsys, argv, family):
         code, out, _ = run_cli(capsys, "qfi", *argv, "--format", "csv")
         assert code == 0
         header, row = csv.reader(out.splitlines())
@@ -91,6 +109,7 @@ class TestQfiCommand:
         assert float(cells["sld_spectrum_min"]) == spectrum["min"]
         assert float(cells["sld_spectrum_max"]) == spectrum["max"]
         assert int(cells["sld_spectrum_dim"]) == spectrum["dim"]
+        assert json.loads(out)["qfi"] == qfi(family(), 0.0)  # one formula, bit for bit
 
     def test_state_spec_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "qfi", "--family", "pure", "--h", "number",
@@ -149,6 +168,25 @@ class TestNsrCommand:
         code, _, err = run_cli(capsys, "nsr", "--observable", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("nsr", "--alpha", "1", "--beta", "0.3", "--dim", "16", "--observable"),
+        ("qfi", "--family", "pure", "--state", "coherent:1", "--dim", "16", "--h"),
+    ], ids=["nsr-observable", "qfi-pure-h"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_matrix_file(self, tmp_path, argv, bad):
+        # the number operator on 16 levels with a symmetric pair of bad entries
+        dim = 16
+        entries = [str(j) if j == k else "0" for j in range(dim) for k in range(dim)]
+        entries[1] = entries[dim] = bad
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"dim {dim}\n{' '.join(entries)}\n")
+        proc = run_cold(*argv, str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "non-finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "nsr", "--alpha", "1", "--format", "csv")
@@ -368,11 +406,18 @@ class TestNonFiniteInputs:
         ("nsr", "--r", "20"),
         ("qfi", "--family", "pure", "--state", "gaussian:1:20"),
         ("qfi", "--family", "pure", "--x", "1e308", "--dim", "3"),
+        ("nsr", "--alpha", "1", "--dim", "0"),
+        ("qfi", "--dim", "0"),
+        ("qfi", "--family", "pure", "--dim", "0"),
+        ("qfi", "--family", "pure", "--state", "coherent:1", "--dim", "0"),
+        ("mc", "--dim", "0"),
+        ("scan", "--numeric", "--dim", "0"),
     ], ids=["nsr-beta-huge", "qfi-beta-huge", "scan-beta-huge", "nsr-r-huge",
             "nsr-alpha-huge", "fig2-two-beta-sq-huge", "qfi-pure-x-inf",
             "scan-alpha-huge", "scan-alpha-4sq-huge", "fig2-log-grid-lo-zero",
             "fig2-log-grid-lo-negative", "fig2-N-huge", "nsr-r-20", "qfi-pure-r-20",
-            "qfi-pure-x-huge"])
+            "qfi-pure-x-huge", "nsr-dim-0", "qfi-dim-0", "qfi-pure-dim-0",
+            "qfi-pure-coherent-dim-0", "mc-dim-0", "scan-numeric-dim-0"])
     def test_out_of_range_exit_2(self, argv, tmp_path):
         proc = run_cold(*argv, cwd=tmp_path)
         assert proc.returncode == 2

@@ -329,8 +329,22 @@ class TestTypeContracts:
             DensityMatrix(np.eye(2, dtype=complex))
 
     def test_density_nan_trace(self):
-        with pytest.raises(ContractViolationError, match="trace"):
+        with pytest.raises(ContractViolationError, match="non-finite"):
             DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                             ids=["nan", "inf", "imag-inf"])
+    def test_non_finite_entries_rejected(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        for build in (Operator, DensityMatrix, DensityMatrix.from_matrix):
+            with pytest.raises(ContractViolationError, match="non-finite"):
+                build(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_state_rejects_non_finite_amplitude(self, bad):
+        with pytest.raises(ContractViolationError, match="norm"):
+            StateVector(np.array([bad, 0.0]))
 
     def test_density_psd(self):
         with pytest.raises(ContractViolationError):
