@@ -56,6 +56,12 @@ from .operators import (
     number_operator,
 )
 
+# Largest count a command line may set: one grid's, the product of a
+# command's grid counts, mc's --repeats or --rounds. Each counted point becomes
+# an output row of about 100 bytes, all held until the one atomic write, so the
+# rows stay near 100 MB. --nu and --batch are streamed and need no ceiling.
+MAX_COUNT = 10**6
+
 NUMERICAL_ERRORS = (
     TruncationError,
     NumericalConsistencyError,
@@ -134,6 +140,11 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
+def _check_count(name: str, count: int):
+    if count > MAX_COUNT:
+        raise ValueError(f"{name} {count} exceeds the ceiling MAX_COUNT = {MAX_COUNT}")
+
+
 def _parse_grid(text: str, log: bool = False) -> np.ndarray:
     """lo:hi:count -> linspace (or geomspace with log=True)."""
     parts = text.split(":")
@@ -144,6 +155,7 @@ def _parse_grid(text: str, log: bool = False) -> np.ndarray:
         raise ValueError(f"grid bounds must be finite, got '{text}'")
     if count < 1 or hi < lo:
         raise ValueError(f"bad grid spec '{text}'")
+    _check_count(f"grid '{text}' count", count)
     if log and count > 1 and lo <= 0:
         raise ValueError(f"log-spaced grid needs lo > 0, got '{text}'")
     if count == 1:
@@ -298,6 +310,7 @@ def cmd_fig2(args) -> int:
         else DEFAULT_TWO_BETA_SQ_GRID
     )
     n_grid = _parse_grid(args.grid_N, log=True) if args.grid_N else DEFAULT_N_GRID
+    _check_count("grid cells", tbs_grid.size * n_grid.size)
     scan = enhancement_scan(tbs_grid, n_grid)
     left = _csv_text(
         ["two_beta_sq", "N", "ratio", "enhanced"],
@@ -318,25 +331,14 @@ def cmd_mc(args) -> int:
     spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, phi_true)
     lines: list[str] = []
     if args.adaptive:
-        fam = dephasing_family(spec)
-        domain = spec.phi_domain
-        initial_phi_exp = (domain[0] + domain[1]) / 2.0 - math.pi / 2.0
-        initial_fisher = assess_observable(
-            fam, phi_true, quadrature(initial_phi_exp, spec.dim)
-        ).fisher
-        estimates, clamped = adaptive_calibrate(
+        _check_count("--rounds", args.rounds)
+        estimates, clamped, fisher, optimal_fisher = adaptive_calibrate(
             spec, phi_true, batch=args.batch, rounds=args.rounds, seed=args.seed
         )
-        fishers = []
         for k, (est, flag) in enumerate(zip(estimates.tolist(), clamped.tolist())):
-            m = quadrature(est - math.pi / 2.0, spec.dim)
-            fisher = assess_observable(fam, phi_true, m).fisher
-            fishers.append(fisher)
             lines.append(json.dumps(_json_ready(
-                {"round": k, "estimate": est, "fisher": fisher, "clamped": flag}
+                {"round": k, "estimate": est, "fisher": fisher[k + 1], "clamped": flag}
             ), sort_keys=True))
-        m_opt = quadrature(optimal_calibration(phi_true), spec.dim)
-        optimal_fisher = assess_observable(fam, phi_true, m_opt).fisher
         summary = {
             "command": "mc-adaptive",
             "alpha": spec.probe.alpha,
@@ -346,14 +348,15 @@ def cmd_mc(args) -> int:
             "batch": args.batch,
             "rounds": args.rounds,
             "seed": args.seed,
-            "initial_fisher": initial_fisher,
+            "initial_fisher": fisher[0],
             "final_estimate": estimates[-1],
-            "final_fisher": fishers[-1],
+            "final_fisher": fisher[-1],
             "optimal_fisher": optimal_fisher,
-            "fisher_fraction": fishers[-1] / optimal_fisher,
+            "fisher_fraction": fisher[-1] / optimal_fisher,
             "clamped_count": int(clamped.sum()),
         }
     else:
+        _check_count("--repeats", args.repeats)
         run = run_trials(spec, phi_true, nu=args.nu, repeats=args.repeats, seed=args.seed)
         for k, (est, clamped) in enumerate(zip(run.estimates.tolist(), run.clamped.tolist())):
             lines.append(json.dumps(_json_ready({
@@ -391,6 +394,7 @@ def cmd_scan(args) -> int:
     betas = _parse_grid(args.grid_beta) if args.grid_beta else np.array([args.beta])
     if alphas is None:
         alphas = np.array([_resolve_alpha(args)])
+    _check_count("grid cells", alphas.size * rs.size * betas.size)
     for name, values in (("alpha", alphas), ("r", rs)):
         if not np.isfinite(values).all():
             raise ContractViolationError(f"{name} must be finite, got {values}")

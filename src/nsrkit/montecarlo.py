@@ -9,8 +9,10 @@ an exact cosine in x, so two exact means fix the curve and the inversion is an
 arccos. An estimate outside the curve's window is clamped to it and flagged;
 the flags are data, returned with the estimates. Across repeats,
 nu * Var(x_hat) must approach the squared noise-to-sensibility ratio, and an
-adaptive loop re-centers the quadrature angle each round. Both loops draw and
-invert through the same measurement step.
+adaptive loop re-centers the quadrature angle each round and scores each
+angle's Fisher value. Both loops draw and invert through the same measurement
+step and one Born model per run: X_theta = D X_0 D^dag with D = e^{-i theta n},
+so X_0's eigenbasis at the shifted phase serves every angle.
 """
 
 from __future__ import annotations
@@ -182,13 +184,14 @@ def invert_mean(curve: CalibrationCurve, observed_mean: float) -> tuple[float, b
     return estimate, estimate != x or abs(observed_mean) > abs(amplitude)
 
 
-def _measurement(fam: ParamFamily, m, start: float, rho_true, nu: int):
-    """The step run_trials and adaptive_calibrate share: the calibration
-    curve of m from start and the guide table of m's Born distribution at
-    rho_true. Returns rng -> invert_mean of the mean of nu draws from rng."""
-    curve = build_curve(fam, m, start)
-    model = MeasurementModel.from_observable(m)
-    table = _GuideTable(model.probabilities(rho_true), nu)
+def _measurement(fam: ParamFamily, model, theta: float, start: float, phi_true: float, nu: int):
+    """The step run_trials and adaptive_calibrate share: the calibration curve
+    of X_theta = quadrature(theta) from start, and the guide table of its Born
+    distribution at rho(phi_true), which is model's (of X_0) at
+    rho(phi_true - theta), as X_theta = D X_0 D^dag with D = e^{-i theta n}.
+    Returns rng -> invert_mean of the mean of nu draws from rng."""
+    curve = build_curve(fam, quadrature(theta, fam.dim), start)
+    table = _GuideTable(model.probabilities(fam.state_at(phi_true - theta)), nu)
 
     def estimate(rng: np.random.Generator) -> tuple[float, bool]:
         return invert_mean(curve, float(table.counts(rng) @ model.eigenvalues) / nu)
@@ -249,7 +252,8 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
     # phi_exp is wrapped into (-pi, pi]; the window starts at its 2pi image
     # whose midpoint is phi_true.
     start = phi_exp + math.tau * round((phi_true - math.pi / 2 - phi_exp) / math.tau)
-    estimate = _measurement(fam, m, start, fam.state_at(phi_true), nu)
+    model = MeasurementModel.from_observable(quadrature(0.0, fam.dim))
+    estimate = _measurement(fam, model, phi_exp, start, phi_true, nu)
     estimates = np.empty(repeats)
     clamped = np.empty(repeats, dtype=bool)
     for k in range(repeats):
@@ -271,13 +275,16 @@ def adaptive_calibrate(
     batch: int,
     rounds: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Adaptive loop: measure a batch at the current quadrature angle, invert
     for phi_hat, re-center the angle to phi_hat - pi/2, repeat.
 
-    Starts at the domain midpoint minus pi/2. Returns the read-only arrays
-    (estimates, clamped), one entry per round. Raises EstimatorDivergenceError
-    (carrying the round index) if the inversion window leaves the domain.
+    Starts at the domain midpoint minus pi/2. Returns read-only (estimates,
+    clamped, fisher) and optimal_fisher: per round the estimate and clamp
+    flag; the Fisher value at phi_true_hidden of each round's angle and of the
+    last re-centered one (rounds + 1); that of optimal_calibration. Raises
+    EstimatorDivergenceError (carrying the round index) if the inversion
+    window leaves the domain.
     """
     if rounds < 1:
         raise ContractViolationError(f"need at least 1 round, got {rounds}")
@@ -287,13 +294,17 @@ def adaptive_calibrate(
     domain = fam.domain
     if not fam.contains(phi_true_hidden):
         raise ContractViolationError(f"phi_true {phi_true_hidden} outside {domain}")
-    rho_true = fam.state_at(phi_true_hidden)
-    phi_exp = (domain[0] + domain[1]) / 2.0 - math.pi / 2.0
+    model = MeasurementModel.from_observable(quadrature(0.0, fam.dim))
+
+    def fisher_at(angle: float) -> float:
+        return assess_observable(fam, phi_true_hidden, quadrature(angle, fam.dim)).fisher
+
+    angles = [(domain[0] + domain[1]) / 2.0 - math.pi / 2.0]
     estimates = np.empty(rounds)
     clamped = np.empty(rounds, dtype=bool)
     for k in range(rounds):
         try:
-            estimate = _measurement(fam, quadrature(phi_exp, fam.dim), phi_exp, rho_true, batch)
+            estimate = _measurement(fam, model, angles[k], angles[k], phi_true_hidden, batch)
         except (EstimatorDivergenceError, NonInvertibleCurveError) as exc:
             raise EstimatorDivergenceError(
                 f"calibration window unusable at round {k}: {exc}", round_index=k
@@ -305,7 +316,8 @@ def adaptive_calibrate(
                 round_index=k,
             )
         estimates[k] = est
-        phi_exp = est - math.pi / 2.0
-    estimates.setflags(write=False)
-    clamped.setflags(write=False)
-    return estimates, clamped
+        angles.append(est - math.pi / 2.0)
+    fisher = np.array([fisher_at(a) for a in angles])
+    for arr in (estimates, clamped, fisher):
+        arr.setflags(write=False)
+    return estimates, clamped, fisher, fisher_at(optimal_calibration(phi_true_hidden))

@@ -412,12 +412,18 @@ class TestNonFiniteInputs:
         ("qfi", "--family", "pure", "--state", "coherent:1", "--dim", "0"),
         ("mc", "--dim", "0"),
         ("scan", "--numeric", "--dim", "0"),
+        ("fig2", "--grid-N", "1:2:1000000000000"),
+        ("scan", "--grid-alpha", "0:1:1000000000000"),
+        ("mc", "--repeats", "1000000000000", "--nu", "10"),
+        ("mc", "--adaptive", "--rounds", "1000000000000", "--batch", "10"),
     ], ids=["nsr-beta-huge", "qfi-beta-huge", "scan-beta-huge", "nsr-r-huge",
             "nsr-alpha-huge", "fig2-two-beta-sq-huge", "qfi-pure-x-inf",
             "scan-alpha-huge", "scan-alpha-4sq-huge", "fig2-log-grid-lo-zero",
             "fig2-log-grid-lo-negative", "fig2-N-huge", "nsr-r-20", "qfi-pure-r-20",
             "qfi-pure-x-huge", "nsr-dim-0", "qfi-dim-0", "qfi-pure-dim-0",
-            "qfi-pure-coherent-dim-0", "mc-dim-0", "scan-numeric-dim-0"])
+            "qfi-pure-coherent-dim-0", "mc-dim-0", "scan-numeric-dim-0",
+            "fig2-grid-count-huge", "scan-grid-count-huge", "mc-repeats-huge",
+            "mc-rounds-huge"])
     def test_out_of_range_exit_2(self, argv, tmp_path):
         proc = run_cold(*argv, cwd=tmp_path)
         assert proc.returncode == 2

@@ -3,7 +3,8 @@ policy dim: the QFI does not depend on the phase, bounds the Fisher value of
 every quadrature (Braunstein-Caves), does not grow with the diffusion (data
 processing: the kernels e^{-beta^2 (n-m)^2} multiply, so more diffusion is
 less diffusion followed by a phase-independent channel), and on the
-noiseless probe equals 4 Var(n)."""
+noiseless probe equals 4 Var(n). A quadrature's Born distribution follows the
+phase: that of angle theta at phi is that of angle 0 at phi - theta."""
 
 import math
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nsrkit import (  # noqa: E402
     GaussianProbeSpec,
+    MeasurementModel,
     assess_observable,
     dephasing_family,
     gaussian_probe,
@@ -39,6 +41,13 @@ def test_phase_family_invariants(alpha, r, beta, phi1, phi2, offset):
     # the quadrature angle is drawn as an offset from the optimal one
     m = quadrature(optimal_calibration(phi1) + offset, fam.dim)
     assert assess_observable(fam, phi1, m).fisher <= q + 1e-10 * max(1.0, q)
+    # X_theta = D X_0 D^dag with D = e^{-i theta n}: its Born distribution at
+    # phi is X_0's at phi - theta
+    theta = optimal_calibration(phi1) + offset
+    p_theta = MeasurementModel.from_observable(m).probabilities(fam.state_at(phi2))
+    p_zero = MeasurementModel.from_observable(quadrature(0.0, fam.dim)).probabilities(
+        fam.state_at(phi2 - theta))
+    assert np.abs(p_theta - p_zero).max() <= 1e-13
 
     q_half = qfi(dephasing_family(fock_dephasing_spec(alpha, r, beta / 2)), phi1)
     q_pure = qfi(dephasing_family(fock_dephasing_spec(alpha, r, 0.0)), phi1)

@@ -455,6 +455,25 @@ class TestRunTrials:
         assert math.isfinite(threshold)
 
 
+# nu Var(phi_hat) F over n = 10^4 sample means has the relative sd
+# sqrt(2 / (n - 1)) = 1.4%, so +-4 sd is the band [0.943, 1.057]. The means are
+# drawn test-side, from the direct Born distribution of the calibrated
+# quadrature; criterion 9 checks run_trials at 200 repeats.
+@pytest.mark.parametrize("alpha, r, beta", [(1.0, 0.0, 0.3), (2.0, 1.0, 0.3), (1.0, 0.5, 0.3)])
+def test_calibration_cost_attains_fisher(alpha, r, beta, rng):
+    phi_true, nu, n = 0.7, 100000, 10_000
+    fam = dephasing_family(case_study_spec(phi_true=phi_true, alpha=alpha, r=r, beta=beta))
+    phi_exp = optimal_calibration(phi_true)
+    m = quadrature(phi_exp, fam.dim)
+    model = MeasurementModel.from_observable(m)
+    p = model.probabilities(fam.state_at(phi_true))
+    means = rng.multinomial(nu, p, size=n) @ model.eigenvalues / nu
+    curve = build_curve(fam, m, phi_exp)
+    estimates = [invert_mean(curve, mean)[0] for mean in means]
+    ratio = nu * np.var(estimates, ddof=1) * analytic_fnsr(r, alpha, beta)
+    assert 0.943 <= ratio <= 1.057
+
+
 class TestAdaptiveCalibrate:
     def optimal_fisher(self, spec, phi_true):
         fam = dephasing_family(spec)
@@ -464,7 +483,7 @@ class TestAdaptiveCalibrate:
     def test_fixed_point_at_optimum(self):
         phi_true = 0.7
         spec = case_study_spec(phi_true=phi_true)  # domain midpoint == phi_true
-        ests, clamped = adaptive_calibrate(spec, phi_true, batch=20000, rounds=4, seed=3)
+        ests, clamped, _, _ = adaptive_calibrate(spec, phi_true, batch=20000, rounds=4, seed=3)
         fisher = analytic_fnsr(0.0, 1.0, 0.3)
         sigma = 1.0 / math.sqrt(20000 * fisher)
         assert all(abs(e - phi_true) <= 5 * sigma for e in ests)
@@ -472,23 +491,28 @@ class TestAdaptiveCalibrate:
 
     def test_offset_start_improves_fisher(self):
         # start the calibration 0.3 rad off and watch the fisher recover,
-        # averaged over 20 independent seeds
+        # averaged over 20 independent seeds; the returned Fisher values are
+        # those of each round's angle and the optimal one, assessed test-side
         phi_true = 0.7
         spec = case_study_spec(phi_true=phi_true, offset=0.3)
         fam = dephasing_family(spec)
         initial_phi_exp = phi_true + 0.3 - math.pi / 2
         f_initial = assess_observable(fam, phi_true,
                                       quadrature(initial_phi_exp, spec.dim)).fisher
+        f_opt = self.optimal_fisher(spec, phi_true)
         rounds = 4
         per_round = np.zeros(rounds + 1)
         per_round[0] = f_initial
         for seed in range(20):
-            ests, _ = adaptive_calibrate(spec, phi_true, batch=2000, rounds=rounds,
-                                         seed=seed)
+            ests, _, fisher, optimal = adaptive_calibrate(spec, phi_true, batch=2000,
+                                                          rounds=rounds, seed=seed)
+            expected = [f_initial]
             for k, est in enumerate(ests):
                 m = quadrature(est - math.pi / 2, spec.dim)
-                per_round[k + 1] += assess_observable(fam, phi_true, m).fisher / 20
-        f_opt = self.optimal_fisher(spec, phi_true)
+                expected.append(assess_observable(fam, phi_true, m).fisher)
+                per_round[k + 1] += expected[-1] / 20
+            assert fisher == pytest.approx(expected, rel=1e-12)
+            assert optimal == f_opt
         assert f_initial < 0.995 * f_opt
         for a, b in zip(per_round, per_round[1:]):
             assert b >= a - 0.01 * f_opt  # monotone up to statistical noise
@@ -503,7 +527,7 @@ class TestAdaptiveCalibrate:
         fam = dephasing_family(spec)
         for seed in range(3):
             try:
-                ests, _ = adaptive_calibrate(spec, phi_true, batch=2000, rounds=6, seed=seed)
+                ests, *_ = adaptive_calibrate(spec, phi_true, batch=2000, rounds=6, seed=seed)
             except EstimatorDivergenceError as exc:
                 assert exc.round_index is not None
                 continue
@@ -513,10 +537,21 @@ class TestAdaptiveCalibrate:
     def test_clamp_flags_returned(self):
         # one draw per round: round 1's mean lies beyond the curve's amplitude
         spec = case_study_spec(phi_true=0.0)
-        ests, clamped = adaptive_calibrate(spec, 0.0, batch=1, rounds=2, seed=2)
+        ests, clamped, fisher, _ = adaptive_calibrate(spec, 0.0, batch=1, rounds=2, seed=2)
         assert clamped.tolist() == [False, True]
-        assert ests.shape == (2,)
-        assert not ests.flags.writeable and not clamped.flags.writeable
+        assert ests.shape == (2,) and fisher.shape == (3,)
+        assert not any(a.flags.writeable for a in (ests, clamped, fisher))
+
+    def test_one_eigensolve_per_call(self, monkeypatch):
+        # every round reads its Born distribution from one model of X_0
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        spec = case_study_spec(phi_true=0.7)
+        for rounds in (1, 6):
+            calls.clear()
+            adaptive_calibrate(spec, 0.7, batch=50, rounds=rounds, seed=0)
+            assert len(calls) == 1
 
     def test_divergence_guard(self):
         spec = case_study_spec()
