@@ -4,7 +4,7 @@ Subcommands: qfi, nsr, fig2, mc, scan. Single reports go out as JSON, grids
 as CSV; all file writes go through a temp file and an atomic rename so a
 failure never leaves a partial output behind.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-consistency error.
+Exit codes, by error type: 0 success, 2 bad input or out of memory, 3 NumericalError.
 """
 
 from __future__ import annotations
@@ -33,15 +33,7 @@ from .dephasing import (
     optimal_calibration,
     quadrature,
 )
-from .errors import (
-    ContractViolationError,
-    DegenerateObservableError,
-    EstimatorDivergenceError,
-    NoInformationError,
-    NonInvertibleCurveError,
-    NumericalConsistencyError,
-    TruncationError,
-)
+from .errors import ContractViolationError, NumericalError
 from .estimation import _solve_sld, assess_observable, pure_unitary_family, pure_unitary_qfi
 from .montecarlo import adaptive_calibrate, run_trials
 from .operators import (
@@ -61,15 +53,6 @@ from .operators import (
 # an output row of about 100 bytes, all held until the one atomic write, so the
 # rows stay near 100 MB. --nu and --batch are streamed and need no ceiling.
 MAX_COUNT = 10**6
-
-NUMERICAL_ERRORS = (
-    TruncationError,
-    NumericalConsistencyError,
-    DegenerateObservableError,
-    NoInformationError,
-    NonInvertibleCurveError,
-    EstimatorDivergenceError,
-)
 
 
 def _json_ready(obj):
@@ -219,6 +202,11 @@ def _dephasing_spec(alpha: float, r: float, beta: float, dim: int | None,
     )
 
 
+def _probe_header(spec: PhaseFamilySpec, phi_true: float) -> dict:
+    return {"alpha": spec.probe.alpha, "r": spec.probe.r, "beta": spec.diffusion.beta,
+            "phi_true": phi_true}
+
+
 def cmd_qfi(args) -> int:
     if args.family == "pure":
         if os.path.exists(args.h):
@@ -247,11 +235,8 @@ def cmd_qfi(args) -> int:
         report = {
             "command": "qfi",
             "family": "dephasing",
-            "alpha": spec.probe.alpha,
-            "r": spec.probe.r,
-            "beta": args.beta,
+            **_probe_header(spec, x),
             "dim": spec.dim,
-            "phi_true": x,
             "fnsr_quadrature": analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta),
         }
     if not fam.contains(x):
@@ -286,11 +271,8 @@ def cmd_nsr(args) -> int:
     rep = assess_observable(fam, phi_true, m)
     report = {
         "command": "nsr",
-        "alpha": spec.probe.alpha,
-        "r": spec.probe.r,
-        "beta": args.beta,
+        **_probe_header(spec, phi_true),
         "dim": spec.dim,
-        "phi_true": phi_true,
         "mean": rep.mean,
         "variance": rep.variance,
         "slope": rep.slope,
@@ -341,10 +323,7 @@ def cmd_mc(args) -> int:
             ), sort_keys=True))
         summary = {
             "command": "mc-adaptive",
-            "alpha": spec.probe.alpha,
-            "r": spec.probe.r,
-            "beta": args.beta,
-            "phi_true": phi_true,
+            **_probe_header(spec, phi_true),
             "batch": args.batch,
             "rounds": args.rounds,
             "seed": args.seed,
@@ -369,10 +348,7 @@ def cmd_mc(args) -> int:
         fnsr = analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta)
         summary = {
             "command": "mc",
-            "alpha": spec.probe.alpha,
-            "r": spec.probe.r,
-            "beta": args.beta,
-            "phi_true": phi_true,
+            **_probe_header(spec, phi_true),
             "nu": args.nu,
             "repeats": args.repeats,
             "seed": args.seed,
@@ -494,7 +470,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
@@ -502,6 +478,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:
         print(f"error: an input is out of range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # like an oversized count: too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

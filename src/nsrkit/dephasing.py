@@ -25,8 +25,6 @@ from .operators import (
     gaussian_probe,
 )
 
-TWO_PI = 2.0 * math.pi
-
 # Default Fig.-2 style grids: log-spaced, dense near small 2 beta^2 where the
 # enhancement threshold sits.
 DEFAULT_TWO_BETA_SQ_GRID = np.geomspace(0.01, 1.0, 60)
@@ -43,16 +41,6 @@ class DiffusionParams:
         if self.beta < 0 or not math.isfinite(self.beta):
             raise ContractViolationError(f"beta must be finite and >= 0, got {self.beta}")
 
-    @property
-    def two_beta_sq(self) -> float:
-        return 2.0 * self.beta**2
-
-    @classmethod
-    def from_two_beta_sq(cls, two_beta_sq: float) -> "DiffusionParams":
-        if two_beta_sq < 0:
-            raise ContractViolationError("2 beta^2 must be >= 0")
-        return cls(math.sqrt(two_beta_sq / 2.0))
-
 
 @dataclass(frozen=True)
 class PhaseFamilySpec:
@@ -66,7 +54,7 @@ class PhaseFamilySpec:
         lo, hi = self.phi_domain
         if not (hi > lo):
             raise ContractViolationError("phi_domain must be a nonempty interval")
-        if hi - lo > TWO_PI + 1e-12:
+        if hi - lo > math.tau + 1e-12:
             raise ContractViolationError("phi_domain wider than one phase period")
 
     @property
@@ -141,9 +129,9 @@ def quadrature(phi_exp: float, dim: int) -> Operator:
 def optimal_calibration(phi_true: float) -> float:
     """Best quadrature angle phi_true - pi/2, wrapped into (-pi, pi]."""
     x = phi_true - math.pi / 2.0
-    wrapped = math.fmod(x + math.pi, TWO_PI)
+    wrapped = math.fmod(x + math.pi, math.tau)
     if wrapped <= 0.0:
-        wrapped += TWO_PI
+        wrapped += math.tau
     return wrapped - math.pi
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types; a failed computation raises a NumericalError."""
 
 
 class InvalidDimensionError(ValueError):
@@ -13,7 +13,11 @@ class ContractViolationError(ValueError):
     """An input violates a declared precondition (Hermiticity, trace, norm, ...)."""
 
 
-class TruncationError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation cannot give a trustworthy number; the CLI exits 3 on it."""
+
+
+class TruncationError(NumericalError):
     """State preparation leaks too much norm past the Fock-space cutoff.
 
     Attributes:
@@ -25,11 +29,11 @@ class TruncationError(RuntimeError):
         self.suggested_dim = suggested_dim
 
 
-class NumericalConsistencyError(RuntimeError):
+class NumericalConsistencyError(NumericalError):
     """A quantity that must be real or normalized came out otherwise."""
 
 
-class DegenerateObservableError(RuntimeError):
+class DegenerateObservableError(NumericalError):
     """Zero variance with nonzero slope: the state is an eigenstate of the
     observable yet its mean moves with the parameter."""
 
@@ -38,17 +42,17 @@ class UndefinedResidualError(ValueError):
     """Stationarity residual is undefined because the observable has zero slope."""
 
 
-class NoInformationError(RuntimeError):
+class NoInformationError(NumericalError):
     """The family carries no information at this point (zero Fisher information)."""
 
 
-class NonInvertibleCurveError(RuntimeError):
+class NonInvertibleCurveError(NumericalError):
     """The observable's mean is flat in the parameter, or not the cosine of a
     quadrature on a phase family, so it cannot be inverted in closed form."""
 
 
-class EstimatorDivergenceError(RuntimeError):
-    """Adaptive estimation left the parameter domain.
+class EstimatorDivergenceError(NumericalError):
+    """No calibration window fits in the parameter domain, so no estimate can be made.
 
     Attributes:
         round_index: zero-based round at which the run was aborted.

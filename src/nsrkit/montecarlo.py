@@ -309,14 +309,8 @@ def adaptive_calibrate(
             raise EstimatorDivergenceError(
                 f"calibration window unusable at round {k}: {exc}", round_index=k
             ) from exc
-        est, clamped[k] = estimate(np.random.default_rng([seed, k]))
-        if not fam.contains(est):
-            raise EstimatorDivergenceError(
-                f"estimate {est:.4g} left the domain {domain} at round {k}",
-                round_index=k,
-            )
-        estimates[k] = est
-        angles.append(est - math.pi / 2.0)
+        estimates[k], clamped[k] = estimate(np.random.default_rng([seed, k]))
+        angles.append(estimates[k] - math.pi / 2.0)
     fisher = np.array([fisher_at(a) for a in angles])
     for arr in (estimates, clamped, fisher):
         arr.setflags(write=False)

@@ -19,6 +19,7 @@ from nsrkit import (
     qfi,
     quadrature,
 )
+from nsrkit import cli, errors
 from nsrkit.cli import main
 from nsrkit.operators import MAX_DIM
 
@@ -452,6 +453,75 @@ class TestNonFiniteInputs:
         proc = run_cold("nsr", "--observable", str(path))
         assert proc.returncode == 2
         assert f"dim {MAX_DIM + 1} exceeds the ceiling" in proc.stderr
+
+
+class TestErrorContract:
+    def test_every_runtime_error_is_numerical(self):
+        defined = [obj for obj in vars(errors).values() if isinstance(obj, type)
+                   and issubclass(obj, RuntimeError) and obj.__module__ == errors.__name__]
+        assert len(defined) > 1  # the base and the errors derived from it
+        assert all(issubclass(cls, errors.NumericalError) for cls in defined)
+
+    def test_cli_imports_only_the_base_errors(self):
+        imported = {name for name, obj in vars(cli).items() if isinstance(obj, type)
+                    and obj.__module__ == errors.__name__}
+        assert imported == {"ContractViolationError", "NumericalError"}
+
+    def test_any_numerical_error_exits_3(self, capsys, monkeypatch):
+        class NewNumericalError(errors.NumericalError):
+            pass
+
+        def fail(args):
+            raise NewNumericalError("no trustworthy number")
+
+        monkeypatch.setattr(cli, "cmd_nsr", fail)
+        assert run_cli(capsys, "nsr") == (3, "", "error: no trustworthy number\n")
+
+
+# Top-level modules that importing nsrkit.cli adds to a bare interpreter's,
+# less the standard library's; site's own imports are already in the bare set.
+NEW_MODULES = """
+import sys
+bare = set(sys.modules)
+import nsrkit.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - bare}
+print(" ".join(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NEW_MODULES], env=env,
+                          capture_output=True, text=True, check=True)
+    assert set(proc.stdout.split()) == {"nsrkit", "numpy"}
+
+
+# Runs qfi --dim 2048 (about 0.8 GB at its peak) with the address space capped
+# 100 MB above what the interpreter holds once nsrkit.cli is imported, so the
+# cap does not depend on how much numpy needs at import.
+OOM_CHILD = """
+import os, resource, sys
+from nsrkit.cli import main
+with open("/proc/self/statm") as fh:
+    limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + 100 * 2**20
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+sys.exit(main(["qfi", "--dim", "2048", "--alpha", "1"]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_out_of_memory_exit_2():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", OOM_CHILD], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 class TestTruncationHint:

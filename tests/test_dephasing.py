@@ -394,6 +394,17 @@ class TestBenchmarks:
         for n in (0.0, 0.5, 3.0, 100.0):
             assert no_squeeze_ratio_bound(n, 0.0) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("fn, args, fragment", [
+        (r_max, (-0.1,), "beta must be >= 0"),
+        (r_opt, (-1.0, 0.3), "N must be >= 0"),
+        (r_opt, (1.0, -0.3), "beta must be >= 0"),
+        (c_q, (-1.0, 0.3), "N must be >= 0"),
+        (no_squeeze_ratio_bound, (-1.0, 0.3), "N must be >= 0"),
+    ], ids=["r_max-beta", "r_opt-N", "r_opt-beta", "c_q-N", "no_squeeze-N"])
+    def test_negative_inputs_rejected(self, fn, args, fragment):
+        with pytest.raises(ContractViolationError, match=fragment):
+            fn(*args)
+
     def test_no_squeeze_bound_monotone(self):
         ns = np.geomspace(0.1, 1e6, 60)
         vals = [no_squeeze_ratio_bound(float(n), 0.63) for n in ns]
@@ -468,12 +479,6 @@ class TestSpecContracts:
     def test_negative_beta(self):
         with pytest.raises(ContractViolationError):
             DiffusionParams(-0.2)
-
-    def test_two_beta_sq_roundtrip(self):
-        d = DiffusionParams.from_two_beta_sq(0.5)
-        assert d.two_beta_sq == pytest.approx(0.5, rel=1e-15)
-        with pytest.raises(ContractViolationError):
-            DiffusionParams.from_two_beta_sq(-0.1)
 
     def test_explicit_probe_dim_respected(self):
         spec = PhaseFamilySpec(GaussianProbeSpec(1.0, 0.0, 32), DiffusionParams(0.1),

@@ -9,6 +9,7 @@ from nsrkit import (
     DegenerateObservableError,
     DensityMatrix,
     DiffusionParams,
+    DimensionMismatchError,
     GaussianProbeSpec,
     NoInformationError,
     Operator,
@@ -20,6 +21,7 @@ from nsrkit import (
     assess_observable,
     calibration_curvature,
     dephasing_family,
+    fock_state,
     gaussian_probe,
     number_operator,
     optimality_residual,
@@ -94,10 +96,13 @@ class TestAssessObservable:
         with pytest.raises(ContractViolationError):
             assess_observable(fam, 7.0, Operator(SIGMA_Y))
 
+    def test_observable_dim_mismatch(self, qubit_family):
+        with pytest.raises(DimensionMismatchError, match="observable dim 3 != family dim 2"):
+            assess_observable(qubit_family, 0.0, number_operator(3))
+
     def test_eigenstate_with_flat_mean(self):
         # Fock-state probe: its number statistics carry no phase signal, and
         # the state is a number eigenstate; nsr = inf without a degeneracy error
-        from nsrkit import DiffusionParams, PhaseFamilySpec, fock_state
         spec = PhaseFamilySpec(fock_state(4, 1), DiffusionParams(0.2), (-1.0, 1.0))
         fam = dephasing_family(spec)
         rep = assess_observable(fam, 0.0, number_operator(4))
@@ -141,6 +146,11 @@ class TestSld:
         with pytest.warns(SupportTruncationWarning):
             sld(rho, drho)
 
+    def test_dim_mismatch(self):
+        rho = DensityMatrix.from_matrix(np.diag([0.5, 0.5]))
+        with pytest.raises(DimensionMismatchError, match="rho dim 2 != drho dim 3"):
+            sld(rho, Operator(np.zeros((3, 3))))
+
     def test_rejects_traceful_drho(self):
         rho = DensityMatrix.from_matrix(np.diag([0.5, 0.5]))
         with pytest.raises(ContractViolationError):
@@ -176,6 +186,11 @@ class TestQfi:
         dr_vec = np.array([-q * math.sin(x), -q * math.cos(x), 0.0])
         assert qfi(fam, x) == pytest.approx(bloch_qfi(r_vec, dr_vec), rel=1e-10)
         assert qfi(fam, x) == pytest.approx(math.exp(-2 * beta**2), rel=1e-10)
+
+    def test_domain_enforced(self, dephased_qubit):
+        fam, _ = dephased_qubit
+        with pytest.raises(ContractViolationError, match="outside family domain"):
+            qfi(fam, 7.0)
 
     def test_flat_family_no_information(self):
         assert qfi(flat_family(), 0.0) == pytest.approx(0.0, abs=1e-14)
@@ -362,6 +377,10 @@ class TestSampleSizeBound:
     def test_no_information(self):
         with pytest.raises(NoInformationError):
             sample_size_bound(flat_family(), 0.0)
+
+    def test_eigenstate_no_information(self):
+        with pytest.raises(NoInformationError, match="eigenstate of h"):
+            pure_unitary_sample_size_bound(number_operator(4), fock_state(4, 2))
 
     @pytest.mark.parametrize("alpha,r", [(1.0, 0.0), (1.0, 0.8), (2.0, 1.0)],
                              ids=["dim-16", "dim-66", "dim-116"])

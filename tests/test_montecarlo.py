@@ -487,6 +487,7 @@ class TestAdaptiveCalibrate:
         fisher = analytic_fnsr(0.0, 1.0, 0.3)
         sigma = 1.0 / math.sqrt(20000 * fisher)
         assert all(abs(e - phi_true) <= 5 * sigma for e in ests)
+        assert all(dephasing_family(spec).contains(e) for e in ests)
         assert not clamped.any()
 
     def test_offset_start_improves_fisher(self):
@@ -506,6 +507,7 @@ class TestAdaptiveCalibrate:
         for seed in range(20):
             ests, _, fisher, optimal = adaptive_calibrate(spec, phi_true, batch=2000,
                                                           rounds=rounds, seed=seed)
+            assert all(fam.contains(e) for e in ests)
             expected = [f_initial]
             for k, est in enumerate(ests):
                 m = quadrature(est - math.pi / 2, spec.dim)
@@ -531,6 +533,7 @@ class TestAdaptiveCalibrate:
             except EstimatorDivergenceError as exc:
                 assert exc.round_index is not None
                 continue
+            assert all(fam.contains(e) for e in ests)
             m = quadrature(ests[-1] - math.pi / 2, spec.dim)
             assert assess_observable(fam, phi_true, m).fisher >= 0.95 * f_opt
 
@@ -539,8 +542,13 @@ class TestAdaptiveCalibrate:
         spec = case_study_spec(phi_true=0.0)
         ests, clamped, fisher, _ = adaptive_calibrate(spec, 0.0, batch=1, rounds=2, seed=2)
         assert clamped.tolist() == [False, True]
+        assert all(dephasing_family(spec).contains(e) for e in ests)
         assert ests.shape == (2,) and fisher.shape == (3,)
         assert not any(a.flags.writeable for a in (ests, clamped, fisher))
+
+    def test_phi_true_outside_domain(self):
+        with pytest.raises(ContractViolationError, match="phi_true 4.7 outside"):
+            adaptive_calibrate(case_study_spec(), 0.7 + 4.0, batch=10, rounds=1, seed=0)
 
     def test_one_eigensolve_per_call(self, monkeypatch):
         # every round reads its Born distribution from one model of X_0

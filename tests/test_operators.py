@@ -397,6 +397,15 @@ class TestTypeContracts:
         with pytest.raises(InvalidDimensionError):
             Operator(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("build, fragment", [
+        (lambda: Operator(np.zeros((0, 0))), "empty matrix"),
+        (lambda: StateVector(np.zeros(0)), "empty state vector"),
+        (lambda: number_operator(1), "number operator needs dim >= 2, got 1"),
+    ], ids=["empty-matrix", "empty-state", "number-operator-dim-1"])
+    def test_too_small_rejected(self, build, fragment):
+        with pytest.raises(InvalidDimensionError, match=fragment):
+            build()
+
     def test_fock_state_index_range(self):
         with pytest.raises(InvalidDimensionError):
             fock_state(4, 4)
