@@ -153,6 +153,8 @@ def load_observable(path: str) -> Operator:
     if len(tokens) < 2 or tokens[0] != "dim":
         raise ValueError(f"{path}: expected header 'dim <n>'")
     n = check_dim(int(tokens[1]))
+    if n < 1:
+        raise ValueError(f"{path}: header 'dim {tokens[1]}' must name a dim >= 1")
     entries = tokens[2:]
     if len(entries) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(entries)}")

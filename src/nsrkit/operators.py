@@ -31,6 +31,8 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-10
 LEAKAGE_TOL = 1e-8
+# The policy's truncation: the smallest dim whose exact leakage is at most this.
+TAIL_TARGET = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 # Largest truncation dimension accepted from the policy or a command line. A
 # dense complex matrix at this size is 64 MiB; the heaviest command here,
@@ -180,23 +182,22 @@ class GaussianProbeSpec:
 
 
 def default_truncation_dim(alpha: float, r: float) -> int:
-    """Truncation policy targeting tail mass below 1e-9 for alpha <= 2, r <= 1.
-
-    The squeezed-vacuum number tail decays geometrically like (tanh^2 r)^(n/2)
-    until far past the mean, so the cutoff must scale with 1/(-ln tanh|r|);
-    displacement along the anti-squeezed axis adds roughly alpha^2 e^{2|r|}.
-    Above MAX_DIM, which GaussianProbeSpec rejects, the tail term is left out.
-    """
+    """The smallest dim >= 16 whose exact leakage 1 - sum_{n<dim} c_n^2 is at
+    most TAIL_TARGET, running the recurrence of gaussian_probe only that far;
+    else MAX_DIM if it holds the probe within LEAKAGE_TOL, else
+    InvalidDimensionError. A vacuum amplitude that underflows is reported first."""
     for name, value in (("alpha", alpha), ("r", r)):
         if not math.isfinite(value):
             raise ContractViolationError(f"{name} must be finite, got {value}")
-    n = alpha**2 + math.sinh(r) ** 2
-    dim = max(16, math.ceil(8.0 * (n + 1.0)))
-    # Up to the ceiling |r| < 3.5, so tanh|r| < 1 and its log is nonzero.
-    if r != 0.0 and dim <= MAX_DIM:
-        squeeze_tail = 20.75 / (-math.log(math.tanh(abs(r))))
-        dim = max(dim, math.ceil(squeeze_tail + alpha**2 * math.exp(2 * abs(r)) + 10))
-    return dim
+    leakage = 1.0
+    for dim, c in enumerate(_amplitudes(GaussianProbeSpec(alpha, r, MAX_DIM)), 1):
+        leakage -= c * c
+        if dim >= 16 and leakage <= TAIL_TARGET:
+            return dim
+    if leakage > LEAKAGE_TOL:
+        raise InvalidDimensionError(
+            f"no truncation up to the ceiling MAX_DIM = {MAX_DIM} holds alpha={alpha}, r={r}")
+    return MAX_DIM
 
 
 def check_dim(dim: int) -> int:
@@ -236,40 +237,36 @@ def fock_state(dim: int, n: int) -> StateVector:
     return StateVector(v)
 
 
+def _amplitudes(spec: GaussianProbeSpec):
+    """c_0, ..., c_{dim-1} by the recurrence of gaussian_probe, from spec.vacuum_amplitude."""
+    drive = spec.alpha * (math.exp(-spec.r) / math.cosh(spec.r))  # alpha (1 - tanh r)
+    tanh = math.tanh(spec.r)
+    c, prev = spec.vacuum_amplitude, 0.0
+    for n in range(spec.dim):
+        yield c
+        c, prev = (drive * c + tanh * math.sqrt(n) * prev) / math.sqrt(n + 1), c
+
+
 def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
     """D(alpha) S(r)|0>, S = exp(r (a^dag^2 - a^2)/2), on the first spec.dim
     Fock states, from the recurrence that its annihilator
     a cosh r - a^dag sinh r - alpha e^{-r} gives (Yuen, PRA 13, 2226 (1976)):
 
-        sqrt(n+1) cosh(r) c_{n+1} = alpha e^{-r} c_n + sqrt(n) sinh(r) c_{n-1},
-        c_0 = exp(-alpha^2 (1 - tanh r)/2) / sqrt(cosh r).
+        sqrt(n+1) cosh(r) c_{n+1} = alpha e^{-r} c_n + sqrt(n) sinh(r) c_{n-1}.
 
     The leakage 1 - sum_{n<dim} c_n^2 is exact. Raises TruncationError if it
-    exceeds LEAKAGE_TOL, with a larger dimension up to MAX_DIM to try, or
-    with suggested_dim None at MAX_DIM itself; the spec has already checked
-    that c_0 does not underflow.
+    exceeds LEAKAGE_TOL, with default_truncation_dim as the dim to try, or
+    with suggested_dim None when no truncation up to MAX_DIM holds the probe.
     """
-    alpha, r = spec.alpha, spec.r
-    c = np.empty(spec.dim)
-    c[0] = spec.vacuum_amplitude
-    drive = alpha * (math.exp(-r) / math.cosh(r))  # alpha (1 - tanh r), without cancellation
-    tanh = math.tanh(r)
-    sqrt_n = np.sqrt(np.arange(spec.dim))
-    prev = 0.0
-    for n in range(spec.dim - 1):
-        c[n + 1] = (drive * c[n] + tanh * sqrt_n[n] * prev) / sqrt_n[n + 1]
-        prev = c[n]
+    c = np.fromiter(_amplitudes(spec), float, spec.dim)
     leakage = 1.0 - float(c @ c)
     if leakage > LEAKAGE_TOL:
         lost = f"projection to dim={spec.dim} loses {leakage:.3e} of the norm; "
-        if spec.dim == MAX_DIM:
+        try:
+            suggested = default_truncation_dim(spec.alpha, spec.r)
+        except InvalidDimensionError:
             raise TruncationError(
-                lost + f"no truncation up to MAX_DIM = {MAX_DIM} holds the probe"
-            )
-        suggested = default_truncation_dim(alpha, r)
-        if suggested <= spec.dim:
-            suggested = 2 * spec.dim
-        suggested = min(suggested, MAX_DIM)
+                lost + f"no truncation up to MAX_DIM = {MAX_DIM} holds the probe") from None
         raise TruncationError(lost + f"try dim >= {suggested}", suggested_dim=suggested)
     return StateVector(c / np.linalg.norm(c))
 

@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Mutation check of the numerics: each mutant must fail its tests.
+
+Run from the repository root:
+
+    python tests/mutation_check.py
+
+Each entry of MUTANTS names a file under src/, an exact piece of its text, the
+text that replaces it and the tests that must catch the change. For each
+entry the script copies src/ to a temporary directory, applies the one
+replacement (the old text must occur exactly once, so a refactor that moves a
+formula fails the script rather than skipping the entry) and runs the tests
+with `pytest -x -q` against the copy. The unmutated copy must pass every
+selection first. A mutant whose tests pass has survived, and the script
+exits 1. Only the standard library is used; pytest runs in a subprocess.
+The name does not match test_*, so the tier-1 suite does not collect it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (file under src/, old text, new text, pytest selection)
+MUTANTS = [
+    ("nsrkit/estimation.py",
+     "np.divide(2.0 * d_eig, pair_sums",
+     "np.divide(d_eig, pair_sums",
+     ["tests/test_estimation.py"]),
+    ("nsrkit/dephasing.py",
+     "diffusion_noise = -math.expm1(-4.0 * beta**2)",
+     "diffusion_noise = -math.expm1(-1.1 * 4.0 * beta**2)",
+     ["tests/test_invariants.py"]),
+    ("nsrkit/dephasing.py",
+     "decay = np.exp(-(beta**2) * _delta_n",
+     "decay = np.exp(-1.01 * (beta**2) * _delta_n",
+     ["tests/test_invariants.py"]),
+    ("nsrkit/operators.py",
+     "ph = np.exp(-1j * phi * np.arange(self.dim))",
+     "ph = np.exp(1j * phi * np.arange(self.dim))",
+     ["tests/test_operators.py", "tests/test_dephasing.py"]),
+    ("nsrkit/montecarlo.py",
+     "fam.state_at(phi_true - theta)",
+     "fam.state_at(phi_true + theta)",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/operators.py",
+     "TAIL_TARGET = 1e-12",
+     "TAIL_TARGET = 1e-11",
+     ["tests/test_operators.py", "tests/test_estimation.py"]),
+    ("nsrkit/operators.py",
+     "if dim >= 16 and leakage <= TAIL_TARGET:",
+     "if leakage <= TAIL_TARGET:",
+     ["tests/test_operators.py"]),
+    ("nsrkit/operators.py",
+     "if leakage > LEAKAGE_TOL:\n        raise InvalidDimensionError(",
+     "if True:\n        raise InvalidDimensionError(",
+     ["tests/test_operators.py"]),
+]
+
+
+def run_tests(src: str, selection: list[str]) -> subprocess.CompletedProcess:
+    """pytest on the copy, from its temporary directory, so that no example
+    database or cache a mutant leaves behind reaches the repository."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    tests = [os.path.join(ROOT, test) for test in selection]
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=os.path.dirname(src), env=env,
+                          capture_output=True, text=True)
+
+
+def fresh_copy(tmp: str) -> str:
+    src = os.path.join(tmp, "src")
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def mutate(src: str, rel: str, old: str, new: str) -> None:
+    path = os.path.join(src, rel)
+    with open(path) as fh:
+        text = fh.read()
+    count = text.count(old)
+    if count != 1:
+        raise SystemExit(f"{rel}: expected the text to mutate once, found it {count} times: {old!r}")
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = fresh_copy(tmp)
+        selections = sorted({test for *_, selection in MUTANTS for test in selection})
+        proc = run_tests(src, selections)
+        if proc.returncode != 0:
+            print(proc.stdout[-2000:])
+            print("the unmutated source fails the selected tests")
+            return 1
+        for rel, old, new, selection in MUTANTS:
+            src = fresh_copy(tmp)
+            mutate(src, rel, old, new)
+            start = time.perf_counter()
+            proc = run_tests(src, selection)
+            if proc.returncode not in (0, 1):  # 1: tests failed; any other code is an error
+                print(proc.stdout[-2000:] + proc.stderr[-2000:])
+                raise SystemExit(f"pytest exited {proc.returncode} on the mutant of {rel}")
+            status = "killed" if proc.returncode == 1 else "SURVIVED"
+            print(f"{status:8} {time.perf_counter() - start:6.1f} s  {rel}: {old!r} -> {new!r}")
+            if proc.returncode == 0:
+                survivors.append(rel)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -163,6 +163,15 @@ class TestNsrCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [("nsr", "--observable"), ("qfi", "--family", "pure", "--h")],
+                             ids=["nsr", "qfi-pure"])
+    def test_negative_dim_observable_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "neg.txt"
+        path.write_text("dim -2\n1 2 3 4\n")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: header 'dim -2' must name a dim >= 1\n"
+
     def test_non_hermitian_observable_file(self, capsys, tmp_path):
         path = tmp_path / "nonherm.txt"
         path.write_text("dim 2\n0 1 0 0\n")
@@ -432,10 +441,12 @@ class TestNonFiniteInputs:
         assert proc.stderr.startswith("error:")
         assert proc.stdout == ""
 
+    # dim None: the policy finds no truncation up to MAX_DIM that holds the
+    # probe, and the message names no dim above it
     @pytest.mark.parametrize("argv, dim", [
-        (("nsr", "--alpha", "37.5"), 11258),
-        (("mc", "--r", "3"), 4599),
-        (("scan", "--numeric", "--grid-alpha", "1:20:2"), 3208),
+        (("nsr", "--alpha", "5", "--r", "2.7"), None),
+        (("mc", "--r", "3"), None),
+        (("scan", "--numeric", "--grid-r", "0:3:2"), None),
         (("nsr", "--dim", "5000"), 5000),
         (("qfi", "--family", "pure", "--state", "fock:5000"), 10002),
     ], ids=["nsr-alpha-policy", "mc-r-policy", "scan-grid-policy", "nsr-dim-flag",
@@ -444,7 +455,11 @@ class TestNonFiniteInputs:
         proc = run_cold(*argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert f"dim {dim} exceeds the ceiling MAX_DIM = {MAX_DIM}" in proc.stderr
+        if dim is None:
+            assert f"no truncation up to the ceiling MAX_DIM = {MAX_DIM}" in proc.stderr
+            assert max(map(int, re.findall(r"\d+", proc.stderr))) == MAX_DIM
+        else:
+            assert f"dim {dim} exceeds the ceiling MAX_DIM = {MAX_DIM}" in proc.stderr
         assert proc.stdout == ""
 
     def test_observable_file_above_ceiling_exit_2(self, tmp_path):
@@ -526,8 +541,8 @@ def test_out_of_memory_exit_2():
 
 class TestTruncationHint:
     def test_hint_capped_at_ceiling(self, capsys):
-        # the policy dim of alpha = 30 is 7208, above the ceiling
-        code, out, err = run_cli(capsys, "nsr", "--alpha", "30", "--dim", "16")
+        # no dim up to MAX_DIM meets TAIL_TARGET; MAX_DIM holds it within LEAKAGE_TOL
+        code, out, err = run_cli(capsys, "nsr", "--alpha", "0", "--r", "2.7", "--dim", "100")
         assert code == 3
         assert err.rstrip().endswith(f"try dim >= {MAX_DIM}")
         assert out == ""
@@ -540,7 +555,7 @@ class TestTruncationHint:
         assert json.loads(out)["dim"] == int(hint)
 
     def test_no_hint_at_ceiling(self, capsys):
-        # the policy asks for 8372 levels; 2048 still lose 8.7e-4 of the norm
+        # 2048 levels still lose 8.7e-4 of the norm, so the policy is above the ceiling
         code, out, err = run_cli(capsys, "nsr", "--r", "3.3", "--dim", str(MAX_DIM))
         assert code == 3
         assert f"no truncation up to MAX_DIM = {MAX_DIM} holds the probe" in err

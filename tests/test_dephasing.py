@@ -192,8 +192,8 @@ class TestPositiveByConstruction:
 
     @pytest.mark.parametrize("alpha, r, beta, dim", [
         (1.0, 0.0, 0.3, None),   # case-study point, dim 16
-        (0.3, 0.8, 0.1, None),   # dim 62
-        (2.0, 1.0, 0.3, None),   # dim 116
+        (0.3, 0.8, 0.1, None),   # dim 66
+        (2.0, 1.0, 0.3, None),   # dim 134
         (0.0, 1.2, 0.8, 256),
         (1.0, 1.5, 0.05, 512),
         (4.0, 0.0, 0.0, 512),

@@ -177,6 +177,16 @@ class TestQfi:
             assert qfi(fam, float(rng.normal())) == pytest.approx(expected, rel=1e-9)
             assert pure_unitary_qfi(h, psi) == pytest.approx(expected, rel=1e-12)
 
+    def test_pure_coherent_at_policy_dim(self):
+        # the benchmark's qfi_pure check: 4 a^2 to 1e-9 relative, for a in
+        # [0.5, 2]; the probe's tail beyond the policy dim sets the error
+        worst = 0.0
+        for a in np.linspace(0.5, 2.0, 61):
+            psi = gaussian_probe(GaussianProbeSpec.with_default_dim(a, 0.0))
+            q = qfi(pure_unitary_family(number_operator(psi.dim), psi), 0.0)
+            worst = max(worst, abs(q - 4.0 * a * a) / (4.0 * a * a))
+        assert worst <= 1e-9
+
     def test_dephased_qubit_bloch_oracle(self, dephased_qubit):
         fam, beta = dephased_qubit
         q = math.exp(-beta**2)
@@ -395,7 +405,7 @@ class TestCalibrationCost:
 
     @pytest.mark.parametrize("alpha,r,beta,dim,bound", [
         (1.0, 0.0, 0.3, 16, 0.19387),
-        (1.0, 0.8, 0.1, 66, 0.82705),
+        (1.0, 0.8, 0.1, 78, 0.82705),
     ], ids=["case-point", "squeezed"])
     def test_fisher_loss_approaches_bound(self, alpha, r, beta, dim, bound):
         fam = dephasing_family(fock_dephasing_spec(alpha, r, beta))

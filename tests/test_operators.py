@@ -127,12 +127,21 @@ class TestGaussianProbe:
         assert exc.value.suggested_dim > 16
 
     def test_suggested_dim_capped_at_ceiling(self):
-        # the policy dim is 7208; the probe fits in MAX_DIM
-        assert default_truncation_dim(30.0, 0.0) > MAX_DIM
+        # no dim up to MAX_DIM holds this probe to TAIL_TARGET, but MAX_DIM
+        # holds it within LEAKAGE_TOL, so the hint is MAX_DIM and it runs
         with pytest.raises(TruncationError) as exc:
-            gaussian_probe(GaussianProbeSpec(30.0, 0.0, 16))
+            gaussian_probe(GaussianProbeSpec(0.0, 2.7, 100))
         assert exc.value.suggested_dim == MAX_DIM
-        gaussian_probe(GaussianProbeSpec(30.0, 0.0, exc.value.suggested_dim))
+        gaussian_probe(GaussianProbeSpec(0.0, 2.7, exc.value.suggested_dim))
+        assert default_truncation_dim(0.0, 2.6) == MAX_DIM
+
+    def test_no_suggested_dim_above_ceiling(self):
+        # MAX_DIM does not hold this probe, so no hint can lead to a run
+        with pytest.raises(TruncationError, match="no truncation up to MAX_DIM") as exc:
+            gaussian_probe(GaussianProbeSpec(0.0, 3.0, 100))
+        assert exc.value.suggested_dim is None
+        with pytest.raises(TruncationError, match="no truncation up to MAX_DIM"):
+            gaussian_probe(GaussianProbeSpec(0.0, 3.0, MAX_DIM))
 
     def test_no_suggested_dim_at_ceiling(self):
         with pytest.raises(TruncationError, match="no truncation up to MAX_DIM") as exc:
@@ -150,7 +159,7 @@ class TestGaussianProbe:
             GaussianProbeSpec(math.inf, 0.0, 16)
 
 
-# (alpha, r) over both signs of each, at the policy dimension (16 to 239).
+# (alpha, r) over both signs of each, at the policy dimension (16 to 281).
 PROBE_SPECS = [
     (0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (3.0, 0.0), (0.0, 0.3), (0.0, -0.7),
     (1.0, 0.5), (-1.0, 0.3), (0.5, -0.7), (2.0, -0.5), (1.0, 0.8), (2.0, 1.0),
@@ -198,6 +207,20 @@ class TestGaussianProbeReference:
         psi = gaussian_probe(GaussianProbeSpec(0.0, r, dim))
         expected = normalized(squeezed_vacuum_amplitudes(r, dim))
         np.testing.assert_allclose(psi.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha, r", [
+        (0.5, 0.0), (2.0, 0.0), (-3.0, 0.0), (10.0, 0.0),
+        (0.0, 0.3), (0.0, -0.7), (0.0, 1.2), (0.0, 1.5),
+    ])
+    def test_policy_dim_is_minimal(self, alpha, r):
+        # the closed form's tail beyond d, summed directly; the 10% band allows
+        # for the policy's running 1 - sum c_n^2 rounding differently
+        d = default_truncation_dim(alpha, r)
+        c = coherent_amplitudes(alpha, 4 * d) if r == 0.0 else squeezed_vacuum_amplitudes(r, 4 * d)
+        tail = np.cumsum((c * c)[::-1])[::-1]  # tail[k] = sum_{n >= k} c_n^2
+        assert tail[d] <= 1.1e-12
+        if d > 16:
+            assert tail[d - 1] > 0.9e-12
 
     @pytest.mark.parametrize("c, spec", [
         (coherent_amplitudes(2.0, 12), GaussianProbeSpec(2.0, 0.0, 12)),
@@ -361,9 +384,9 @@ class TestTypeContracts:
                 m[0, 0] = 5.0
 
     def test_default_truncation_dim_floor(self):
-        assert default_truncation_dim(0.0, 0.0) == 16
-        assert default_truncation_dim(2.0, 0.0) == 40  # 8 (N+1) with N = 4
-        assert default_truncation_dim(1.0, 0.8) > 40  # squeezed tail dominates
+        assert default_truncation_dim(0.0, 0.0) == 16  # the vacuum fits in one level
+        assert default_truncation_dim(2.0, 0.0) == 26  # coherent tail 1e-12 at 26 levels
+        assert default_truncation_dim(1.0, 0.8) > 26  # the squeezed tail is longer
 
     @pytest.mark.parametrize("alpha, r, name", [
         (math.inf, 0.0, "alpha"), (math.nan, 0.0, "alpha"), (1.0, math.nan, "r"),
@@ -372,15 +395,17 @@ class TestTypeContracts:
         with pytest.raises(ContractViolationError, match=f"{name} must be finite"):
             default_truncation_dim(alpha, r)
 
-    @pytest.mark.parametrize("alpha, r, dim", [
-        (37.5, 0.0, 11258), (16.0, 0.0, 2056), (1.0, 3.0, 4599), (1.0, 20.0, None),
+    @pytest.mark.parametrize("alpha, r", [
+        (37.5, 1.5), (16.0, 2.5), (1.0, 3.0), (1.0, 20.0),
     ], ids=["alpha-37.5", "alpha-16", "r-3", "r-20-tanh-one"])
-    def test_policy_dim_above_ceiling(self, alpha, r, dim):
-        # at r = 20, tanh r rounds to 1, where the squeeze tail would divide by zero
-        if dim is not None:
-            assert default_truncation_dim(alpha, r) == dim
-        with pytest.raises(InvalidDimensionError, match=f"ceiling MAX_DIM = {MAX_DIM}"):
+    def test_policy_dim_above_ceiling(self, alpha, r):
+        # displacement along the anti-squeezed axis lengthens the tail; at
+        # r = 20, tanh r rounds to 1 and the amplitudes never sum to 1
+        with pytest.raises(InvalidDimensionError, match=f"ceiling MAX_DIM = {MAX_DIM}") as exc:
             GaussianProbeSpec.with_default_dim(alpha, r)
+        assert max(map(int, re.findall(r"\d+", str(exc.value)))) == MAX_DIM
+        with pytest.raises(TruncationError, match="no truncation up to MAX_DIM"):
+            gaussian_probe(GaussianProbeSpec(alpha, r, MAX_DIM))
 
     def test_underflow_reported_before_ceiling(self):
         # no dimension holds this probe, so the underflow is the error to report
