@@ -100,7 +100,6 @@ def _emit(text: str, out: str | None):
 def _report_text(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_json_ready(report), indent=2, sort_keys=True) + "\n"
-    buf = io.StringIO()
     flat = {}
     for key, value in _json_ready(report).items():  # a nested record becomes key_sub columns
         if isinstance(value, dict):
@@ -108,10 +107,7 @@ def _report_text(report: dict, fmt: str) -> str:
         else:
             flat[key] = value
     keys = sorted(flat)
-    writer = csv.writer(buf)
-    writer.writerow(keys)
-    writer.writerow([flat[k] for k in keys])
-    return buf.getvalue()
+    return _csv_text(keys, [[flat[k] for k in keys]])
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -211,12 +207,12 @@ def _probe_header(spec: PhaseFamilySpec, phi_true: float) -> dict:
 
 def cmd_qfi(args) -> int:
     if args.family == "pure":
-        if os.path.exists(args.h):
-            h = load_observable(args.h)
-            psi = _parse_state(args.state, h.dim if args.dim is None else args.dim)
-        elif args.h == "number":
+        if args.h == "number":
             psi = _parse_state(args.state, args.dim)
             h = number_operator(psi.dim)
+        elif os.path.exists(args.h):
+            h = load_observable(args.h)
+            psi = _parse_state(args.state, h.dim if args.dim is None else args.dim)
         else:
             raise ValueError(f"unknown generator '{args.h}' (not 'number' or a file)")
         fam = pure_unitary_family(h, psi)

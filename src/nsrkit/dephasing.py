@@ -53,9 +53,9 @@ class PhaseFamilySpec:
     def __post_init__(self):
         lo, hi = self.phi_domain
         if not (hi > lo):
-            raise ContractViolationError("phi_domain must be a nonempty interval")
+            raise ContractViolationError(f"phi_domain ({lo}, {hi}) must be a nonempty interval")
         if hi - lo > math.tau + 1e-12:
-            raise ContractViolationError("phi_domain wider than one phase period")
+            raise ContractViolationError(f"phi_domain ({lo}, {hi}) wider than one phase period")
 
     @property
     def dim(self) -> int:
@@ -306,19 +306,17 @@ def _golden_max(fun, lo: float, hi: float) -> float:
 
 
 def max_enhancement_ratio(beta: float) -> tuple[float, float]:
-    """Max over N of optimal_fnsr/c_q at fixed beta, refined by golden-section
-    search in log N around the best point of DEFAULT_N_GRID. Returns
+    """Max over N of optimal_fnsr/c_q at fixed beta: one golden-section
+    search in log N over the whole range of DEFAULT_N_GRID, on which the ratio
+    is unimodal (its slope changes sign at most once). Where it still rises
+    at the range end, the search converges to that end. Returns
     (max_ratio, argmax_N)."""
 
     def ratio_log(u: float) -> float:
         n = math.exp(u)
         return optimal_fnsr(n, beta) / c_q(n, beta)
 
-    ratios = [optimal_fnsr(float(n), beta) / c_q(float(n), beta) for n in DEFAULT_N_GRID]
-    k = int(np.argmax(ratios))
-    lo = math.log(DEFAULT_N_GRID[max(k - 1, 0)])
-    hi = math.log(DEFAULT_N_GRID[min(k + 1, DEFAULT_N_GRID.size - 1)])
-    u_star = _golden_max(ratio_log, lo, hi)
+    u_star = _golden_max(ratio_log, math.log(DEFAULT_N_GRID[0]), math.log(DEFAULT_N_GRID[-1]))
     return ratio_log(u_star), math.exp(u_star)
 
 

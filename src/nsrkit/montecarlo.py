@@ -9,10 +9,12 @@ an exact cosine in x, so two exact means fix the curve and the inversion is an
 arccos. An estimate outside the curve's window is clamped to it and flagged;
 the flags are data, returned with the estimates. Across repeats,
 nu * Var(x_hat) must approach the squared noise-to-sensibility ratio, and an
-adaptive loop re-centers the quadrature angle each round and scores each
-angle's Fisher value. Both loops draw and invert through the same measurement
-step and one Born model per run: X_theta = D X_0 D^dag with D = e^{-i theta n},
-so X_0's eigenbasis at the shifted phase serves every angle.
+adaptive loop re-centers on each round's estimate and scores each round's
+Fisher value. Both loops draw and invert through the same measurement step,
+keyed by the phase it is calibrated for: the quadrature angle and the window
+start are both phase - pi/2. They share one Born model per run:
+X_theta = D X_0 D^dag with D = e^{-i theta n}, so X_0's eigenbasis at the
+shifted phase serves every angle.
 """
 
 from __future__ import annotations
@@ -184,13 +186,16 @@ def invert_mean(curve: CalibrationCurve, observed_mean: float) -> tuple[float, b
     return estimate, estimate != x or abs(observed_mean) > abs(amplitude)
 
 
-def _measurement(fam: ParamFamily, model, theta: float, start: float, phi_true: float, nu: int):
-    """The step run_trials and adaptive_calibrate share: the calibration curve
-    of X_theta = quadrature(theta) from start, and the guide table of its Born
-    distribution at rho(phi_true), which is model's (of X_0) at
-    rho(phi_true - theta), as X_theta = D X_0 D^dag with D = e^{-i theta n}.
+def _measurement(fam: ParamFamily, model, phase: float, phi_true: float, nu: int):
+    """The step run_trials and adaptive_calibrate share, calibrated for phase:
+    with theta = phase - pi/2, the calibration curve of X_theta =
+    quadrature(theta) from start theta, so its window is centered on phase,
+    and the guide table of its Born distribution at rho(phi_true), which is
+    model's (of X_0) at rho(phi_true - theta), as X_theta = D X_0 D^dag with
+    D = e^{-i theta n}.
     Returns rng -> invert_mean of the mean of nu draws from rng."""
-    curve = build_curve(fam, quadrature(theta, fam.dim), start)
+    theta = phase - math.pi / 2.0
+    curve = build_curve(fam, quadrature(theta, fam.dim), theta)
     table = _GuideTable(model.probabilities(fam.state_at(phi_true - theta)), nu)
 
     def estimate(rng: np.random.Generator) -> tuple[float, bool]:
@@ -232,8 +237,9 @@ def mean_inversion_condition(report: SensitivityReport, nu: int) -> tuple[float,
 
 def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> TrialRun:
     """Repeat the full protocol: draw nu outcomes at rho(phi_true), average,
-    invert the calibration curve. Returns one TrialRun with every estimate
-    and the spread of the estimates.
+    invert the calibration curve. The measurement is calibrated for phi_true:
+    the quadrature at phi_true - pi/2, inverted on a window centered on phi_true.
+    Returns one TrialRun with every estimate and the spread of the estimates.
 
     Per-repeat RNG streams derive from (seed, repeat index), so repeats are
     order-independent and the whole run is reproducible bit for bit.
@@ -245,15 +251,10 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
     fam = dephasing_family(spec)
     if not fam.contains(phi_true):
         raise ContractViolationError(f"phi_true {phi_true} outside {fam.domain}")
-    phi_exp = optimal_calibration(phi_true)
-    m = quadrature(phi_exp, fam.dim)
-    report = assess_observable(fam, phi_true, m)
+    report = assess_observable(fam, phi_true, quadrature(optimal_calibration(phi_true), fam.dim))
     delta_m, threshold, ok = mean_inversion_condition(report, nu)
-    # phi_exp is wrapped into (-pi, pi]; the window starts at its 2pi image
-    # whose midpoint is phi_true.
-    start = phi_exp + math.tau * round((phi_true - math.pi / 2 - phi_exp) / math.tau)
     model = MeasurementModel.from_observable(quadrature(0.0, fam.dim))
-    estimate = _measurement(fam, model, phi_exp, start, phi_true, nu)
+    estimate = _measurement(fam, model, phi_true, phi_true, nu)
     estimates = np.empty(repeats)
     clamped = np.empty(repeats, dtype=bool)
     for k in range(repeats):
@@ -276,13 +277,14 @@ def adaptive_calibrate(
     rounds: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Adaptive loop: measure a batch at the current quadrature angle, invert
-    for phi_hat, re-center the angle to phi_hat - pi/2, repeat.
+    """Adaptive loop: measure a batch calibrated for the current phase,
+    invert for phi_hat, make phi_hat the next phase, repeat.
 
-    Starts at the domain midpoint minus pi/2. Returns read-only (estimates,
-    clamped, fisher) and optimal_fisher: per round the estimate and clamp
-    flag; the Fisher value at phi_true_hidden of each round's angle and of the
-    last re-centered one (rounds + 1); that of optimal_calibration. Raises
+    The first phase is the domain midpoint; each phase p is measured with the
+    quadrature at p - pi/2. Returns read-only (estimates, clamped, fisher) and
+    optimal_fisher: per round the estimate and clamp flag; the Fisher value
+    at phi_true_hidden of each round's quadrature and of the last re-centered
+    one (rounds + 1); that of optimal_calibration. Raises
     EstimatorDivergenceError (carrying the round index) if the inversion
     window leaves the domain.
     """
@@ -299,19 +301,19 @@ def adaptive_calibrate(
     def fisher_at(angle: float) -> float:
         return assess_observable(fam, phi_true_hidden, quadrature(angle, fam.dim)).fisher
 
-    angles = [(domain[0] + domain[1]) / 2.0 - math.pi / 2.0]
+    phases = [(domain[0] + domain[1]) / 2.0]
     estimates = np.empty(rounds)
     clamped = np.empty(rounds, dtype=bool)
     for k in range(rounds):
         try:
-            estimate = _measurement(fam, model, angles[k], angles[k], phi_true_hidden, batch)
+            estimate = _measurement(fam, model, phases[k], phi_true_hidden, batch)
         except (EstimatorDivergenceError, NonInvertibleCurveError) as exc:
             raise EstimatorDivergenceError(
                 f"calibration window unusable at round {k}: {exc}", round_index=k
             ) from exc
         estimates[k], clamped[k] = estimate(np.random.default_rng([seed, k]))
-        angles.append(estimates[k] - math.pi / 2.0)
-    fisher = np.array([fisher_at(a) for a in angles])
+        phases.append(estimates[k])
+    fisher = np.array([fisher_at(p - math.pi / 2.0) for p in phases])
     for arr in (estimates, clamped, fisher):
         arr.setflags(write=False)
     return estimates, clamped, fisher, fisher_at(optimal_calibration(phi_true_hidden))

@@ -59,6 +59,26 @@ MUTANTS = [
      "if leakage > LEAKAGE_TOL:\n        raise InvalidDimensionError(",
      "if True:\n        raise InvalidDimensionError(",
      ["tests/test_operators.py"]),
+    ("nsrkit/dephasing.py",
+     "DEFAULT_N_GRID[-1]",
+     "DEFAULT_N_GRID[-2]",
+     ["tests/test_dephasing.py"]),
+    ("nsrkit/dephasing.py",
+     "DEFAULT_N_GRID[0]",
+     "DEFAULT_N_GRID[100]",
+     ["tests/test_dephasing.py"]),
+    ("nsrkit/montecarlo.py",
+     "phase - math.pi / 2.0",
+     "phase + math.pi / 2.0",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "phases.append(estimates[k])",
+     "phases.append(phases[k])",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "fisher_at(p - math.pi / 2.0)",
+     "fisher_at(p)",
+     ["tests/test_montecarlo.py"]),
 ]
 
 

@@ -91,6 +91,15 @@ class TestQfiCommand:
         assert code == 0
         assert json.loads(out)["qfi"] == pytest.approx(4.0, rel=1e-6)
 
+    def test_number_generator_ignores_file_named_number(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "number").write_text("dim 2\n1 0 0 -1\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "qfi", "--family", "pure", "--state", "coherent:1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["generator"] == "number"
+        assert report["dim"] == 16
+
     @pytest.mark.parametrize("argv, family", [
         (("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
          lambda: dephasing_family(fock_dephasing_spec(1.0, 0.0, 0.3))),
@@ -399,6 +408,21 @@ class TestNonFiniteInputs:
         assert "Traceback" not in proc.stderr
         assert f"{name} must be finite" in proc.stderr
         assert proc.stdout == ""
+
+    # the domain phi_true +- pi rounds to a bad interval at these values; the
+    # message shows the interval, as the user never set a domain
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "phi_domain (nan, nan) must be a nonempty interval"),
+        ("inf", "phi_domain (inf, inf) must be a nonempty interval"),
+        ("1e300", "phi_domain (1e+300, 1e+300) must be a nonempty interval"),
+        ("1e16", "phi_domain (9999999999999996.0, 1.0000000000000004e+16) wider than one "
+                 "phase period"),
+    ], ids=["nan", "inf", "1e300", "1e16"])
+    def test_phi_true_bad_domain_exit_2(self, capsys, value, message):
+        code, out, err = run_cli(capsys, "nsr", "--phi-true", value)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ("nsr", "--beta", "1e200", "--dim", "16"),

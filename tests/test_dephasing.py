@@ -440,6 +440,26 @@ class TestEnhancementScan:
         vals = [max_enhancement_ratio(math.sqrt(t / 2))[0] for t in tbs_grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_max_ratio_is_one_search_over_a_unimodal_range(self):
+        # max_enhancement_ratio searches the whole N range of the Fig. 2 grid
+        # without a bracket, which holds only if the ratio is unimodal in log N
+        n_dense = np.geomspace(0.05, 1e4, 3000)
+        for tbs in np.geomspace(1e-4, 50.0, 60):
+            beta = math.sqrt(tbs / 2.0)
+            ratios = np.array([optimal_fnsr(float(n), beta) / c_q(float(n), beta)
+                               for n in n_dense])
+            slope = np.sign(np.diff(ratios))
+            slope = slope[slope != 0]
+            assert np.count_nonzero(slope[1:] != slope[:-1]) <= 1, tbs
+            assert max_enhancement_ratio(beta)[0] >= ratios.max() * (1.0 - 1e-12), tbs
+
+    @pytest.mark.parametrize("tbs, argmax, tol", [
+        (0.5, 1e4, dict(rel=1e-9)),  # still rising at the upper end of the range
+        (0.1, 1.5715, dict(abs=5e-4)),  # inside the range, near its lower end
+    ], ids=["upper-end", "interior"])
+    def test_max_ratio_argmax(self, tbs, argmax, tol):
+        assert max_enhancement_ratio(math.sqrt(tbs / 2.0))[1] == pytest.approx(argmax, **tol)
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ContractViolationError):
             enhancement_scan([-0.1], [1.0])
