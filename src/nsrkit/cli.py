@@ -26,12 +26,12 @@ from .dephasing import (
     DEFAULT_TWO_BETA_SQ_GRID,
     DiffusionParams,
     PhaseFamilySpec,
+    _quadrature_reports,
     analytic_fnsr,
     dephasing_family,
     enhancement_scan,
     enhancement_threshold,
     optimal_calibration,
-    quadrature,
 )
 from .errors import ContractViolationError, NumericalError
 from .estimation import _solve_sld, assess_observable, pure_unitary_family, pure_unitary_qfi
@@ -114,8 +114,7 @@ def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -253,20 +252,31 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_nsr(args) -> int:
+    """The report of one observable at phi_true. The quadrature's comes from
+    the probe's four sums (_quadrature_reports), at the offset phi_exp -
+    phi_true; by default the optimal offset -pi/2 itself, which is exact at
+    any phi_true, while phi_exp reports optimal_calibration(phi_true). The
+    number operator and matrix files take the dense assess_observable."""
     phi_true = args.phi_true
     spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, phi_true)
-    fam = dephasing_family(spec)
     if args.observable == "quadrature":
-        phi_exp = args.phi_exp if args.phi_exp is not None else optimal_calibration(phi_true)
-        m = quadrature(phi_exp, spec.dim)
+        report_at = _quadrature_reports(spec, phi_true)
+        if args.phi_exp is None:
+            phi_exp, offset = optimal_calibration(phi_true), -math.pi / 2.0
+        elif math.isfinite(args.phi_exp):
+            phi_exp, offset = args.phi_exp, args.phi_exp - phi_true
+        else:
+            raise ContractViolationError(f"phi_exp must be finite, got {args.phi_exp}")
+        rep = report_at(offset)
         obs_desc = {"observable": "quadrature", "phi_exp": phi_exp}
-    elif args.observable == "number":
-        m = number_operator(spec.dim)
-        obs_desc = {"observable": "number"}
     else:
-        m = load_observable(args.observable)
+        fam = dephasing_family(spec)
+        if args.observable == "number":
+            m = number_operator(spec.dim)
+        else:
+            m = load_observable(args.observable)
+        rep = assess_observable(fam, phi_true, m)
         obs_desc = {"observable": args.observable}
-    rep = assess_observable(fam, phi_true, m)
     report = {
         "command": "nsr",
         **_probe_header(spec, phi_true),
@@ -292,9 +302,12 @@ def cmd_fig2(args) -> int:
     n_grid = _parse_grid(args.grid_N, log=True) if args.grid_N else DEFAULT_N_GRID
     _check_count("grid cells", tbs_grid.size * n_grid.size)
     scan = enhancement_scan(tbs_grid, n_grid)
+    # each grid value repeats across the table; format it once, as csv would
+    tbs_text = {t: repr(t) for t in tbs_grid.tolist()}
+    n_text = {n: repr(n) for n in n_grid.tolist()}
     left = _csv_text(
         ["two_beta_sq", "N", "ratio", "enhanced"],
-        [(t, n, ratio, int(enh)) for t, n, ratio, enh in scan.cells],
+        [(tbs_text[t], n_text[n], ratio, int(enh)) for t, n, ratio, enh in scan.cells],
     )
     right = _csv_text(["two_beta_sq", "max_ratio", "argmax_N"], scan.max_rows)
     out_dir = args.out or "."
@@ -383,9 +396,7 @@ def cmd_scan(args) -> int:
                 row = [float(a), float(r), beta, analytic_fnsr(r, a, beta)]
                 if args.numeric:
                     spec = _dephasing_spec(float(a), float(r), beta, args.dim, args.phi_true)
-                    fam = dephasing_family(spec)
-                    m = quadrature(optimal_calibration(args.phi_true), spec.dim)
-                    row.append(assess_observable(fam, args.phi_true, m).fisher)
+                    row.append(_quadrature_reports(spec, args.phi_true)(-math.pi / 2.0).fisher)
                 rows.append(row)
     _emit(_csv_text(header, rows), args.out)
     return 0

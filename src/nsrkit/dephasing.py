@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractViolationError, InvalidDimensionError, NumericalConsistencyError
-from .estimation import ParamFamily
+from .estimation import ParamFamily, SensitivityReport, _sensitivity_report
 from .operators import (
     DensityMatrix,
     GaussianProbeSpec,
@@ -124,6 +125,50 @@ def quadrature(phi_exp: float, dim: int) -> Operator:
         raise ContractViolationError(f"phi_exp must be finite, got {phi_exp}")
     a, adag = fock_ladder(dim)
     return Operator(a * np.exp(1j * phi_exp) + adag * np.exp(-1j * phi_exp))
+
+
+def _quadrature_reports(spec: PhaseFamilySpec, phi: float) -> Callable[[float], SensitivityReport]:
+    """offset -> the SensitivityReport of quadrature(phi + offset) at rho(phi),
+    as assess_observable gives it, from four sums over the probe amplitudes c
+    instead of d x d matrices:
+
+        <a>       = e^{-beta^2} sum sqrt(n+1) c_{n+1} conj(c_n),
+        <a^2>     = e^{-4 beta^2} sum sqrt((n+1)(n+2)) c_{n+2} conj(c_n),
+        <a^dag a> = sum n |c_n|^2,
+        <a a^dag> = sum_{n<d-1} (n+1) |c_n|^2 (a a^dag on d levels).
+
+    At rho(phi) the phase turns <a> by e^{-i phi} and <a^2> by e^{-2i phi};
+    the quadrature's angle phi + offset turns them back, so the report
+    depends on the offset alone, which is exact for any phi (the family is
+    covariant): with z = e^{i offset} <a>, the mean is 2 Re z, the slope
+    2 Im z and <X^2> = 2 Re(e^{2i offset} <a^2>) + <a^dag a> + <a a^dag>.
+    The probe is built, and phi checked against the domain, once.
+    """
+    lo, hi = spec.phi_domain
+    if not (math.isfinite(phi) and lo <= phi <= hi):
+        raise ContractViolationError(f"x={phi} outside family domain {spec.phi_domain}")
+    c = spec.probe_state().amplitudes
+    d = c.size
+    if d < 2:
+        raise InvalidDimensionError(f"quadrature needs dim >= 2, got {d}")
+    beta = spec.diffusion.beta
+    levels = np.arange(1, d, dtype=float)  # n + 1 for n < d - 1
+    root = np.sqrt(levels)  # the entries of a, as fock_ladder builds them
+    a1 = math.exp(-(beta**2)) * complex(np.vdot(c[:-1], root * c[1:]))
+    a2 = math.exp(-4.0 * beta**2) * complex(np.vdot(c[:-2], root[:-1] * root[1:] * c[2:]))
+    p = (c.conj() * c).real
+    sym = float(levels @ p[1:]) + float(levels @ p[:-1])  # <a^dag a> + <a a^dag>
+
+    def report(offset: float) -> SensitivityReport:
+        if not math.isfinite(offset):
+            raise ContractViolationError(f"quadrature offset must be finite, got {offset}")
+        turn = complex(math.cos(offset), math.sin(offset))
+        z = turn * a1
+        mean = 2.0 * z.real
+        msq = 2.0 * (turn * turn * a2).real + sym
+        return _sensitivity_report(mean, max(msq - mean**2, 0.0), 2.0 * z.imag)
+
+    return report
 
 
 def optimal_calibration(phi_true: float) -> float:

@@ -74,7 +74,10 @@ class SensitivityReport:
 
 
 def assess_observable(fam: ParamFamily, x: float, m: Operator) -> SensitivityReport:
-    """Mean, variance, slope and noise-to-sensibility ratio of m at rho(x).
+    """Mean, variance, slope and noise-to-sensibility ratio of m at rho(x),
+    from the dense matrices: O(d^3) for the variance's m @ m. A quadrature on
+    a dephasing family has the O(d) route dephasing._quadrature_reports,
+    which returns through the same rule (_sensitivity_report).
 
     The slope is Tr[drho/dx m], signed; the nsr takes its absolute value.
     A zero slope with finite noise yields nsr = inf and fisher = 0.
@@ -88,6 +91,14 @@ def assess_observable(fam: ParamFamily, x: float, m: Operator) -> SensitivityRep
     mean = expectation(rho, m)
     var = variance(rho, m)
     slope = real_trace(drho.matrix, m.matrix)
+    return _sensitivity_report(mean, var, slope)
+
+
+def _sensitivity_report(mean: float, var: float, slope: float) -> SensitivityReport:
+    """The report of an observable's mean, variance (>= 0) and slope: a
+    variance at roundoff level is an eigenstate, which carries no information
+    unless the mean moves (DegenerateObservableError); otherwise nsr and
+    fisher follow from the variance and |slope|."""
     msq = mean**2 + var
     if var <= VARIANCE_ZERO_RTOL * max(1.0, msq):
         if slope != 0.0 and abs(slope) > VARIANCE_ZERO_RTOL * max(1.0, abs(mean)):

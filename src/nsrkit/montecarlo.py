@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import dephasing_family, optimal_calibration, quadrature
+from .dephasing import _quadrature_reports, dephasing_family, optimal_calibration, quadrature
 from .errors import (
     ContractViolationError,
     EstimatorDivergenceError,
@@ -284,9 +284,10 @@ def adaptive_calibrate(
     quadrature at p - pi/2. Returns read-only (estimates, clamped, fisher) and
     optimal_fisher: per round the estimate and clamp flag; the Fisher value
     at phi_true_hidden of each round's quadrature and of the last re-centered
-    one (rounds + 1); that of optimal_calibration. Raises
-    EstimatorDivergenceError (carrying the round index) if the inversion
-    window leaves the domain.
+    one (rounds + 1); that of the optimal quadrature, at phi_true_hidden - pi/2.
+    The Fisher values come from the probe's four sums (_quadrature_reports),
+    with no d x d matrix. Raises EstimatorDivergenceError (carrying the round
+    index) if the inversion window leaves the domain.
     """
     if rounds < 1:
         raise ContractViolationError(f"need at least 1 round, got {rounds}")
@@ -297,9 +298,10 @@ def adaptive_calibrate(
     if not fam.contains(phi_true_hidden):
         raise ContractViolationError(f"phi_true {phi_true_hidden} outside {domain}")
     model = MeasurementModel.from_observable(quadrature(0.0, fam.dim))
+    report_at = _quadrature_reports(spec, phi_true_hidden)
 
     def fisher_at(angle: float) -> float:
-        return assess_observable(fam, phi_true_hidden, quadrature(angle, fam.dim)).fisher
+        return report_at(angle - phi_true_hidden).fisher
 
     phases = [(domain[0] + domain[1]) / 2.0]
     estimates = np.empty(rounds)
@@ -316,4 +318,4 @@ def adaptive_calibrate(
     fisher = np.array([fisher_at(p - math.pi / 2.0) for p in phases])
     for arr in (estimates, clamped, fisher):
         arr.setflags(write=False)
-    return estimates, clamped, fisher, fisher_at(optimal_calibration(phi_true_hidden))
+    return estimates, clamped, fisher, report_at(-math.pi / 2.0).fisher

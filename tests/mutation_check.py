@@ -79,6 +79,18 @@ MUTANTS = [
      "fisher_at(p - math.pi / 2.0)",
      "fisher_at(p)",
      ["tests/test_montecarlo.py"]),
+    ("nsrkit/dephasing.py",
+     "math.exp(-4.0 * beta**2) * complex(",
+     "complex(",
+     ["tests/test_dephasing.py::TestQuadratureReports"]),
+    ("nsrkit/dephasing.py",
+     "float(levels @ p[:-1])",
+     "float(np.arange(1.0, d + 1) @ p)",
+     ["tests/test_dephasing.py::TestQuadratureReports"]),
+    ("nsrkit/dephasing.py",
+     "complex(math.cos(offset), math.sin(offset))",
+     "complex(math.cos(offset), -math.sin(offset))",
+     ["tests/test_dephasing.py::TestQuadratureReports"]),
 ]
 
 

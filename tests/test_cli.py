@@ -15,13 +15,14 @@ from nsrkit import (
     dephasing_family,
     gaussian_probe,
     number_operator,
+    optimal_calibration,
     pure_unitary_family,
     qfi,
     quadrature,
 )
 from nsrkit import cli, errors
 from nsrkit.cli import main
-from nsrkit.operators import MAX_DIM
+from nsrkit.operators import MAX_DIM, Operator
 
 from conftest import fock_dephasing_spec
 
@@ -144,6 +145,47 @@ class TestNsrCommand:
         assert code == 0
         report = json.loads(out)
         assert abs(report["fisher"]) <= 1e-10
+
+    @pytest.mark.parametrize("phi_true", ["1e15", "3e15"])
+    def test_default_angle_exact_at_large_phi_true(self, capsys, phi_true):
+        # phi_true - pi/2 rounds to the spacing of doubles there (0.125 at
+        # 1e15); the optimal offset -pi/2 does not depend on phi_true
+        argv = ("nsr", "--alpha", "1", "--beta", "0.3")
+        near = json.loads(run_cli(capsys, *argv)[1])
+        code, out, _ = run_cli(capsys, *argv, "--phi-true", phi_true)
+        assert code == 0
+        far = json.loads(out)
+        assert far["fisher"] == pytest.approx(near["fisher"], rel=1e-12)
+        assert far["phi_exp"] == optimal_calibration(float(phi_true))
+        argv = ("scan", "--numeric", "--alpha", "1", "--beta", "0.3")
+        near = run_cli(capsys, *argv)[1].splitlines()[1].split(",")
+        far = run_cli(capsys, *argv, "--phi-true", phi_true)[1].splitlines()[1].split(",")
+        assert float(far[-1]) == pytest.approx(float(near[-1]), rel=1e-12)
+
+    @pytest.mark.parametrize("argv, dense", [
+        (("nsr", "--alpha", "1", "--r", "0.5", "--beta", "0.3"), False),
+        (("nsr", "--phi-exp", "0.2", "--beta", "0.3"), False),
+        (("scan", "--numeric", "--grid-r", "0:1:3", "--beta", "0.3"), False),
+        (("nsr", "--observable", "number", "--beta", "0.3"), True),
+    ], ids=["nsr-quadrature", "nsr-phi-exp", "scan-numeric", "nsr-number"])
+    def test_quadrature_builds_no_matrix(self, capsys, monkeypatch, argv, dense):
+        # the quadrature's statistics come from the probe's sums: no
+        # Operator (DensityMatrix included) and no family is built
+        built = {"operators": 0, "families": 0}
+        post_init, family = Operator.__post_init__, cli.dephasing_family
+
+        def counted_post_init(self):
+            built["operators"] += 1
+            post_init(self)
+
+        def counted_family(spec):
+            built["families"] += 1
+            return family(spec)
+
+        monkeypatch.setattr(Operator, "__post_init__", counted_post_init)
+        monkeypatch.setattr(cli, "dephasing_family", counted_family)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert (built["operators"] > 0, built["families"]) == (dense, int(dense))
 
     def test_number_observable_blind(self, capsys):
         code, out, _ = run_cli(capsys, "nsr", "--alpha", "1", "--r", "0", "--beta",

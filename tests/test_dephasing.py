@@ -34,7 +34,8 @@ from nsrkit import (
     r_max,
     r_opt,
 )
-from nsrkit.operators import PSD_TOL, TRACE_TOL, Operator
+from nsrkit.dephasing import _quadrature_reports
+from nsrkit.operators import PSD_TOL, TRACE_TOL, Operator, StateVector
 
 from conftest import fock_dephasing_spec
 from oracles import (
@@ -252,6 +253,76 @@ class TestQuadrature:
     def test_dim_guard(self):
         with pytest.raises(InvalidDimensionError):
             quadrature(0.0, 1)
+
+
+def heavy_tailed_probe(rng, dim: int) -> StateVector:
+    """Random complex amplitudes falling off as (n+1)^{-3/4}: the top level
+    keeps enough weight that truncating a a^dag at dim levels shows."""
+    c = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) / np.arange(1, dim + 1) ** 0.75
+    return StateVector(c / np.linalg.norm(c))
+
+
+class TestQuadratureReports:
+    """The four-sum route against assess_observable on the dense matrices.
+
+    Tolerances, fixed from double roundoff over at most 2048 terms: fisher
+    to 1e-12 relative; mean and slope to 1e-12 of the quadrature's scale
+    sqrt(<X^2>); the variance, a difference of second moments, to 1e-12 of
+    <X^2>."""
+
+    @staticmethod
+    def assert_matches_dense(spec, phi, offset):
+        got = _quadrature_reports(spec, phi)(offset)
+        want = assess_observable(dephasing_family(spec), phi, quadrature(phi + offset, spec.dim))
+        msq = want.mean**2 + want.variance
+        scale = math.sqrt(msq)
+        assert got.mean == pytest.approx(want.mean, rel=0, abs=1e-12 * scale)
+        assert got.slope == pytest.approx(want.slope, rel=0, abs=1e-12 * scale)
+        assert got.variance == pytest.approx(want.variance, rel=0, abs=1e-12 * msq)
+        assert got.fisher == pytest.approx(want.fisher, rel=1e-12)
+        assert got.nsr == pytest.approx(want.nsr, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, r, beta, dim", [
+        (1.0, 0.0, 0.3, 16), (0.5, 0.0, 0.0, None), (1.0, 0.5, 0.3, None),
+        (2.0, 1.0, 0.3, None), (10.0, 0.0, 0.3, None), (1.0, 0.3, 0.2, 1024),
+    ])
+    def test_gaussian_probes(self, rng, alpha, r, beta, dim):
+        probe = (GaussianProbeSpec.with_default_dim(alpha, r) if dim is None
+                 else GaussianProbeSpec(alpha, r, dim))
+        phi_true = float(rng.uniform(-3.0, 3.0))
+        spec = PhaseFamilySpec(probe, DiffusionParams(beta),
+                               (phi_true - math.pi, phi_true + math.pi))
+        for offset in (-math.pi / 2, *rng.uniform(-math.pi, math.pi, 3)):
+            self.assert_matches_dense(spec, phi_true + float(rng.uniform(-1.0, 1.0)), offset)
+
+    @pytest.mark.parametrize("dim", [2, 16, 40, 200])
+    def test_heavy_tailed_complex_probes(self, rng, dim):
+        probe = heavy_tailed_probe(rng, dim)
+        assert dim * abs(probe.amplitudes[-1]) ** 2 > 1e-4  # the truncated term matters
+        spec = PhaseFamilySpec(probe, DiffusionParams(float(rng.uniform(0.05, 0.5))),
+                               (-math.pi, math.pi))
+        for offset in rng.uniform(-math.pi, math.pi, 4):
+            self.assert_matches_dense(spec, float(rng.uniform(-math.pi, math.pi)), float(offset))
+
+    def test_large_coherent_probe(self):
+        # 4 alpha^2 at beta = 0; the variance, about 1, is a difference of
+        # second moments near 2 alpha^2 = 1800
+        spec = PhaseFamilySpec(GaussianProbeSpec(30.0, 0.0, 2048), DiffusionParams(0.0),
+                               (-math.pi, math.pi))
+        assert _quadrature_reports(spec, 0.0)(-math.pi / 2).fisher == pytest.approx(
+            3600.0, rel=1e-11)
+
+    def test_checks(self):
+        spec = fock_dephasing_spec(1.0, 0.0, 0.3)
+        with pytest.raises(ContractViolationError, match="outside family domain"):
+            _quadrature_reports(spec, 4.0)
+        with pytest.raises(ContractViolationError, match="outside family domain"):
+            _quadrature_reports(spec, math.nan)
+        with pytest.raises(ContractViolationError, match="offset must be finite"):
+            _quadrature_reports(spec, 0.0)(math.inf)
+        one_level = PhaseFamilySpec(StateVector([1.0]), DiffusionParams(0.3), (-1.0, 1.0))
+        with pytest.raises(InvalidDimensionError):
+            _quadrature_reports(one_level, 0.0)
 
 
 class TestAnalyticFnsr:

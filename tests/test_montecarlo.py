@@ -514,7 +514,7 @@ class TestAdaptiveCalibrate:
                 expected.append(assess_observable(fam, phi_true, m).fisher)
                 per_round[k + 1] += expected[-1] / 20
             assert fisher == pytest.approx(expected, rel=1e-12)
-            assert optimal == f_opt
+            assert optimal == pytest.approx(f_opt, rel=1e-12)
         assert f_initial < 0.995 * f_opt
         for a, b in zip(per_round, per_round[1:]):
             assert b >= a - 0.01 * f_opt  # monotone up to statistical noise
