@@ -293,7 +293,23 @@ def cmd_nsr(args) -> int:
     return 0
 
 
+def _enhancement_table(scan) -> str:
+    """fig2_left.csv: one row (two_beta_sq, N, ratio, enhanced) per cell,
+    formatted straight from the scan's arrays with each grid value repr'd
+    once; the bytes _csv_text gives for the same rows."""
+    n_text = [repr(n) for n in scan.n.tolist()]
+    lines = ["two_beta_sq,N,ratio,enhanced\r\n"]
+    for t, row in zip(scan.two_beta_sq.tolist(), scan.ratio.tolist()):
+        t = repr(t)
+        lines += [f"{t},{n},{ratio!r},{int(ratio >= 1.0)}\r\n" for n, ratio in zip(n_text, row)]
+    return "".join(lines)
+
+
 def cmd_fig2(args) -> int:
+    """Fig. 2's enhancement region from one array evaluation of its closed
+    forms (enhancement_scan): fig2_left.csv holds every cell of the
+    (2 beta^2, N) grid, fig2_right.csv each row's first maximum over N, and
+    stdout the threshold 2 beta^2."""
     tbs_grid = (
         _parse_grid(args.grid_two_beta_sq, log=True)
         if args.grid_two_beta_sq
@@ -302,17 +318,14 @@ def cmd_fig2(args) -> int:
     n_grid = _parse_grid(args.grid_N, log=True) if args.grid_N else DEFAULT_N_GRID
     _check_count("grid cells", tbs_grid.size * n_grid.size)
     scan = enhancement_scan(tbs_grid, n_grid)
-    # each grid value repeats across the table; format it once, as csv would
-    tbs_text = {t: repr(t) for t in tbs_grid.tolist()}
-    n_text = {n: repr(n) for n in n_grid.tolist()}
-    left = _csv_text(
-        ["two_beta_sq", "N", "ratio", "enhanced"],
-        [(tbs_text[t], n_text[n], ratio, int(enh)) for t, n, ratio, enh in scan.cells],
+    best = scan.ratio[np.arange(scan.two_beta_sq.size), scan.argmax]
+    right = _csv_text(
+        ["two_beta_sq", "max_ratio", "argmax_N"],
+        zip(scan.two_beta_sq.tolist(), best.tolist(), scan.n[scan.argmax].tolist()),
     )
-    right = _csv_text(["two_beta_sq", "max_ratio", "argmax_N"], scan.max_rows)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "fig2_left.csv"), left)
+    _atomic_write(os.path.join(out_dir, "fig2_left.csv"), _enhancement_table(scan))
     _atomic_write(os.path.join(out_dir, "fig2_right.csv"), right)
     threshold = enhancement_threshold()
     sys.stdout.write(f"enhancement threshold two_beta_sq = {threshold:.4f}\n")

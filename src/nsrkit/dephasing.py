@@ -180,6 +180,15 @@ def optimal_calibration(phi_true: float) -> float:
     return wrapped - math.pi
 
 
+def _fnsr_form(xp, r, alpha, beta):
+    """analytic_fnsr's quotient in the namespace xp (math for floats, numpy
+    for arrays), exact where e^{-2r} and sinh 2r are finite: |r| below
+    about 354.9."""
+    num = 4.0 * alpha**2 * xp.exp(-2.0 * beta**2)
+    diffusion_noise = -xp.expm1(-4.0 * beta**2)  # 1 - e^{-4 beta^2}, exact near 0
+    return num / (xp.exp(-2.0 * r) + diffusion_noise * (2.0 * alpha**2 + xp.sinh(2.0 * r)))
+
+
 def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
     """Fisher value of the optimally calibrated quadrature on the probe
     D(alpha)S(r)|0> after diffusion beta:
@@ -188,35 +197,22 @@ def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
         -----------------------------------------------
         e^{-2r} + (1 - e^{-4 beta^2})(2 alpha^2 + sinh 2r)
 
-    Guarded against overflow for |r| beyond ~300; raises OverflowError where
+    Guarded against overflow for |r| beyond ~354; raises OverflowError where
     4 alpha^2 overflows, also for numpy scalars, which are taken as floats.
     """
     r, alpha, beta = float(r), float(alpha), float(beta)
-    num = 4.0 * alpha**2 * math.exp(-2.0 * beta**2)
-    if math.isinf(num):  # float multiplication overflows to inf without raising
+    if math.isinf(4.0 * alpha**2):  # float multiplication overflows to inf without raising
         raise OverflowError(f"4 alpha^2 overflows at alpha={alpha}")
-    if num == 0.0:
-        return 0.0
-    diffusion_noise = -math.expm1(-4.0 * beta**2)  # 1 - e^{-4 beta^2}, exact near 0
     try:
-        quantum_noise = math.exp(-2.0 * r)
-    except OverflowError:
-        return 0.0  # r << 0: anti-squeezed measured quadrature swamps the signal
-    if diffusion_noise == 0.0:
-        denom = quantum_noise
-    else:
-        try:
-            sinh2r = math.sinh(2.0 * r)
-        except OverflowError:
-            sinh2r = math.inf if r > 0 else -math.inf
-        denom = quantum_noise + diffusion_noise * (2.0 * alpha**2 + sinh2r)
-    if denom == 0.0:
-        return math.inf
-    if math.isinf(denom):
-        return 0.0 if denom > 0 else math.inf
-    if denom < 0:
-        raise NumericalConsistencyError(f"negative noise denominator {denom}")
-    return num / denom
+        return _fnsr_form(math, r, alpha, beta)
+    except OverflowError:  # e^{-2r} or sinh 2r overflows: |r| beyond about 354.9
+        pass
+    if r < 0 or beta**2 > 0 or alpha**2 == 0.0:
+        return 0.0  # the anti-squeezed quadrature, or the diffusion, swamps the signal
+    # no diffusion: 4 alpha^2 e^{2r}, where e^{-2r} is subnormal; beyond
+    # r = 709 the product overflows to inf for every alpha^2 > 0
+    e_r = math.exp(min(r, 709.0))
+    return 4.0 * alpha**2 * e_r * e_r
 
 
 def r_max(beta: float) -> float:
@@ -228,6 +224,7 @@ def r_max(beta: float) -> float:
     exact to roundoff and does not underflow. beta = 0 returns +inf: without
     diffusion more squeezing always helps.
     """
+    beta = float(beta)
     if beta < 0:
         raise ContractViolationError(f"beta must be >= 0, got {beta}")
     if beta == 0.0:
@@ -238,6 +235,19 @@ def r_max(beta: float) -> float:
     return 0.25 * math.log1p(2.0 * math.exp(-u) / -math.expm1(-u))
 
 
+def _r_opt_form(xp, n_mean, beta):
+    """r_opt's closed form in the namespace xp: math for floats, numpy for
+    arrays."""
+    w = xp.exp(-4.0 * beta**2)
+    q = 1.0 / (2.0 * n_mean + 1.0)
+    p = 2.0 * n_mean * q
+    s = xp.hypot(xp.sqrt(-xp.expm1(-8.0 * beta**2)), w * q)  # sqrt(1 - w^2 + w^2 q^2)
+    a = (1.0 + w) * (2.0 - q) - w * q * q  # >= 1
+    b = q * q * (4.0 + 2.0 * w) + 4.0 * (1.0 + w) * p * (2.0 * q + p)
+    x = w * p * (1.0 + w) * b / ((a + q * s) * (1.0 + w + s) * (w * q + s))
+    return 0.5 * xp.log1p(x)
+
+
 def r_opt(n_mean: float, beta: float) -> float:
     """Squeezing that maximizes the quadrature Fisher value at fixed mean
     excitation N = alpha^2 + sinh^2 r:
@@ -245,25 +255,20 @@ def r_opt(n_mean: float, beta: float) -> float:
         r = (1/2) ln[2 S cosh(2 beta^2) / (1 + R)],
         S = (2N + 1) e^{2 beta^2},  R = sqrt(1 + 2 S^2 sinh(4 beta^2)).
 
-    Raises OverflowError where S overflows. The ratio tends to 1 as beta
-    grows or N -> 0, so r is taken as (1/2) log1p(x), with x rewritten in
-    w = e^{-4 beta^2}, q = 1/(2N + 1), p = 2N q and s = R w q: a quotient of
-    sums of positive terms, which neither cancels nor overflows.
+    Raises OverflowError where S overflows, also for numpy scalars, which are
+    taken as floats. The ratio tends to 1 as beta grows or N -> 0, so r is
+    taken as (1/2) log1p(x), with x rewritten in w = e^{-4 beta^2},
+    q = 1/(2N + 1), p = 2N q and s = R w q: a quotient of sums of positive
+    terms, which neither cancels nor overflows.
     """
+    n_mean, beta = float(n_mean), float(beta)
     if n_mean < 0:
         raise ContractViolationError(f"N must be >= 0, got {n_mean}")
     if beta < 0:
         raise ContractViolationError(f"beta must be >= 0, got {beta}")
     if math.isinf((2.0 * n_mean + 1.0) * math.exp(2.0 * beta**2)):  # overflows silently
         raise OverflowError(f"(2N + 1) e^{{2 beta^2}} overflows at N={n_mean}")
-    w = math.exp(-4.0 * beta**2)
-    q = 1.0 / (2.0 * n_mean + 1.0)
-    p = 2.0 * n_mean * q
-    s = math.hypot(math.sqrt(-math.expm1(-8.0 * beta**2)), w * q)  # sqrt(1 - w^2 + w^2 q^2)
-    a = (1.0 + w) * (2.0 - q) - w * q * q  # >= 1
-    b = q * q * (4.0 + 2.0 * w) + 4.0 * (1.0 + w) * p * (2.0 * q + p)
-    x = w * p * (1.0 + w) * b / ((a + q * s) * (1.0 + w + s) * (w * q + s))
-    r = 0.5 * math.log1p(x)
+    r = _r_opt_form(math, n_mean, beta)
     if math.sinh(r) ** 2 > n_mean + 1e-12 * max(1.0, n_mean):
         raise NumericalConsistencyError(
             f"r_opt={r} puts sinh^2 r above N={n_mean}; no excitation left for alpha"
@@ -271,15 +276,26 @@ def r_opt(n_mean: float, beta: float) -> float:
     return r
 
 
+def _c_q_form(n_mean, beta, top):
+    """4N / (1 + 8 beta^2 N) with both terms divided by top = max(N, 1), so
+    that 4N cannot overflow: 4 / (1/N + 8 beta^2) for N >= 1. Arithmetic
+    only, so it takes floats and arrays alike."""
+    u = n_mean / top
+    return 4.0 * u / (1.0 / top + 8.0 * beta**2 * u)
+
+
 def c_q(n_mean: float, beta: float) -> float:
-    """Standard-limit benchmark 4N / (1 + 8 beta^2 N)."""
+    """Standard-limit benchmark 4N / (1 + 8 beta^2 N), finite up to the
+    largest N; numpy scalars are taken as floats."""
+    n_mean, beta = float(n_mean), float(beta)
     if n_mean < 0:
         raise ContractViolationError(f"N must be >= 0, got {n_mean}")
-    return 4.0 * n_mean / (1.0 + 8.0 * beta**2 * n_mean)
+    return _c_q_form(n_mean, beta, max(n_mean, 1.0))
 
 
 def optimal_fnsr(n_mean: float, beta: float) -> float:
     """Quadrature Fisher value at the optimum squeezing for mean excitation N."""
+    n_mean, beta = float(n_mean), float(beta)
     r = r_opt(n_mean, beta)
     alpha_sq = max(n_mean - math.sinh(r) ** 2, 0.0)
     return analytic_fnsr(r, math.sqrt(alpha_sq), beta)
@@ -287,47 +303,84 @@ def optimal_fnsr(n_mean: float, beta: float) -> float:
 
 def no_squeeze_ratio_bound(n_mean: float, beta: float) -> float:
     """Lower bound (1 + 8 beta^2 N) / (e^{2 beta^2} + 4 sinh(2 beta^2) N) on the
-    fraction of the standard-limit information that a coherent probe retains."""
+    fraction of the standard-limit information that a coherent probe retains.
+    Both sides are divided by max(N, 1), so that neither overflows at large N;
+    numpy scalars are taken as floats."""
+    n_mean, beta = float(n_mean), float(beta)
     if n_mean < 0:
         raise ContractViolationError(f"N must be >= 0, got {n_mean}")
     tb = 2.0 * beta**2
-    return (1.0 + 8.0 * beta**2 * n_mean) / (math.exp(tb) + 4.0 * math.sinh(tb) * n_mean)
+    top = max(n_mean, 1.0)
+    u = n_mean / top
+    return (1.0 / top + 8.0 * beta**2 * u) / (math.exp(tb) / top + 4.0 * math.sinh(tb) * u)
 
 
-@dataclass(frozen=True)
+def _enhancement_ratio(n_mean: float, beta: float) -> float:
+    """optimal_fnsr / c_q at one point of the (beta, N) plane."""
+    return optimal_fnsr(n_mean, beta) / c_q(n_mean, beta)
+
+
+@dataclass(frozen=True, eq=False)  # ndarray fields have no truth value for __eq__
 class EnhancementScan:
-    """Grid scan of the squeezing enhancement over the standard benchmark.
+    """Grid scan of the squeezing enhancement over the standard benchmark, as
+    read-only arrays.
 
-    cells: rows (two_beta_sq, N, ratio, enhanced) spanning the full grid.
-    max_rows: rows (two_beta_sq, max_ratio, argmax_N), the per-column maximum
-    over N of the ratio.
+    two_beta_sq: the grid's m values of 2 beta^2.
+    n: its k values of N.
+    ratio: (m, k) table of optimal_fnsr / c_q; ratio[i, j] is at
+    (two_beta_sq[i], n[j]), and a cell is enhanced where ratio >= 1.
+    argmax: for each 2 beta^2, the index into n of the first maximum of its
+    row of ratio.
     """
 
-    cells: list[tuple[float, float, float, bool]]
-    max_rows: list[tuple[float, float, float]]
+    two_beta_sq: np.ndarray
+    n: np.ndarray
+    ratio: np.ndarray
+    argmax: np.ndarray
 
 
 def enhancement_scan(two_beta_sq_grid, n_grid) -> EnhancementScan:
-    """Tabulate optimal_fnsr / c_q over (2 beta^2, N); cells are independent,
-    so the table is identical regardless of evaluation order."""
-    tbs_values = [float(t) for t in two_beta_sq_grid]
-    n_values = [float(n) for n in n_grid]
-    if any(t < 0 or not math.isfinite(t) for t in tbs_values):
-        raise ContractViolationError("two_beta_sq grid must be finite and >= 0")
-    if any(n <= 0 or not math.isfinite(n) for n in n_values):
-        raise ContractViolationError("N grid must be finite and positive")
-    cells = []
-    max_rows = []
-    for tbs in tbs_values:
-        beta = math.sqrt(tbs / 2.0)
-        best = (-math.inf, math.nan)
-        for n in n_values:
-            ratio = optimal_fnsr(n, beta) / c_q(n, beta)
-            cells.append((tbs, n, ratio, ratio >= 1.0))
-            if ratio > best[0]:
-                best = (ratio, n)
-        max_rows.append((tbs, best[0], best[1]))
-    return EnhancementScan(cells=cells, max_rows=max_rows)
+    """Tabulate optimal_fnsr / c_q over (2 beta^2, N) in one array evaluation
+    of the closed forms the scalar functions evaluate with math, one ufunc
+    call per step over the whole grid. beta = sqrt(2 beta^2 / 2) per row, as
+    the scalar route builds it. The values agree with the scalar route to
+    roundoff: numpy's exp, expm1, log1p and sinh may differ from libm in the
+    last bit.
+
+    A cell the scalar route would reject (its ratio not finite, sinh^2 r
+    above N, or (2N + 1) e^{2 beta^2} overflowing) raises what the scalar
+    route raises there: the first such cell in row order is evaluated with
+    Python floats, and NumericalConsistencyError is raised if that passes.
+    """
+    tbs = np.array(two_beta_sq_grid, dtype=float)
+    n = np.array(n_grid, dtype=float)
+    if tbs.ndim != 1 or tbs.size == 0 or not np.all(np.isfinite(tbs) & (tbs >= 0)):
+        raise ContractViolationError("two_beta_sq grid must be nonempty, finite and >= 0")
+    if n.ndim != 1 or n.size == 0 or not np.all(np.isfinite(n) & (n > 0)):
+        raise ContractViolationError("N grid must be nonempty, finite and positive")
+    beta = np.sqrt(tbs / 2.0)[:, None]
+    with np.errstate(all="ignore"):
+        r = _r_opt_form(np, n, beta)
+        sinh_sq = np.sinh(r) ** 2
+        alpha = np.sqrt(np.maximum(n - sinh_sq, 0.0))
+        ratio = _fnsr_form(np, r, alpha, beta) / _c_q_form(n, beta, np.maximum(n, 1.0))
+        bad = (
+            ~np.isfinite(ratio)
+            | (sinh_sq > n + 1e-12 * np.maximum(n, 1.0))
+            | np.isinf((2.0 * n + 1.0) * np.exp(2.0 * beta**2))
+        )
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        t, n_mean = float(tbs[i]), float(n[j])
+        _enhancement_ratio(n_mean, math.sqrt(t / 2.0))
+        raise NumericalConsistencyError(
+            f"enhancement ratio at 2 beta^2={t}, N={n_mean} is {ratio[i, j]} on the grid, "
+            "where the scalar closed forms accept the point"
+        )
+    argmax = np.argmax(ratio, axis=1)
+    for arr in (tbs, n, ratio, argmax):
+        arr.flags.writeable = False
+    return EnhancementScan(two_beta_sq=tbs, n=n, ratio=ratio, argmax=argmax)
 
 
 def _golden_max(fun, lo: float, hi: float) -> float:
@@ -358,8 +411,7 @@ def max_enhancement_ratio(beta: float) -> tuple[float, float]:
     (max_ratio, argmax_N)."""
 
     def ratio_log(u: float) -> float:
-        n = math.exp(u)
-        return optimal_fnsr(n, beta) / c_q(n, beta)
+        return _enhancement_ratio(math.exp(u), beta)
 
     u_star = _golden_max(ratio_log, math.log(DEFAULT_N_GRID[0]), math.log(DEFAULT_N_GRID[-1]))
     return ratio_log(u_star), math.exp(u_star)

@@ -32,8 +32,8 @@ MUTANTS = [
      "np.divide(d_eig, pair_sums",
      ["tests/test_estimation.py"]),
     ("nsrkit/dephasing.py",
-     "diffusion_noise = -math.expm1(-4.0 * beta**2)",
-     "diffusion_noise = -math.expm1(-1.1 * 4.0 * beta**2)",
+     "diffusion_noise = -xp.expm1(-4.0 * beta**2)",
+     "diffusion_noise = -xp.expm1(-1.1 * 4.0 * beta**2)",
      ["tests/test_invariants.py"]),
     ("nsrkit/dephasing.py",
      "decay = np.exp(-(beta**2) * _delta_n",
@@ -91,6 +91,18 @@ MUTANTS = [
      "complex(math.cos(offset), math.sin(offset))",
      "complex(math.cos(offset), -math.sin(offset))",
      ["tests/test_dephasing.py::TestQuadratureReports"]),
+    ("nsrkit/dephasing.py",
+     "4.0 * u / (1.0 / top + 8.0 * beta**2 * u)",
+     "4.0 * u / (1.0 / top + 4.0 * beta**2 * u)",
+     ["tests/test_dephasing.py::TestBenchmarks", "tests/test_dephasing.py::TestEnhancementScan"]),
+    ("nsrkit/dephasing.py",
+     "argmax = np.argmax(ratio, axis=1)",
+     "argmax = ratio.shape[1] - 1 - np.argmax(ratio[:, ::-1], axis=1)",
+     ["tests/test_dephasing.py::TestEnhancementScan"]),
+    ("nsrkit/dephasing.py",
+     "            | (sinh_sq > n + 1e-12 * np.maximum(n, 1.0))\n",
+     "",
+     ["tests/test_dephasing.py::TestEnhancementScanParity"]),
 ]
 
 

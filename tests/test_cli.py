@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nsrkit
@@ -13,6 +14,7 @@ from nsrkit import (
     GaussianProbeSpec,
     analytic_fnsr,
     dephasing_family,
+    enhancement_scan,
     gaussian_probe,
     number_operator,
     optimal_calibration,
@@ -22,6 +24,7 @@ from nsrkit import (
 )
 from nsrkit import cli, errors
 from nsrkit.cli import main
+from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID
 from nsrkit.operators import MAX_DIM, Operator
 
 from conftest import fock_dephasing_spec
@@ -296,6 +299,24 @@ class TestFig2Command:
         expected = optimal_fnsr(1.0, beta) / c_q(1.0, beta)
         assert float(row["ratio"]) == pytest.approx(expected, rel=1e-12)
         assert row["enhanced"] == ("1" if expected >= 1 else "0")
+
+    @pytest.mark.parametrize("argv, grid_t, grid_n", [
+        ((), DEFAULT_TWO_BETA_SQ_GRID, DEFAULT_N_GRID),
+        (("--grid-two-beta-sq", "1e-320:700:4", "--grid-N", "1e-300:50:5"),
+         np.geomspace(1e-320, 700.0, 4), np.geomspace(1e-300, 50.0, 5)),
+    ], ids=["default", "edges"])
+    def test_left_table_is_csv_text(self, capsys, tmp_path, argv, grid_t, grid_n):
+        # written straight from the arrays, in the bytes csv.writer gives
+        code, _, _ = run_cli(capsys, "fig2", "--out", str(tmp_path), *argv)
+        assert code == 0
+        scan = enhancement_scan(grid_t, grid_n)
+        rows = [(t, n, ratio, int(ratio >= 1.0))
+                for t, row in zip(scan.two_beta_sq.tolist(), scan.ratio.tolist())
+                for n, ratio in zip(scan.n.tolist(), row)]
+        with open(tmp_path / "fig2_left.csv", newline="") as fh:
+            text = fh.read()
+        assert text == cli._csv_text(["two_beta_sq", "N", "ratio", "enhanced"], rows)
+        assert len(rows) == grid_t.size * grid_n.size
 
     def test_single_point_log_grid_at_zero(self, capsys, tmp_path):
         # lo > 0 is needed only to space a log grid; one point at 0 is valid

@@ -69,6 +69,13 @@ def test_analytic_fnsr(r, alpha, beta):
     assert_close(analytic_fnsr(r, alpha, beta), fnsr_reference(r, alpha, beta))
 
 
+@pytest.mark.parametrize("r", [356.0, 365.0, 372.0])
+@pytest.mark.parametrize("alpha", [1e-100, 1e-60])
+def test_analytic_fnsr_without_diffusion_beyond_sinh_overflow(r, alpha):
+    # sinh 2r overflows and e^{-2r} is subnormal, yet 4 alpha^2 e^{2r} is a double
+    assert_close(analytic_fnsr(r, alpha, 0.0), fnsr_reference(r, alpha, 0.0))
+
+
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("n", NS)
 def test_r_opt(n, beta):

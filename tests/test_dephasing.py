@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nsrkit import (
     DiffusionParams,
     GaussianProbeSpec,
     InvalidDimensionError,
+    NumericalConsistencyError,
     PhaseFamilySpec,
     analytic_fnsr,
     assess_observable,
@@ -34,7 +36,8 @@ from nsrkit import (
     r_max,
     r_opt,
 )
-from nsrkit.dephasing import _quadrature_reports
+from nsrkit import dephasing
+from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, _quadrature_reports
 from nsrkit.operators import PSD_TOL, TRACE_TOL, Operator, StateVector
 
 from conftest import fock_dephasing_spec
@@ -476,6 +479,32 @@ class TestBenchmarks:
         with pytest.raises(ContractViolationError, match=fragment):
             fn(*args)
 
+    @pytest.mark.parametrize("fn, n, beta, expected", [
+        (c_q, 1e308, 1.0, 0.5),  # 4 / (1/N + 8 beta^2)
+        (c_q, 5e307, 0.1, 1.0 / (2.0 * 0.1**2)),
+        (no_squeeze_ratio_bound, 1e308, 0.5, 0.5 / math.sinh(0.5)),  # 8 beta^2 / (4 sinh 2 beta^2)
+    ], ids=["c_q-1e308", "c_q-5e307", "no_squeeze-1e308"])
+    def test_finite_at_huge_n(self, fn, n, beta, expected):
+        assert fn(n, beta) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("fn, args", [
+        (r_opt, (1e308, 0.1)),
+        (c_q, (1e308, 1e200)),
+        (optimal_fnsr, (1e308, 0.1)),
+        (no_squeeze_ratio_bound, (1e308, 1e200)),
+        (r_max, (1e200,)),
+    ], ids=["r_opt", "c_q", "optimal_fnsr", "no_squeeze", "r_max"])
+    def test_numpy_scalars_behave_as_floats(self, fn, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                fn(*args)
+            with pytest.raises(OverflowError):
+                fn(*map(np.float64, args))
+            regular = (2.0, 0.3)[:len(args)]
+            assert fn(*map(np.float64, regular)) == fn(*regular)
+            assert type(fn(*map(np.float64, regular))) is float
+
     def test_no_squeeze_bound_monotone(self):
         ns = np.geomspace(0.1, 1e6, 60)
         vals = [no_squeeze_ratio_bound(float(n), 0.63) for n in ns]
@@ -485,22 +514,41 @@ class TestBenchmarks:
 class TestEnhancementScan:
     def test_beta_zero_column(self):
         scan = enhancement_scan([0.0], [0.5, 1.0, 3.0])
-        for tbs, n, ratio, enhanced in scan.cells:
+        for n, ratio in zip(scan.n, scan.ratio[0]):
             assert ratio == pytest.approx(n + 1, rel=1e-12)
-            assert enhanced
+            assert ratio >= 1.0
 
     def test_order_independence(self):
         grid_t = [0.1, 0.4]
         grid_n = [0.5, 2.0, 8.0]
-        assert enhancement_scan(grid_t, grid_n) == enhancement_scan(grid_t, grid_n)
+        first, second = enhancement_scan(grid_t, grid_n), enhancement_scan(grid_t, grid_n)
+        for field in ("two_beta_sq", "n", "ratio", "argmax"):
+            assert np.array_equal(getattr(first, field), getattr(second, field))
+        # cells are independent: the reversed grids give the reversed table
+        flipped = enhancement_scan(grid_t[::-1], grid_n[::-1]).ratio[::-1, ::-1]
+        np.testing.assert_allclose(flipped, first.ratio, rtol=1e-14, atol=0.0)
 
     def test_region_flags(self):
         scan = enhancement_scan([0.05, 1.0], np.geomspace(0.05, 1e4, 60))
-        by_tbs = {}
-        for tbs, n, ratio, enhanced in scan.cells:
-            by_tbs.setdefault(tbs, []).append(enhanced)
-        assert any(by_tbs[0.05])
-        assert not any(by_tbs[1.0])
+        assert scan.two_beta_sq.tolist() == [0.05, 1.0]
+        enhanced = scan.ratio >= 1.0
+        assert enhanced[0].any()
+        assert not enhanced[1].any()
+
+    def test_fields_are_read_only(self):
+        grid_n = np.array([0.5, 2.0])
+        scan = enhancement_scan([0.1], grid_n)
+        for field in ("two_beta_sq", "n", "ratio", "argmax"):
+            with pytest.raises(ValueError):
+                getattr(scan, field)[0] = 0.0
+        assert grid_n.flags.writeable  # the caller's grid is copied, not frozen
+
+    def test_argmax_is_first_maximum(self):
+        # equal N give equal ratios; the first of them is the row's maximum
+        scan = enhancement_scan([0.1, 0.5], [3.0, 3.0, 3.0])
+        assert scan.argmax.tolist() == [0, 0]
+        scan = enhancement_scan([0.5], [1.0, 1e4, 1e4, 2.0])  # rising up to 1e4
+        assert scan.argmax.tolist() == [1]
 
     def test_threshold_near_021(self):
         thr = enhancement_threshold()
@@ -537,6 +585,66 @@ class TestEnhancementScan:
         with pytest.raises(ContractViolationError):
             enhancement_scan([0.1], [0.0])
 
+
+
+def scalar_scan(grid_t, grid_n):
+    """optimal_fnsr / c_q cell by cell, with beta built as the scalar route
+    builds it, and each row's first maximum."""
+    ratio = np.array([[optimal_fnsr(float(n), math.sqrt(float(t) / 2.0))
+                       / c_q(float(n), math.sqrt(float(t) / 2.0)) for n in grid_n]
+                      for t in grid_t])
+    return ratio, np.argmax(ratio, axis=1)
+
+
+class TestEnhancementScanParity:
+    """The array route of enhancement_scan against the scalar closed forms."""
+
+    @pytest.mark.parametrize("grid_t, grid_n", [
+        (DEFAULT_TWO_BETA_SQ_GRID, DEFAULT_N_GRID),
+        ([0.0, 0.2], DEFAULT_N_GRID),
+        ([1e-320], DEFAULT_N_GRID),
+        ([0.1, 1.0], [1e-300, 1e-10, 1.0]),
+        ([1e-20], [1e307]),
+        ([700.0], np.geomspace(0.05, 80.0, 50)),
+    ], ids=["default", "beta-zero", "two-beta-sq-subnormal", "N-tiny", "N-1e307",
+            "two-beta-sq-700"])
+    def test_cells_match_scalar_route(self, grid_t, grid_n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = enhancement_scan(grid_t, grid_n)
+        ratio, argmax = scalar_scan(grid_t, grid_n)
+        assert scan.ratio.shape == ratio.shape
+        np.testing.assert_allclose(scan.ratio, ratio, rtol=1e-14, atol=0.0)
+        assert np.array_equal(scan.ratio >= 1.0, ratio >= 1.0)
+        assert np.array_equal(scan.argmax, argmax)
+
+    @pytest.mark.parametrize("grid_t, grid_n", [
+        ([1e-20], [1.0, 5e307]),
+        ([0.1, 0.2], np.geomspace(1e308, 1.7e308, 3)),
+        ([1e300], [1.0]),
+    ], ids=["4-alpha-sq-overflow", "fig2-N-huge", "fig2-two-beta-sq-huge"])
+    def test_failing_cell_raises_as_scalar_route(self, grid_t, grid_n):
+        with pytest.raises(Exception) as scalar_error:
+            scalar_scan(grid_t, grid_n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Exception) as grid_error:
+                enhancement_scan(grid_t, grid_n)
+        assert type(grid_error.value) is type(scalar_error.value) is OverflowError
+        assert str(grid_error.value) == str(scalar_error.value)
+
+    @pytest.mark.parametrize("scalar_too", [True, False], ids=["both-routes", "grid-only"])
+    def test_sinh_sq_above_n_is_rejected(self, monkeypatch, scalar_too):
+        # an r_opt that leaves no excitation for alpha: the grid must reject it,
+        # with the scalar route's error where that route rejects it too
+        form = dephasing._r_opt_form
+
+        def drifted(xp, n_mean, beta):
+            return form(xp, n_mean, beta) + (1.0 if scalar_too or xp is np else 0.0)
+
+        monkeypatch.setattr(dephasing, "_r_opt_form", drifted)
+        with pytest.raises(NumericalConsistencyError, match="sinh" if scalar_too else "grid"):
+            enhancement_scan([0.1], [1.0, 2.0])
 
 class TestAnalyticNumericAgreement:
     GRID = [(a, r, b) for a in (0.5, 1.0) for r in (0.0, 0.3) for b in (0.0, 0.3)]
