@@ -3,18 +3,20 @@
 Outcomes are Born-rule draws from the observable's eigenbasis; the estimator
 inverts the calibration curve <M>_x at the observed sample mean. That mean
 needs only how often each eigenvalue came up, so the one sampler, a guide
-table, counts the draws CHUNK uniforms at a time and never holds them: memory
-does not grow with the sample count. On a phase family a quadrature's mean is
-an exact cosine in x, so two exact means fix the curve and the inversion is an
-arccos. An estimate outside the curve's window is clamped to it and flagged;
-the flags are data, returned with the estimates. Across repeats,
-nu * Var(x_hat) must approach the squared noise-to-sensibility ratio, and an
-adaptive loop re-centers on each round's estimate and scores each round's
-Fisher value. Both loops draw and invert through the same measurement step,
+table, counts the draws CHUNK generator words at a time and never holds them:
+memory does not grow with the sample count. A word's top bits are its guide
+bucket, so only the words in buckets that hold a CDF node become uniforms.
+On a phase family a quadrature's mean is an exact cosine in x, so two exact
+means fix the curve and the inversion is an arccos. An estimate outside the
+curve's window is clamped to it and flagged; the flags are data, returned
+with the estimates. Across repeats, nu * Var(x_hat) must approach the squared
+noise-to-sensibility ratio, and an adaptive loop re-centers on each round's
+estimate and scores each round's Fisher value. Both loops draw and invert through the same measurement step,
 keyed by the phase it is calibrated for: the quadrature angle and the window
 start are both phase - pi/2. They share one Born model per run:
 X_theta = D X_0 D^dag with D = e^{-i theta n}, so X_0's eigenbasis at the
-shifted phase serves every angle.
+shifted phase serves every angle. X_0 is real symmetric, so that one
+eigendecomposition is real, and so is each Born distribution's product.
 """
 
 from __future__ import annotations
@@ -38,28 +40,42 @@ PROB_NEG_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 # Buckets of the sampling guide table; a power of two, so scaling is exact.
 GUIDE_BUCKETS = 2**12
-# Uniforms read per step of the sampler, whatever the sample count.
+# A 64-bit word's bucket is its top log2(GUIDE_BUCKETS) bits.
+SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)
+# Generator words read per step of the sampler, whatever the sample count.
 CHUNK = 2**14
 
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Eigendecomposition of an observable, exposing Born-rule probabilities."""
+    """Eigendecomposition of an observable, exposing Born-rule probabilities.
+
+    An observable whose matrix has no imaginary part, such as X_0, gets a
+    real eigenbasis (float64 eigenvectors); any other a complex one.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @classmethod
     def from_observable(cls, m) -> "MeasurementModel":
-        evals, vecs = np.linalg.eigh(m.matrix)
+        matrix = m.matrix if m.matrix.imag.any() else m.matrix.real
+        evals, vecs = np.linalg.eigh(matrix)
         evals.setflags(write=False)
         vecs.setflags(write=False)
         return cls(eigenvalues=evals, eigenvectors=vecs)
 
     def probabilities(self, rho) -> np.ndarray:
-        """p_k = <e_k|rho|e_k>, clamped at -1e-12 and renormalized to 1e-10."""
+        """p_k = <e_k|rho|e_k>, clamped at -1e-12 and renormalized to 1e-10.
+
+        With a real eigenbasis e_k^T Im(rho) e_k = 0, as Im(rho) is
+        antisymmetric, so Re(rho) alone gives p_k exactly.
+        """
         vecs = self.eigenvectors
-        p = np.real((vecs.conj() * (rho.matrix @ vecs)).sum(axis=0))
+        if np.isrealobj(vecs):
+            p = (vecs * (rho.matrix.real @ vecs)).sum(axis=0)
+        else:
+            p = np.real((vecs.conj() * (rho.matrix @ vecs)).sum(axis=0))
         if p.min() < -PROB_NEG_TOL:
             raise NumericalConsistencyError(
                 f"negative Born probability {p.min():.3e} beyond tolerance"
@@ -79,10 +95,13 @@ class _GuideTable:
 
     The CDF is built as Generator.choice builds it, so an index is exactly
     cdf.searchsorted(u, side="right") of a uniform u: the index choice(p=p)
-    draws from the same stream. A uniform whose bucket floor(u * GUIDE_BUCKETS)
-    holds no CDF node takes the bucket's first index, so only the bucket is
-    counted; the others are searched. Uniforms are read CHUNK at a time into
-    arrays the table owns, so memory does not grow with nu.
+    draws from the same stream. The table reads the generator's 64-bit words
+    w, not its uniforms: for PCG64, the bit generator default_rng builds,
+    Generator.random returns u = (w >> 11) * 2^-53, so the bucket
+    floor(u * GUIDE_BUCKETS) is w >> SHIFT. A word whose bucket holds no CDF
+    node takes the bucket's first index, so only the bucket is counted; the
+    others become their uniforms and are searched. Words are read CHUNK at a
+    time, shifted into buffers the table owns, so memory does not grow with nu.
     """
 
     def __init__(self, p: np.ndarray, nu: int):
@@ -97,8 +116,8 @@ class _GuideTable:
         # buckets holding a node spill into the extra bin p.size
         self._guide = np.where(self._holds_node, p.size, first)
         n = min(nu, CHUNK)
-        self._u = np.empty(n)
-        self._bucket = np.empty(n, dtype=np.intp)
+        self._bucket = np.empty(n, dtype=np.uint64)
+        self._in_node = np.empty(n, dtype=bool)
 
     def counts(self, rng: np.random.Generator) -> np.ndarray:
         """How often each index comes up in nu draws from rng, as int64."""
@@ -107,13 +126,12 @@ class _GuideTable:
         searched = np.zeros(d, dtype=np.int64)
         for done in range(0, self._nu, CHUNK):
             n = min(CHUNK, self._nu - done)
-            u, bucket = self._u[:n], self._bucket[:n]
-            rng.random(out=u)
-            # floor(u * GUIDE_BUCKETS), exact since u >= 0 and the scale is 2^12
-            np.multiply(u, GUIDE_BUCKETS, out=bucket, casting="unsafe")
+            words = rng.bit_generator.random_raw(n)
+            bucket = np.right_shift(words, SHIFT, out=self._bucket[:n]).view(np.intp)
             per_bucket += np.bincount(bucket, minlength=GUIDE_BUCKETS)
-            in_node = u[self._holds_node[bucket]]
-            searched += np.bincount(self._cdf.searchsorted(in_node, side="right"), minlength=d)
+            in_node = self._holds_node.take(bucket, out=self._in_node[:n], mode="clip")
+            u = (words[in_node] >> 11) * 2.0**-53
+            searched += np.bincount(self._cdf.searchsorted(u, side="right"), minlength=d)
         guided = np.bincount(self._guide, weights=per_bucket, minlength=d + 1)[:-1]
         return searched + guided.astype(np.int64)  # weights sum exactly below 2^53
 

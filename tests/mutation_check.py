@@ -103,6 +103,18 @@ MUTANTS = [
      "            | (sinh_sq > n + 1e-12 * np.maximum(n, 1.0))\n",
      "",
      ["tests/test_dephasing.py::TestEnhancementScanParity"]),
+    ("nsrkit/montecarlo.py",
+     "SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)",
+     "SHIFT = 65 - (GUIDE_BUCKETS.bit_length() - 1)",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "(words[in_node] >> 11) * 2.0**-53",
+     "(words[in_node] >> 12) * 2.0**-53",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "(vecs * (rho.matrix.real @ vecs))",
+     "(vecs * (np.abs(rho.matrix) @ vecs))",
+     ["tests/test_montecarlo.py"]),
 ]
 
 

@@ -36,7 +36,7 @@ from nsrkit import (
     number_operator,
     run_trials,
 )
-from nsrkit.montecarlo import CHUNK, _GuideTable
+from nsrkit.montecarlo import CHUNK, GUIDE_BUCKETS, SHIFT, _GuideTable
 
 from conftest import SIGMA_Z, plus_state
 from oracles import random_density_mat, random_hermitian
@@ -80,6 +80,25 @@ class TestMeasurementModel:
         model = MeasurementModel.from_observable(Operator(SIGMA_Z))
         with pytest.raises(NumericalConsistencyError):
             model.probabilities(rho)
+
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.0), (1.0, 0.8), (2.0, 1.0), (1.0, 1.5)],
+                             ids=["dim-16", "dim-78", "dim-134", "dim-281"])
+    def test_x0_real_route_matches_complex_route(self, alpha, r):
+        spec = case_study_spec(alpha=alpha, r=r)
+        m = quadrature(0.0, spec.dim)
+        model = MeasurementModel.from_observable(m)
+        assert model.eigenvectors.dtype == np.float64
+        evals, vecs = np.linalg.eigh(m.matrix)
+        complex_model = MeasurementModel(eigenvalues=evals, eigenvectors=vecs)
+        fam = dephasing_family(spec)
+        for phi in (0.0, 0.7, 2.5):
+            rho = fam.state_at(phi)
+            np.testing.assert_allclose(model.probabilities(rho), complex_model.probabilities(rho),
+                                       rtol=0, atol=1e-14)
+
+    def test_complex_quadrature_keeps_complex_eigenbasis(self):
+        model = MeasurementModel.from_observable(quadrature(0.3, 16))
+        assert np.iscomplexobj(model.eigenvectors)
 
     def test_born_frequencies(self):
         spec = case_study_spec()
@@ -157,19 +176,35 @@ def choice_counts(p, nu, seed):
     return np.bincount(draws, minlength=p.size)
 
 
-class FixedUniforms:
-    """Stands in for a Generator whose uniforms are given."""
+class FixedWords:
+    """Stands in for a Generator whose bit generator's 64-bit words are given."""
 
-    def __init__(self, values):
-        self._values = np.asarray(values)
+    def __init__(self, words):
+        self._words = np.asarray(words, dtype=np.uint64)
+        self.bit_generator = self
 
-    def random(self, out):
-        out[:] = self._values[:out.size]
-        self._values = self._values[out.size:]
+    def random_raw(self, n):
+        words, self._words = self._words[:n], self._words[n:]
+        return words
 
 
 # One draw, a chunk boundary from both sides, and the benchmark's sample count.
 SAMPLE_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 100000]
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_words_give_the_uniforms_of_default_rng(n):
+    # the sampler reads PCG64's words in place of Generator.random's uniforms:
+    # u = (w >> 11) 2^-53 bit for bit, so the bucket floor(u * GUIDE_BUCKETS)
+    # is w >> SHIFT; seeds are built as run_trials builds them
+    for seed in (0, 12345):
+        for k in (0, 1, 999):
+            u = np.random.default_rng([seed, k]).random(n)
+            words = np.random.default_rng([seed, k]).bit_generator.random_raw(n)
+            np.testing.assert_array_equal(
+                u.view(np.uint64), ((words >> 11) * 2.0**-53).view(np.uint64))
+            np.testing.assert_array_equal(
+                words >> SHIFT, np.floor(u * GUIDE_BUCKETS).astype(np.uint64))
 
 
 class TestGuideTableSampler:
@@ -214,13 +249,20 @@ class TestGuideTableSampler:
     @pytest.mark.parametrize("p", [[0.3, 0.7], [0.25, 0.25, 0.5]],
                              ids=["node-inside-bucket", "nodes-on-bucket-edges"])
     def test_uniform_on_a_node(self, p):
-        # u equal to a CDF node takes the next index (side="right"), as in choice
+        # u equal to a CDF node takes the next index (side="right"), as in choice.
+        # The generator makes only u = k 2^-53, from any word k 2^11 + low with
+        # low < 2^11: the node 0.3 is no such u and drops out, its two
+        # neighbours stay. The words 0 and 2^64 - 1 are the two ends.
         p = np.array(p)
         cdf = choice_cdf(p)
         nodes = cdf[:-1]
-        u = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0), [0.0]])
-        table = _GuideTable(p, u.size)
-        counts = table.counts(FixedUniforms(u))
+        u = np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0)])
+        k = (u * 2.0**53)[u * 2.0**53 == np.floor(u * 2.0**53)].astype(np.uint64)
+        words = np.concatenate([k << 11, (k << 11) | (2**11 - 1),
+                                np.array([0, 2**64 - 1], dtype=np.uint64)])
+        table = _GuideTable(p, words.size)
+        counts = table.counts(FixedWords(words))
+        u = (words >> 11) * 2.0**-53
         np.testing.assert_array_equal(
             counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
 
