@@ -6,14 +6,15 @@ needs only how often each eigenvalue came up, so the one sampler, a guide
 table, counts the draws CHUNK generator words at a time and never holds them:
 memory does not grow with the sample count. A word's top bits are its guide
 bucket, so only the words in buckets that hold a CDF node become uniforms.
-On a phase family a quadrature's mean is an exact cosine in x, so two exact
-means fix the curve and the inversion is an arccos. An estimate outside the
-curve's window is clamped to it and flagged; the flags are data, returned
-with the estimates. Across repeats, nu * Var(x_hat) must approach the squared
-noise-to-sensibility ratio, and an adaptive loop re-centers on each round's
-estimate and scores each round's Fisher value. Both loops draw and invert through the same measurement step,
-keyed by the phase it is calibrated for: the quadrature angle and the window
-start are both phase - pi/2. They share one Born model per run:
+On a phase family a quadrature's mean is an exact cosine in x, so two means
+from the probe's four sums fix the curve and the inversion is an arccos. An
+estimate outside the curve's window is clamped to it and flagged; the flags
+are data, returned with the estimates. Across repeats, nu * Var(x_hat) must
+approach the squared noise-to-sensibility ratio, and an adaptive loop
+re-centers on each round's estimate and scores each round's Fisher value.
+Both loops draw and invert through the same measurement step, keyed by the
+phase it is calibrated for: the quadrature angle and the window start are
+both phase - pi/2. They share one probe and one Born model per run:
 X_theta = D X_0 D^dag with D = e^{-i theta n}, so X_0's eigenbasis at the
 shifted phase serves every angle. X_0 is real symmetric, so that one
 eigendecomposition is real, and so is each Born distribution's product.
@@ -22,19 +23,19 @@ eigendecomposition is real, and so is each Born distribution's product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dephasing import _quadrature_reports, dephasing_family, optimal_calibration, quadrature
+from .dephasing import _quadrature_reports, dephasing_family, quadrature
 from .errors import (
     ContractViolationError,
     EstimatorDivergenceError,
     NonInvertibleCurveError,
     NumericalConsistencyError,
 )
-from .estimation import ParamFamily, SensitivityReport, assess_observable
-from .operators import IMAG_RESIDUE_TOL, expectation
+from .estimation import ParamFamily, SensitivityReport
+from .operators import IMAG_RESIDUE_TOL
 
 PROB_NEG_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
@@ -151,17 +152,17 @@ class CalibrationCurve:
     window: tuple[float, float]
 
 
-def build_curve(fam: ParamFamily, m, start: float) -> CalibrationCurve:
-    """The cosine <m>_x, fixed by the exact means at start and start + pi/2,
-    inverted on [start, start + pi] within the family domain.
+def build_curve(report_at, start: float, domain: tuple[float, float]) -> CalibrationCurve:
+    """The cosine <X_start>_x, fixed by its means at start and start + pi/2,
+    inverted on [start, start + pi] within domain.
 
-    On a phase family a quadrature's mean holds only the harmonics e^{+-ix},
-    so <m>_{start+t} = M0 cos t + M1 sin t. The window is also cut to the
-    monotone half period that holds start + pi/2. A third mean, at the window
-    middle, must match the cosine to 1e-9 relative.
-    """
-    m0 = expectation(fam.state_at(start), m)
-    m1 = expectation(fam.state_at(start + math.pi / 2), m)
+    report_at(offset), the report function of _quadrature_reports, gives the
+    mean of X_start at rho(start - offset) (the family is covariant) as
+    2 Re(e^{i offset} <a>), so <X_start>_{start+t} = M0 cos t + M1 sin t by
+    construction. The window is also cut to the monotone half period that
+    holds start + pi/2."""
+    m0 = report_at(0.0).mean
+    m1 = report_at(-math.pi / 2).mean
     amplitude = math.hypot(m0, m1)
     if amplitude <= IMAG_RESIDUE_TOL:
         raise NonInvertibleCurveError(f"<m>_x is flat (amplitude {amplitude:.3g}); not invertible")
@@ -170,19 +171,12 @@ def build_curve(fam: ParamFamily, m, start: float) -> CalibrationCurve:
     x0 = start + theta + half_periods * math.pi
     if half_periods % 2:
         amplitude = -amplitude
-    lo = max(start, x0, fam.domain[0])
-    hi = min(start + math.pi, x0 + math.pi, fam.domain[1])
+    lo = max(start, x0, domain[0])
+    hi = min(start + math.pi, x0 + math.pi, domain[1])
     if hi <= lo:
         raise EstimatorDivergenceError(
             f"monotone window ({start:.4g}, {start + math.pi:.4g}) has no "
-            f"overlap with the domain {fam.domain}"
-        )
-    mid = (lo + hi) / 2
-    residual = expectation(fam.state_at(mid), m) - amplitude * math.cos(mid - x0)
-    if abs(residual) > 1e-9 * max(1.0, abs(amplitude)):
-        raise NonInvertibleCurveError(
-            f"<m>_x is off the cosine through its two means by {residual:.3g}; "
-            "not a quadrature on a phase family"
+            f"overlap with the domain {domain}"
         )
     return CalibrationCurve(xs=np.array([x0, x0 + math.pi]),
                             means=np.array([amplitude, -amplitude]), window=(lo, hi))
@@ -204,22 +198,41 @@ def invert_mean(curve: CalibrationCurve, observed_mean: float) -> tuple[float, b
     return estimate, estimate != x or abs(observed_mean) > abs(amplitude)
 
 
-def _measurement(fam: ParamFamily, model, phase: float, phi_true: float, nu: int):
+def _measurement(fam: ParamFamily, report_at, model, phase: float, phi_true: float, nu: int):
     """The step run_trials and adaptive_calibrate share, calibrated for phase:
-    with theta = phase - pi/2, the calibration curve of X_theta =
-    quadrature(theta) from start theta, so its window is centered on phase,
-    and the guide table of its Born distribution at rho(phi_true), which is
-    model's (of X_0) at rho(phi_true - theta), as X_theta = D X_0 D^dag with
-    D = e^{-i theta n}.
-    Returns rng -> invert_mean of the mean of nu draws from rng."""
-    theta = phase - math.pi / 2.0
-    curve = build_curve(fam, quadrature(theta, fam.dim), theta)
-    table = _GuideTable(model.probabilities(fam.state_at(phi_true - theta)), nu)
+    with theta = phase - pi/2, the curve of X_theta from start theta, so its
+    window is centered on phase, and the guide table of its Born distribution
+    at rho(phi_true): model's (of X_0) at rho(pi/2 + (phi_true - phase)), as
+    X_theta = D X_0 D^dag with D = e^{-i theta n}; that offset is exact when
+    phase is phi_true. Returns rng -> invert_mean of the mean of nu draws."""
+    curve = build_curve(report_at, phase - math.pi / 2.0, fam.domain)
+    rho = fam.state_at(math.pi / 2.0 + (phi_true - phase))
+    table = _GuideTable(model.probabilities(rho), nu)
 
     def estimate(rng: np.random.Generator) -> tuple[float, bool]:
         return invert_mean(curve, float(table.counts(rng) @ model.eigenvalues) / nu)
 
     return estimate
+
+
+def _prepare(spec, phi_true: float, nu: int):
+    """(family, report function, optimal report at offset -pi/2, model of X_0)
+    at phi_true, from one probe. A phi_true whose spacing of doubles exceeds
+    1/100 of the sd nsr / sqrt(nu) of one estimate is rejected: rounding it
+    would add more than (0.01)^2 / 12 of the variance."""
+    spec = replace(spec, probe=spec.probe_state())
+    fam = dephasing_family(spec)
+    if not fam.contains(phi_true):
+        raise ContractViolationError(f"phi_true {phi_true} outside {fam.domain}")
+    report_at = _quadrature_reports(spec, phi_true)
+    optimal = report_at(-math.pi / 2.0)
+    spacing, sd = math.ulp(phi_true), optimal.nsr / math.sqrt(nu)
+    if spacing > 0.01 * sd:
+        raise ContractViolationError(
+            f"phi_true {phi_true!r} is resolved only to the spacing of doubles there, "
+            f"{spacing:.3g}, above 1/100 of the predicted sd of one estimate, {sd:.3g}"
+        )
+    return fam, report_at, optimal, MeasurementModel.from_observable(quadrature(0.0, fam.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,13 +279,9 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
         raise ContractViolationError(f"sample count must be positive, got {nu}")
     if repeats < 2:
         raise ContractViolationError("need at least 2 repeats for a variance")
-    fam = dephasing_family(spec)
-    if not fam.contains(phi_true):
-        raise ContractViolationError(f"phi_true {phi_true} outside {fam.domain}")
-    report = assess_observable(fam, phi_true, quadrature(optimal_calibration(phi_true), fam.dim))
+    fam, report_at, report, model = _prepare(spec, phi_true, nu)
     delta_m, threshold, ok = mean_inversion_condition(report, nu)
-    model = MeasurementModel.from_observable(quadrature(0.0, fam.dim))
-    estimate = _measurement(fam, model, phi_true, phi_true, nu)
+    estimate = _measurement(fam, report_at, model, phi_true, phi_true, nu)
     estimates = np.empty(repeats)
     clamped = np.empty(repeats, dtype=bool)
     for k in range(repeats):
@@ -311,22 +320,17 @@ def adaptive_calibrate(
         raise ContractViolationError(f"need at least 1 round, got {rounds}")
     if batch < 1:
         raise ContractViolationError(f"sample count must be positive, got {batch}")
-    fam = dephasing_family(spec)
-    domain = fam.domain
-    if not fam.contains(phi_true_hidden):
-        raise ContractViolationError(f"phi_true {phi_true_hidden} outside {domain}")
-    model = MeasurementModel.from_observable(quadrature(0.0, fam.dim))
-    report_at = _quadrature_reports(spec, phi_true_hidden)
+    fam, report_at, optimal, model = _prepare(spec, phi_true_hidden, batch)
 
     def fisher_at(angle: float) -> float:
         return report_at(angle - phi_true_hidden).fisher
 
-    phases = [(domain[0] + domain[1]) / 2.0]
+    phases = [(fam.domain[0] + fam.domain[1]) / 2.0]
     estimates = np.empty(rounds)
     clamped = np.empty(rounds, dtype=bool)
     for k in range(rounds):
         try:
-            estimate = _measurement(fam, model, phases[k], phi_true_hidden, batch)
+            estimate = _measurement(fam, report_at, model, phases[k], phi_true_hidden, batch)
         except (EstimatorDivergenceError, NonInvertibleCurveError) as exc:
             raise EstimatorDivergenceError(
                 f"calibration window unusable at round {k}: {exc}", round_index=k
@@ -336,4 +340,4 @@ def adaptive_calibrate(
     fisher = np.array([fisher_at(p - math.pi / 2.0) for p in phases])
     for arr in (estimates, clamped, fisher):
         arr.setflags(write=False)
-    return estimates, clamped, fisher, report_at(-math.pi / 2.0).fisher
+    return estimates, clamped, fisher, optimal.fisher

@@ -44,8 +44,8 @@ MUTANTS = [
      "ph = np.exp(1j * phi * np.arange(self.dim))",
      ["tests/test_operators.py", "tests/test_dephasing.py"]),
     ("nsrkit/montecarlo.py",
-     "fam.state_at(phi_true - theta)",
-     "fam.state_at(phi_true + theta)",
+     "math.pi / 2.0 + (phi_true - phase)",
+     "math.pi / 2.0 + (phase - phi_true)",
      ["tests/test_montecarlo.py"]),
     ("nsrkit/operators.py",
      "TAIL_TARGET = 1e-12",
@@ -114,6 +114,14 @@ MUTANTS = [
     ("nsrkit/montecarlo.py",
      "(vecs * (rho.matrix.real @ vecs))",
      "(vecs * (np.abs(rho.matrix) @ vecs))",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "m1 = report_at(-math.pi / 2)",
+     "m1 = report_at(math.pi / 2)",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "spacing > 0.01 * sd",
+     "spacing > 100.0 * sd",
      ["tests/test_montecarlo.py"]),
 ]
 

@@ -403,6 +403,21 @@ class TestMcCommand:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("mode", [("--nu", "10000", "--repeats", "20"),
+                                      ("--adaptive", "--rounds", "3", "--batch", "50")],
+                             ids=["trials", "adaptive"])
+    def test_phi_true_beyond_its_spacing_exit_2(self, capsys, mode):
+        # doubles near 1e15 are 0.125 apart, far above 1/100 of one estimate's sd
+        argv = ("mc", "--alpha", "1", "--beta", "0.3", *mode)
+        code, out, err = run_cli(capsys, *argv, "--phi-true", "1e15")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: phi_true 1000000000000000.0 ")
+        assert "spacing of doubles there, 0.125," in err
+        code, out, _ = run_cli(capsys, *argv, "--phi-true", "1e6")
+        assert code == 0
+        assert last_json(out)["clamped_count"] == 0
+
     def test_small_dm_threshold_inf_at_optimum(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "--nu", "2000", "--repeats", "3",
                                "--seed", "7")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -163,22 +162,18 @@ class TestDephasingFamily:
             np.testing.assert_allclose(np.linalg.eigvalsh(rho), spectrum0, rtol=0, atol=1e-12)
 
     def test_build_curve_checks_no_spectrum(self, monkeypatch):
-        # the family's state is validated once, at construction; the curve
-        # takes at most three states and runs no eigensolver
+        # the curve reads the probe's four sums: it takes no state and runs
+        # no eigensolver
         spec = PhaseFamilySpec(GaussianProbeSpec.with_default_dim(1.0, 0.0),
                                DiffusionParams(0.3), (0.7 - math.pi, 0.7 + math.pi))
-        fam = dephasing_family(spec)
+        report_at = _quadrature_reports(spec, 0.7)
         states = []
-
-        def counted_state_at(phi):
-            states.append(phi)
-            return fam.state_at(phi)
-
+        shifted = DensityMatrix.phase_shifted
+        monkeypatch.setattr(DensityMatrix, "phase_shifted",
+                            lambda rho, phi: states.append(phi) or shifted(rho, phi))
         calls = count_eigensolves(monkeypatch)
-        phi_exp = optimal_calibration(0.7)
-        build_curve(dataclasses.replace(fam, state_at=counted_state_at),
-                    quadrature(phi_exp, spec.dim), phi_exp)
-        assert len(states) <= 3
+        build_curve(report_at, optimal_calibration(0.7), spec.phi_domain)
+        assert states == []
         assert calls == []
 
     def test_statevector_probe(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -36,6 +37,8 @@ from nsrkit import (
     number_operator,
     run_trials,
 )
+from nsrkit import dephasing, montecarlo
+from nsrkit.dephasing import _quadrature_reports
 from nsrkit.montecarlo import CHUNK, GUIDE_BUCKETS, SHIFT, _GuideTable
 
 from conftest import SIGMA_Z, plus_state
@@ -294,8 +297,7 @@ class TestGuideTableSampler:
 
 def case_study_curve():
     spec = case_study_spec()
-    phi_exp = optimal_calibration(0.7)
-    return build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), phi_exp)
+    return build_curve(_quadrature_reports(spec, 0.7), optimal_calibration(0.7), spec.phi_domain)
 
 
 class TestBuildCurve:
@@ -303,7 +305,7 @@ class TestBuildCurve:
         alpha, beta = 1.0, 0.3
         spec = case_study_spec(alpha=alpha, beta=beta)
         phi_exp = optimal_calibration(0.7)
-        curve = build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), phi_exp)
+        curve = build_curve(_quadrature_reports(spec, 0.7), phi_exp, spec.phi_domain)
         amplitude = 2 * alpha * math.exp(-beta**2)
         np.testing.assert_allclose(curve.means, [amplitude, -amplitude], atol=1e-7)
         np.testing.assert_allclose(curve.xs, [phi_exp, phi_exp + math.pi], atol=1e-12)
@@ -311,39 +313,35 @@ class TestBuildCurve:
 
     def test_beta_zero_amplitude(self):
         spec = case_study_spec(beta=0.0)
-        phi_exp = optimal_calibration(0.7)
-        curve = build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), phi_exp)
+        curve = build_curve(_quadrature_reports(spec, 0.7), optimal_calibration(0.7),
+                            spec.phi_domain)
         assert curve.means[0] == pytest.approx(2.0, abs=1e-7)
-
-    def test_constant_mean_not_invertible(self):
-        # the number operator's mean is constant, not a cosine through its two means
-        spec = case_study_spec()
-        with pytest.raises(NonInvertibleCurveError):
-            build_curve(dephasing_family(spec), number_operator(spec.dim), 0.7 - math.pi / 2)
 
     def test_flat_quadrature_not_invertible(self):
         # alpha = 0: every quadrature mean of a squeezed vacuum is zero
         spec = case_study_spec(alpha=0.0, r=0.5)
-        phi_exp = optimal_calibration(0.7)
         with pytest.raises(NonInvertibleCurveError):
-            build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), phi_exp)
+            build_curve(_quadrature_reports(spec, 0.7), optimal_calibration(0.7), spec.phi_domain)
 
     def test_grid_must_stay_in_domain(self):
         spec = case_study_spec()
-        fam = dephasing_family(spec)
+        report_at = _quadrature_reports(spec, 0.7)
         start = 0.7 + 2.0  # [start, start + pi] spills past the domain edge
-        curve = build_curve(fam, quadrature(0.0, spec.dim), start)
+        # the curve of X_0, whose mean at rho(x) is report_at(0 - x)
+        curve = build_curve(lambda offset: report_at(offset - start), start, spec.phi_domain)
         lo, hi = curve.window
-        assert fam.domain[0] <= lo < hi == fam.domain[1]
+        assert spec.phi_domain[0] <= lo < hi == spec.phi_domain[1]
         assert curve.xs[0] <= lo and hi <= curve.xs[1]
 
     def test_window_straddles_peak(self):
         # [start, start + pi] centered before the mean's maximum at phi_exp:
         # the window is the monotone side after the peak
         spec = case_study_spec()
+        report_at = _quadrature_reports(spec, 0.7)
         phi_exp = optimal_calibration(0.7)
         start = phi_exp - 1.0
-        curve = build_curve(dephasing_family(spec), quadrature(phi_exp, spec.dim), start)
+        # the curve of X_phi_exp, whose mean at rho(x) is report_at(phi_exp - x)
+        curve = build_curve(lambda offset: report_at(offset + 1.0), start, spec.phi_domain)
         assert curve.window == pytest.approx((phi_exp, start + math.pi), abs=1e-12)
 
     def test_complex_amplitude_window_trimmed(self):
@@ -355,7 +353,7 @@ class TestBuildCurve:
         fam = dephasing_family(spec)
         phi_exp = optimal_calibration(0.7)
         m = quadrature(phi_exp, spec.dim)
-        curve = build_curve(fam, m, phi_exp)
+        curve = build_curve(_quadrature_reports(spec, 0.7), phi_exp, spec.phi_domain)
         # the mean peaks at phi_exp + theta, so the window loses [phi_exp, phi_exp + theta)
         assert curve.window == pytest.approx((phi_exp + theta, phi_exp + math.pi), abs=1e-12)
         lo, hi = curve.window
@@ -390,7 +388,7 @@ class TestInvertMean:
         fam = dephasing_family(spec)
         phi_exp = optimal_calibration(0.7)
         m = quadrature(phi_exp, spec.dim)
-        curve = build_curve(fam, m, phi_exp)
+        curve = build_curve(_quadrature_reports(spec, 0.7), phi_exp, spec.phi_domain)
         for x in np.linspace(phi_exp + 0.1, phi_exp + math.pi - 0.1, 17):
             true_mean = expectation(fam.state_at(float(x)), m)
             estimate, clamped = invert_mean(curve, true_mean)
@@ -436,9 +434,7 @@ class TestRunTrials:
     def test_predicted_variance_definition(self):
         spec = case_study_spec()
         run = run_trials(spec, 0.7, nu=5000, repeats=5, seed=1)
-        fam = dephasing_family(spec)
-        m = quadrature(optimal_calibration(0.7), spec.dim)
-        nsr = assess_observable(fam, 0.7, m).nsr
+        nsr = _quadrature_reports(spec, 0.7)(-math.pi / 2).nsr
         assert run.predicted_variance == nsr**2 / 5000
         assert run.estimates.shape == run.clamped.shape == (5,)
 
@@ -504,13 +500,14 @@ class TestRunTrials:
 @pytest.mark.parametrize("alpha, r, beta", [(1.0, 0.0, 0.3), (2.0, 1.0, 0.3), (1.0, 0.5, 0.3)])
 def test_calibration_cost_attains_fisher(alpha, r, beta, rng):
     phi_true, nu, n = 0.7, 100000, 10_000
-    fam = dephasing_family(case_study_spec(phi_true=phi_true, alpha=alpha, r=r, beta=beta))
+    spec = case_study_spec(phi_true=phi_true, alpha=alpha, r=r, beta=beta)
+    fam = dephasing_family(spec)
     phi_exp = optimal_calibration(phi_true)
     m = quadrature(phi_exp, fam.dim)
     model = MeasurementModel.from_observable(m)
     p = model.probabilities(fam.state_at(phi_true))
     means = rng.multinomial(nu, p, size=n) @ model.eigenvalues / nu
-    curve = build_curve(fam, m, phi_exp)
+    curve = build_curve(_quadrature_reports(spec, phi_true), phi_exp, spec.phi_domain)
     estimates = [invert_mean(curve, mean)[0] for mean in means]
     ratio = nu * np.var(estimates, ddof=1) * analytic_fnsr(r, alpha, beta)
     assert 0.943 <= ratio <= 1.057
@@ -607,4 +604,89 @@ class TestAdaptiveCalibrate:
         spec = case_study_spec()
         spec = PhaseFamilySpec(spec.probe, spec.diffusion, (0.0, 1.0))
         with pytest.raises(EstimatorDivergenceError):
-            build_curve(dephasing_family(spec), quadrature(5.0, spec.dim), 5.0)
+            build_curve(_quadrature_reports(spec, 0.5), 5.0, spec.phi_domain)
+
+
+class TestSpacingGuard:
+    """phi_true must be resolved to 1/100 of the predicted sd of one estimate,
+    nsr / sqrt(nu): 0.0069 at nu = 10^4 and 0.098 at batch 50 on the case
+    study. The spacing of doubles is 0.125 at 1e15, 1.2e-4 at 2^39, 6.1e-5
+    at 2^38 and 1.2e-10 at 1e6."""
+
+    def test_run_trials_rejects(self):
+        with pytest.raises(ContractViolationError, match=r"spacing .*, 0\.125, .* 0\.00693$"):
+            run_trials(case_study_spec(phi_true=1e15), 1e15, nu=10000, repeats=20, seed=0)
+
+    def test_adaptive_rejects(self):
+        with pytest.raises(ContractViolationError, match=r"spacing .*, 0\.125, .* 0\.098$"):
+            adaptive_calibrate(case_study_spec(phi_true=1e15), 1e15, batch=50, rounds=3, seed=0)
+
+    def test_boundary(self):
+        for phi_true, rejected in ((2.0**38, False), (2.0**39, True)):
+            # (phi_true - pi, phi_true + pi) rounds wider than a period here
+            spec = PhaseFamilySpec(GaussianProbeSpec.with_default_dim(1.0, 0.0),
+                                   DiffusionParams(0.3), (phi_true - 3.0, phi_true + 3.0))
+            if rejected:
+                with pytest.raises(ContractViolationError, match="spacing"):
+                    run_trials(spec, phi_true, nu=10000, repeats=2, seed=0)
+            else:
+                run_trials(spec, phi_true, nu=10000, repeats=2, seed=0)
+
+    def test_large_phi_true_runs(self):
+        run = run_trials(case_study_spec(phi_true=1e6), 1e6, nu=10000, repeats=20, seed=0)
+        assert not run.clamped.any()
+        assert np.abs(run.estimates - 1e6).max() <= 6 * math.sqrt(run.predicted_variance)
+
+    def test_zero_fisher_not_rejected(self):
+        # alpha = 0: infinite sd, so the spacing passes and the flat curve is reported
+        spec = case_study_spec(phi_true=1e15, alpha=0.0, r=0.5)
+        with pytest.raises(NonInvertibleCurveError):
+            run_trials(spec, 1e15, nu=10000, repeats=2, seed=0)
+        with pytest.raises(EstimatorDivergenceError):
+            adaptive_calibrate(spec, 1e15, batch=50, rounds=1, seed=0)
+
+
+def test_probe_built_once_per_run(monkeypatch):
+    # the family and the report function share one probe
+    calls = []
+    probe = dephasing.gaussian_probe
+    monkeypatch.setattr(dephasing, "gaussian_probe", lambda spec: calls.append(spec) or probe(spec))
+    spec = case_study_spec()
+    run_trials(spec, 0.7, nu=100, repeats=2, seed=0)
+    assert len(calls) == 1
+    calls.clear()
+    adaptive_calibrate(spec, 0.7, batch=100, rounds=3, seed=0)
+    assert len(calls) == 1
+
+
+def test_one_state_per_measurement(monkeypatch):
+    # the curve and the prediction come from the probe's sums: each
+    # measurement reads one state, its Born distribution's
+    states = []
+    family = montecarlo.dephasing_family
+
+    def counted_family(spec):
+        fam = family(spec)
+        return dataclasses.replace(fam, state_at=lambda x: states.append(x) or fam.state_at(x))
+
+    monkeypatch.setattr(montecarlo, "dephasing_family", counted_family)
+    run_trials(case_study_spec(), 0.7, nu=100, repeats=2, seed=0)
+    assert states == [math.pi / 2]
+    states.clear()
+    adaptive_calibrate(case_study_spec(), 0.7, batch=100, rounds=3, seed=0)
+    assert len(states) == 3
+
+
+def test_run_trials_phase_covariant():
+    # the family is covariant, so shifting phi_true shifts the estimates and
+    # leaves the flags, the prediction and the small-noise check as they are
+    nu, repeats, seed = 10**4, 20, 3
+    base = run_trials(case_study_spec(phi_true=0.0), 0.0, nu=nu, repeats=repeats, seed=seed)
+    for phi_true in (0.7, -2.5, 1e6, 1e9):
+        run = run_trials(case_study_spec(phi_true=phi_true), phi_true, nu=nu, repeats=repeats,
+                         seed=seed)
+        np.testing.assert_allclose(run.estimates - phi_true, base.estimates, rtol=0,
+                                   atol=2 * math.ulp(phi_true))
+        np.testing.assert_array_equal(run.clamped, base.clamped)
+        assert run.predicted_variance == base.predicted_variance
+        assert run.small_dm == base.small_dm
