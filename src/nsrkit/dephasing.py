@@ -55,7 +55,8 @@ class PhaseFamilySpec:
         lo, hi = self.phi_domain
         if not (hi > lo):
             raise ContractViolationError(f"phi_domain ({lo}, {hi}) must be a nonempty interval")
-        if hi - lo > math.tau + 1e-12:
+        # phi +- pi may round each end by up to its spacing of doubles
+        if hi - lo > math.tau + 1e-12 + math.ulp(lo) + math.ulp(hi):
             raise ContractViolationError(f"phi_domain ({lo}, {hi}) wider than one phase period")
 
     @property

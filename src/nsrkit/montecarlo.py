@@ -3,9 +3,11 @@
 Outcomes are Born-rule draws from the observable's eigenbasis; the estimator
 inverts the calibration curve <M>_x at the observed sample mean. That mean
 needs only how often each eigenvalue came up, so the one sampler, a guide
-table, counts the draws CHUNK generator words at a time and never holds them:
-memory does not grow with the sample count. A word's top bits are its guide
-bucket, so only the words in buckets that hold a CDF node become uniforms.
+table, counts the draws CHUNK generator words at a time. A word's top bits
+are its guide bucket, so only the words in buckets that hold a CDF node are
+kept: they are compared, as integers, with the CDF's edges in word space,
+and counted each time their buffer fills. No word becomes a uniform, and
+memory is bounded by CHUNK words of each kind, whatever the sample count.
 On a phase family a quadrature's mean is an exact cosine in x, so two means
 from the probe's four sums fix the curve and the inversion is an arccos. An
 estimate outside the curve's window is clamped to it and flagged; the flags
@@ -99,16 +101,20 @@ class _GuideTable:
     draws from the same stream. The table reads the generator's 64-bit words
     w, not its uniforms: for PCG64, the bit generator default_rng builds,
     Generator.random returns u = (w >> 11) * 2^-53, so the bucket
-    floor(u * GUIDE_BUCKETS) is w >> SHIFT. A word whose bucket holds no CDF
-    node takes the bucket's first index, so only the bucket is counted; the
-    others become their uniforms and are searched. Words are read CHUNK at a
-    time, shifted into buffers the table owns, so memory does not grow with nu.
+    floor(u * GUIDE_BUCKETS) is w >> SHIFT, and u >= cdf_k exactly when
+    w >= edge_k = ceil(cdf_k * 2^53) << 11. A word whose bucket holds no CDF
+    node takes the bucket's first index, so only the bucket is counted. The
+    others are copied into a buffer, which is counted against the integer
+    edges (an in-place sort, searchsorted and a difference) when the next
+    chunk's node words would not fit, and once at the end. Words are read
+    CHUNK at a time and each buffer the table owns holds at most CHUNK words
+    of its kind, so memory does not grow with nu.
     """
 
     def __init__(self, p: np.ndarray, nu: int):
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        self._cdf = cdf
+        self._size = p.size
         self._nu = nu
         nodes = cdf * GUIDE_BUCKETS  # exact: GUIDE_BUCKETS is a power of two
         buckets = np.arange(GUIDE_BUCKETS)
@@ -116,25 +122,44 @@ class _GuideTable:
         self._holds_node = nodes.searchsorted(buckets + 1, side="left") > first
         # buckets holding a node spill into the extra bin p.size
         self._guide = np.where(self._holds_node, p.size, first)
+        # an edge at 2^64 (cdf_k == 1.0) is never crossed, so it is left out
+        below_one = cdf[: cdf.searchsorted(1.0)]
+        self._edges = np.ceil(below_one * 2.0**53).astype(np.uint64) << np.uint64(11)
         n = min(nu, CHUNK)
         self._bucket = np.empty(n, dtype=np.uint64)
         self._in_node = np.empty(n, dtype=bool)
+        self._held = np.empty(n, dtype=np.uint64)
+
+    def _below(self, held: np.ndarray) -> np.ndarray:
+        """How many held words lie below each edge, then how many there are;
+        sorts held in place."""
+        held.sort()
+        return np.append(held.searchsorted(self._edges), held.size)
 
     def counts(self, rng: np.random.Generator) -> np.ndarray:
         """How often each index comes up in nu draws from rng, as int64."""
-        d = self._cdf.size
         per_bucket = np.zeros(GUIDE_BUCKETS, dtype=np.int64)
-        searched = np.zeros(d, dtype=np.int64)
+        # node words below each edge, then all node words: index j is below[j] - below[j-1]
+        below = np.zeros(self._edges.size + 1, dtype=np.int64)
+        held = 0
         for done in range(0, self._nu, CHUNK):
             n = min(CHUNK, self._nu - done)
             words = rng.bit_generator.random_raw(n)
             bucket = np.right_shift(words, SHIFT, out=self._bucket[:n]).view(np.intp)
             per_bucket += np.bincount(bucket, minlength=GUIDE_BUCKETS)
             in_node = self._holds_node.take(bucket, out=self._in_node[:n], mode="clip")
-            u = (words[in_node] >> 11) * 2.0**-53
-            searched += np.bincount(self._cdf.searchsorted(u, side="right"), minlength=d)
-        guided = np.bincount(self._guide, weights=per_bucket, minlength=d + 1)[:-1]
-        return searched + guided.astype(np.int64)  # weights sum exactly below 2^53
+            node_words = words[in_node]
+            if held + node_words.size > self._held.size:
+                below += self._below(self._held[:held])
+                held = 0
+            self._held[held:held + node_words.size] = node_words
+            held += node_words.size
+        below += self._below(self._held[:held])
+        guided = np.bincount(self._guide, weights=per_bucket, minlength=self._size + 1)[:-1]
+        counts = guided.astype(np.int64)  # weights sum exactly below 2^53
+        counts[: below.size] += below
+        counts[1 : below.size] -= below[:-1]
+        return counts
 
 
 @dataclass(frozen=True)

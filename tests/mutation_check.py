@@ -108,8 +108,20 @@ MUTANTS = [
      "SHIFT = 65 - (GUIDE_BUCKETS.bit_length() - 1)",
      ["tests/test_montecarlo.py"]),
     ("nsrkit/montecarlo.py",
-     "(words[in_node] >> 11) * 2.0**-53",
-     "(words[in_node] >> 12) * 2.0**-53",
+     "np.ceil(below_one * 2.0**53)",
+     "np.floor(below_one * 2.0**53)",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "<< np.uint64(11)",
+     "<< np.uint64(12)",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "below_one = cdf[: cdf.searchsorted(1.0)]",
+     "below_one = cdf",
+     ["tests/test_montecarlo.py"]),
+    ("nsrkit/montecarlo.py",
+     "                below += self._below(self._held[:held])\n                held = 0\n",
+     "                held = 0\n",
      ["tests/test_montecarlo.py"]),
     ("nsrkit/montecarlo.py",
      "(vecs * (rho.matrix.real @ vecs))",

@@ -683,3 +683,13 @@ class TestSpecContracts:
     def test_domain_width_capped(self):
         with pytest.raises(ContractViolationError):
             PhaseFamilySpec(fock_state(2, 0), DiffusionParams(0.1), (0.0, 10.0))
+
+    @pytest.mark.parametrize("center", [0.0, 1e6, 2.0**20, 2.0**38, 1e16])
+    def test_domain_width_allows_rounded_ends(self, center):
+        # phi +- pi rounds each end by up to its spacing of doubles: a period
+        # centered anywhere is accepted, a domain wider than that is not
+        lo, hi = center - math.pi, center + math.pi
+        PhaseFamilySpec(fock_state(2, 0), DiffusionParams(0.1), (lo, hi))
+        slack = math.ulp(lo) + math.ulp(hi)
+        with pytest.raises(ContractViolationError, match="wider than one phase period"):
+            PhaseFamilySpec(fock_state(2, 0), DiffusionParams(0.1), (lo - 2 * slack - 2e-12, hi))

@@ -269,6 +269,46 @@ class TestGuideTableSampler:
         np.testing.assert_array_equal(
             counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
 
+    def test_buffer_counted_several_times_per_repeat(self):
+        # nodes in most buckets, so about half of all words are node words and
+        # the CHUNK-word buffer is counted several times within one repeat
+        p = np.random.default_rng(3000).random(3000) + 0.5
+        p /= p.sum()
+        cdf = choice_cdf(p)
+        nu = 6 * CHUNK + 123
+        table = _GuideTable(p, nu)
+        flushes = []
+        below = table._below
+        table._below = lambda held: flushes.append(held.size) or below(held)
+        for seed in range(3):
+            flushes.clear()
+            counts = table.counts(np.random.default_rng(seed))
+            assert len(flushes) >= 3 and max(flushes) <= CHUNK
+            u = np.random.default_rng(seed).random(nu)
+            np.testing.assert_array_equal(
+                counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
+            np.testing.assert_array_equal(counts, choice_counts(p, nu, seed))
+
+    def test_words_at_the_edges(self):
+        # u = (w >> 11) 2^-53 >= cdf_k exactly when w >= ceil(cdf_k 2^53) << 11.
+        # Words one below, at and one above each edge: cdf_0 = 0.0 (a leading
+        # zero), nodes off the grid of u, and cdf_k == 1.0 before the end
+        # (trailing zeros), whose edge 2^64 no word reaches. Every word falls
+        # in a bucket that holds a node, so none is counted by its bucket.
+        p = np.array([0.0, 1e-5, 0.3, 0.7 - 2e-5, 1e-5, 0.0, 0.0])
+        cdf = choice_cdf(p)
+        assert cdf[0] == 0.0 and cdf[-3] == 1.0
+        edges = [math.ceil(c * 2**53) << 11 for c in cdf]
+        words = np.array([w for edge in edges for w in (edge - 1, edge, edge + 1)
+                          if 0 <= w < 2**64], dtype=np.uint64)
+        table = _GuideTable(p, words.size)
+        assert table._holds_node[(words >> SHIFT).astype(np.intp)].all()
+        counts = table.counts(FixedWords(words))
+        u = (words >> 11) * 2.0**-53
+        np.testing.assert_array_equal(
+            counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
+        assert counts[p == 0.0].sum() == 0
+
     def test_run_trials_memory_does_not_grow_with_nu(self):
         # holding the 2e6 draws of one repeat would take 16 MB or more
         spec = case_study_spec()
@@ -276,6 +316,20 @@ class TestGuideTableSampler:
         tracemalloc.start()
         try:
             run_trials(spec, 0.7, nu=2_000_000, repeats=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        # At dim 134 the probe and the model alone peak near 2.3 MB, whatever
+        # nu, so one measurement step is traced on its own: about 1.45% of
+        # draws are node words, and holding those of 2e7 draws would take
+        # about 2.3 MB.
+        spec, nu = case_study_spec(alpha=2.0, r=1.0), 20_000_000
+        fam, report_at, _, model = montecarlo._prepare(spec, 0.7, nu)
+        tracemalloc.start()
+        try:
+            estimate = montecarlo._measurement(fam, report_at, model, 0.7, 0.7, nu)
+            estimate(np.random.default_rng([0, 0]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
