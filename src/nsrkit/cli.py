@@ -61,17 +61,13 @@ def _json_ready(obj):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):  # np.float64 included
         f = float(obj)
         if math.isnan(f):
             return "nan"
         if math.isinf(f):
             return "inf" if f > 0 else "-inf"
         return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -226,18 +222,18 @@ def cmd_qfi(args) -> int:
             "pure_form_4var": pure_unitary_qfi(h, psi),
         }
     else:
-        x = args.phi_true
-        spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, x)
+        spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, args.phi_true)
         fam = dephasing_family(spec)
+        # rho(phi) = U(phi) rho(0) U(phi)^dag: the QFI and the SLD's spectrum
+        # are the same at every phase, so they are read at the reference phase 0
+        x = 0.0
         report = {
             "command": "qfi",
             "family": "dephasing",
-            **_probe_header(spec, x),
+            **_probe_header(spec, args.phi_true),
             "dim": spec.dim,
             "fnsr_quadrature": analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta),
         }
-    if not fam.contains(x):
-        raise ContractViolationError(f"x={x} outside family domain {fam.domain}")
     # One SLD solve gives the QFI, as qfi() reads it, and L in rho's
     # eigenbasis, which has the spectrum of L in the Fock basis.
     *_, l_eig, report["qfi"] = _solve_sld(fam.state_at(x), fam.derivative_at(x))

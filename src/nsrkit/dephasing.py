@@ -120,8 +120,6 @@ def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
 
 def quadrature(phi_exp: float, dim: int) -> Operator:
     """Observable a e^{i phi_exp} + a^dag e^{-i phi_exp} (vacuum variance 1)."""
-    if dim < 2:
-        raise InvalidDimensionError(f"quadrature needs dim >= 2, got {dim}")
     if not math.isfinite(phi_exp):
         raise ContractViolationError(f"phi_exp must be finite, got {phi_exp}")
     a, adag = fock_ladder(dim)
@@ -147,7 +145,7 @@ def _quadrature_reports(spec: PhaseFamilySpec, phi: float) -> Callable[[float], 
     """
     lo, hi = spec.phi_domain
     if not (math.isfinite(phi) and lo <= phi <= hi):
-        raise ContractViolationError(f"x={phi} outside family domain {spec.phi_domain}")
+        raise ContractViolationError(f"phi_true {phi} outside family domain {spec.phi_domain}")
     c = spec.probe_state().amplitudes
     d = c.size
     if d < 2:

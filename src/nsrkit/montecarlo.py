@@ -37,10 +37,9 @@ from .errors import (
     NumericalConsistencyError,
 )
 from .estimation import ParamFamily, SensitivityReport
-from .operators import IMAG_RESIDUE_TOL
+from .operators import IMAG_RESIDUE_TOL, TRACE_TOL
 
 PROB_NEG_TOL = 1e-12
-PROB_SUM_TOL = 1e-10
 # Buckets of the sampling guide table; a power of two, so scaling is exact.
 GUIDE_BUCKETS = 2**12
 # A 64-bit word's bucket is its top log2(GUIDE_BUCKETS) bits.
@@ -69,7 +68,8 @@ class MeasurementModel:
         return cls(eigenvalues=evals, eigenvectors=vecs)
 
     def probabilities(self, rho) -> np.ndarray:
-        """p_k = <e_k|rho|e_k>, clamped at -1e-12 and renormalized to 1e-10.
+        """p_k = <e_k|rho|e_k>, clamped at -PROB_NEG_TOL and divided by their
+        sum, Tr rho, which must be within TRACE_TOL of 1.
 
         With a real eigenbasis e_k^T Im(rho) e_k = 0, as Im(rho) is
         antisymmetric, so Re(rho) alone gives p_k exactly.
@@ -85,7 +85,7 @@ class MeasurementModel:
             )
         p = np.clip(p, 0.0, None)
         total = p.sum()
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if abs(total - 1.0) > TRACE_TOL:
             raise NumericalConsistencyError(
                 f"Born probabilities sum to {total}, not 1"
             )
@@ -246,10 +246,8 @@ def _prepare(spec, phi_true: float, nu: int):
     1/100 of the sd nsr / sqrt(nu) of one estimate is rejected: rounding it
     would add more than (0.01)^2 / 12 of the variance."""
     spec = replace(spec, probe=spec.probe_state())
-    fam = dephasing_family(spec)
-    if not fam.contains(phi_true):
-        raise ContractViolationError(f"phi_true {phi_true} outside {fam.domain}")
     report_at = _quadrature_reports(spec, phi_true)
+    fam = dephasing_family(spec)
     optimal = report_at(-math.pi / 2.0)
     spacing, sd = math.ulp(phi_true), optimal.nsr / math.sqrt(nu)
     if spacing > 0.01 * sd:

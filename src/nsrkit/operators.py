@@ -29,7 +29,6 @@ from .errors import (
 HERMITICITY_RTOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-NORM_TOL = 1e-10
 LEAKAGE_TOL = 1e-8
 # The policy's truncation: the smallest dim whose exact leakage is at most this.
 TAIL_TARGET = 1e-12
@@ -116,7 +115,8 @@ class DensityMatrix(Operator):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state in the computational (Fock) basis."""
+    """Pure state in the computational (Fock) basis whose squared norm is
+    within TRACE_TOL of 1, the tolerance its projector's trace is held to."""
 
     amplitudes: np.ndarray
 
@@ -124,9 +124,9 @@ class StateVector:
         v = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if v.size < 1:
             raise InvalidDimensionError("empty state vector")
-        nrm = np.linalg.norm(v)
-        if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
-            raise ContractViolationError(f"norm {nrm} differs from 1 beyond tolerance")
+        nsq = float(np.vdot(v, v).real)
+        if not abs(nsq - 1.0) <= TRACE_TOL:  # also rejects a NaN norm
+            raise ContractViolationError(f"squared norm {nsq} differs from 1 beyond tolerance")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
 

@@ -135,6 +135,14 @@ MUTANTS = [
      "spacing > 0.01 * sd",
      "spacing > 100.0 * sd",
      ["tests/test_montecarlo.py"]),
+    ("nsrkit/cli.py",
+     "        x = 0.0\n",
+     "        x = args.phi_true\n",
+     ["tests/test_cli.py::TestPhaseCovariance"]),
+    ("nsrkit/operators.py",
+     "nsq = float(np.vdot(v, v).real)",
+     "nsq = float(np.linalg.norm(v))",
+     ["tests/test_operators.py"]),
 ]
 
 

@@ -467,16 +467,12 @@ class TestScanCommand:
 
 class TestPhaseCovariance:
     """What the physics makes phase-independent is so at the command line,
-    at any --phi-true the CLI accepts: 2^20 is one whose domain ends round
-    outward, and doubles near 1e15 are 0.125 apart. Bounds: 1e-12 relative
-    for the values read from the probe's sums or from one SLD solve; 1e-6
-    for the SLD's extreme eigenvalues, which move by up to 1.4e-8 relative
-    with the phase on this probe (dim 45), as rho's eigenbasis is solved
-    afresh at each phase."""
+    exactly, at any --phi-true the CLI accepts: 2^20 is one whose domain ends
+    round outward, and doubles near 1e15 are 0.125 apart. nsr and
+    scan --numeric read the probe's sums at the offset from phi_true, and
+    qfi solves the SLD at the reference phase 0, so no value may move."""
 
     PHASES = ["0", "0.7", "-2.5", "1e6", str(2**20), "1e15"]
-    REL = 1e-12
-    SLD_REL = 1e-6
     PROBE = ("--alpha", "1", "--r", "0.5", "--beta", "0.3")
 
     def outputs(self, capsys, phi_true):
@@ -502,10 +498,17 @@ class TestPhaseCovariance:
         reference = self.outputs(capsys, "0")
         for phi_true in self.PHASES[1:]:
             values = self.outputs(capsys, phi_true)
-            assert values.keys() == reference.keys()
-            for key, value in values.items():
-                rel = self.SLD_REL if key.startswith("sld") else self.REL
-                assert value == pytest.approx(reference[key], rel=rel), (phi_true, key)
+            assert values == reference, phi_true
+
+    def test_pure_qfi_agrees_across_x(self, capsys):
+        # the pure family keeps solving at --x; its QFI 4 Var(n) cannot depend on x
+        qfis = []
+        for x in ("0", "0.7"):
+            code, out, err = run_cli(capsys, "qfi", "--family", "pure", "--state", "coherent:1",
+                                     "--x", x)
+            assert (code, err) == (0, "")
+            qfis.append(json.loads(out)["qfi"])
+        assert qfis[1] == pytest.approx(qfis[0], rel=1e-12)
 
 
 class TestNonFiniteInputs:

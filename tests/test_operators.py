@@ -351,6 +351,24 @@ class TestTypeContracts:
         with pytest.raises(ContractViolationError, match="trace"):
             DensityMatrix(np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("error", [-1.1e-10, -0.9e-10, -0.6e-10, -0.4e-10,
+                                       0.4e-10, 0.6e-10, 0.9e-10, 1.1e-10])
+    def test_state_norm_held_to_projector_trace(self, error):
+        # |v| = 1 + error: |v|^2 and the trace of its projector are both off
+        # by about 2 error, so one tolerance accepts or rejects both
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=4) + 1j * rng.normal(size=4)
+        accepted = abs(error) < 0.5e-10
+        for v in (np.array([1.0 + error, 0.0, 0.0]), (1.0 + error) * u / np.linalg.norm(u)):
+            if accepted:
+                DensityMatrix(np.outer(v, v.conj()))
+                assert StateVector(v).density_matrix().dim == v.size
+            else:
+                with pytest.raises(ContractViolationError, match="trace"):
+                    DensityMatrix(np.outer(v, v.conj()))
+                with pytest.raises(ContractViolationError, match="norm"):
+                    StateVector(v)
+
     def test_density_nan_trace(self):
         with pytest.raises(ContractViolationError, match="non-finite"):
             DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
