@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .dephasing import (
     DEFAULT_TWO_BETA_SQ_GRID,
     DiffusionParams,
     PhaseFamilySpec,
+    _covariant_sld,
     _quadrature_reports,
     analytic_fnsr,
     dephasing_family,
@@ -71,12 +73,17 @@ def _json_ready(obj):
     return obj
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, text: str | Iterable[str]):
+    """Write text, a str or an iterable of str written in turn, to path
+    through a temp file in its directory and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -211,22 +218,25 @@ def cmd_qfi(args) -> int:
         else:
             raise ValueError(f"unknown generator '{args.h}' (not 'number' or a file)")
         fam = pure_unitary_family(h, psi)
-        x = args.x
+        # one SLD solve gives the QFI, as qfi() reads it, and L in rho's
+        # eigenbasis, which has the spectrum of L in the Fock basis
+        *_, l_eig, qfi = _solve_sld(fam.state_at(args.x), fam.derivative_at(args.x))
+        evals = np.linalg.eigvalsh(l_eig)
+        lo, hi = float(evals.min()), float(evals.max())
         report = {
             "command": "qfi",
             "family": "pure",
             "generator": args.h,
             "state": args.state,
             "dim": psi.dim,
-            "x": x,
+            "x": args.x,
             "pure_form_4var": pure_unitary_qfi(h, psi),
         }
     else:
         spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, args.phi_true)
-        fam = dephasing_family(spec)
-        # rho(phi) = U(phi) rho(0) U(phi)^dag: the QFI and the SLD's spectrum
-        # are the same at every phase, so they are read at the reference phase 0
-        x = 0.0
+        # the same at every phase: --phi-true only centers the domain and is echoed
+        qfi, hi = _covariant_sld(spec)
+        lo = 0.0 - hi  # L = iA has a +- spectrum; a zero SLD prints min 0.0, not -0.0
         report = {
             "command": "qfi",
             "family": "dephasing",
@@ -234,15 +244,8 @@ def cmd_qfi(args) -> int:
             "dim": spec.dim,
             "fnsr_quadrature": analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta),
         }
-    # One SLD solve gives the QFI, as qfi() reads it, and L in rho's
-    # eigenbasis, which has the spectrum of L in the Fock basis.
-    *_, l_eig, report["qfi"] = _solve_sld(fam.state_at(x), fam.derivative_at(x))
-    evals = np.linalg.eigvalsh(l_eig)
-    report["sld_spectrum"] = {
-        "min": float(evals.min()),
-        "max": float(evals.max()),
-        "dim": int(evals.size),
-    }
+    report["qfi"] = qfi
+    report["sld_spectrum"] = {"min": lo, "max": hi, "dim": report["dim"]}
     _emit(_report_text(report, args.format), args.out)
     return 0
 
@@ -289,16 +292,17 @@ def cmd_nsr(args) -> int:
     return 0
 
 
-def _enhancement_table(scan) -> str:
-    """fig2_left.csv: one row (two_beta_sq, N, ratio, enhanced) per cell,
-    formatted straight from the scan's arrays with each grid value repr'd
-    once; the bytes _csv_text gives for the same rows."""
+def _enhancement_table(scan) -> Iterator[str]:
+    """fig2_left.csv as a header, then one string per 2 beta^2 row of the
+    scan: a line (two_beta_sq, N, ratio, enhanced) per cell, formatted
+    straight from the scan's arrays with each grid value repr'd once; the
+    bytes _csv_text gives for the same rows."""
     n_text = [repr(n) for n in scan.n.tolist()]
-    lines = ["two_beta_sq,N,ratio,enhanced\r\n"]
-    for t, row in zip(scan.two_beta_sq.tolist(), scan.ratio.tolist()):
+    yield "two_beta_sq,N,ratio,enhanced\r\n"
+    for t, row in zip(scan.two_beta_sq.tolist(), scan.ratio):
         t = repr(t)
-        lines += [f"{t},{n},{ratio!r},{int(ratio >= 1.0)}\r\n" for n, ratio in zip(n_text, row)]
-    return "".join(lines)
+        yield "".join(f"{t},{n},{ratio!r},{int(ratio >= 1.0)}\r\n"
+                      for n, ratio in zip(n_text, row.tolist()))
 
 
 def cmd_fig2(args) -> int:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, InvalidDimensionError, NumericalConsistencyError
-from .estimation import ParamFamily, SensitivityReport, _sensitivity_report
+from .estimation import ParamFamily, SensitivityReport, _sensitivity_report, _sld_in_eigenbasis
 from .operators import (
     DensityMatrix,
     GaussianProbeSpec,
@@ -74,11 +74,15 @@ def _delta_n(dim: int) -> np.ndarray:
     return n[:, None] - n[None, :]
 
 
+def _kernel(dim: int, beta: float) -> np.ndarray:
+    """The diffusion's kernel e^{-beta^2 (n-m)^2}: real, PSD and unit-diagonal."""
+    return np.exp(-(beta**2) * _delta_n(dim).astype(float) ** 2)
+
+
 def _dephased(state: np.ndarray, beta: float) -> DensityMatrix:
-    """A state's matrix times the PSD, unit-diagonal kernel e^{-beta^2 (n-m)^2}: a
-    state by the Schur product theorem (Horn & Johnson, Matrix Analysis, 7.5.3)."""
-    decay = np.exp(-(beta**2) * _delta_n(state.shape[0]).astype(float) ** 2)
-    return DensityMatrix._positive(state * decay)
+    """A state's matrix times the kernel: a state by the Schur product theorem
+    (Horn & Johnson, Matrix Analysis, 7.5.3)."""
+    return DensityMatrix._positive(state * _kernel(state.shape[0], beta))
 
 
 def dephase_channel(rho: DensityMatrix, phi: float, beta: float) -> DensityMatrix:
@@ -168,6 +172,35 @@ def _quadrature_reports(spec: PhaseFamilySpec, phi: float) -> Callable[[float], 
         return _sensitivity_report(mean, max(msq - mean**2, 0.0), 2.0 * z.imag)
 
     return report
+
+
+def _covariant_sld(spec: PhaseFamilySpec) -> tuple[float, float]:
+    """(QFI, largest eigenvalue of the SLD) of dephasing_family(spec), the same
+    at every phase, from one real eigendecomposition of its state at phase 0,
+    rho0 = (c c^T) o K, for the real probe amplitudes c and the kernel K.
+
+    rho(phi) = U rho0 U^dag with U = e^{-i phi n}, so drho = -i[n, rho]. With
+    rho0 = V diag(p) V^T and N = V^T diag(n) V, drho in rho0's eigenbasis is
+    i (p_j - p_k) N_jk, and the SLD is L = iA with the real antisymmetric
+
+        A_jk = 2 (p_j - p_k) N_jk / (p_j + p_k)
+
+    on the pairs that _sld_in_eigenbasis keeps, under its cut and warning, as
+    for _solve_sld. The QFI is sum_jk p_j A_jk^2, and the spectrum of iA is
+    plus and minus the singular values of A, the largest
+    sqrt(lambda_max(A^T A)). No complex matrix is formed.
+    """
+    c = spec.probe_state().amplitudes
+    if c.imag.any():
+        raise ContractViolationError("the covariant SLD route needs real probe amplitudes")
+    d = c.size
+    rho0 = np.outer(c.real, c.real) * _kernel(d, spec.diffusion.beta)
+    scale = np.abs(_delta_n(d) * rho0).max()  # the largest |drho_nm| = |n - m| |rho0_nm|
+    p, v = np.linalg.eigh(rho0)
+    # drho / i in rho0's eigenbasis, so that the SLD comes out as A = L / i
+    d_eig = (p[:, None] - p[None, :]) * (v.T @ (np.arange(d, dtype=float)[:, None] * v))
+    *_, a, qfi = _sld_in_eigenbasis(p, d_eig, scale)
+    return qfi, math.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
 
 
 def optimal_calibration(phi_true: float) -> float:

@@ -114,31 +114,42 @@ def _sensitivity_report(mean: float, var: float, slope: float) -> SensitivityRep
     )
 
 
+def _sld_in_eigenbasis(evals: np.ndarray, d_eig: np.ndarray, scale: float):
+    """The SLD L_jk = 2 D_jk / (p_j + p_k) in the eigenbasis of rho, from its
+    eigenvalues p and D, drho in that basis, whose largest Fock-basis entry
+    is scale. Pairs with p_j + p_k at or below SLD_EIG_CUT_REL times the
+    largest eigenvalue are set to zero, with a SupportTruncationWarning if D
+    has weight there above SUPPORT_LEAK_RTOL times scale. Returns the pair
+    sums, the mask of kept pairs, L and the QFI <L^2> = sum_jk p_j |L_jk|^2,
+    the one QFI formula (Braunstein & Caves, PRL 72, 3439 (1994))."""
+    pair_sums = evals[:, None] + evals[None, :]
+    kept = pair_sums > SLD_EIG_CUT_REL * max(evals.max(), 0.0)
+    if scale > 0 and not kept.all() and np.abs(d_eig[~kept]).max() > SUPPORT_LEAK_RTOL * scale:
+        warnings.warn(
+            "drho has weight outside the regularized support of rho; "
+            "formally divergent directions truncated from the SLD",
+            SupportTruncationWarning,
+            stacklevel=4,  # the caller of qfi or sld
+        )
+    l_eig = np.zeros_like(d_eig)
+    np.divide(2.0 * d_eig, pair_sums, out=l_eig, where=kept)
+    return pair_sums, kept, l_eig, float(evals @ (np.abs(l_eig) ** 2).sum(axis=1))
+
+
 def _solve_sld(rho: DensityMatrix, drho: Operator):
     """The SLD equation solved in the eigenbasis V of rho, shared by sld, qfi
     and calibration_curvature: returns the eigenvalues p, V, the pair sums
     p_j + p_k, the mask of kept pairs, D = V^dag drho V, L in that basis and
-    the QFI <L^2> = sum_jk p_j |L_jk|^2, the one QFI formula (Braunstein &
-    Caves, PRL 72, 3439 (1994)). The checks on drho, the cut and its warning live here."""
+    the QFI <L^2>, as _sld_in_eigenbasis gives them. The checks on drho live
+    here."""
     if rho.dim != drho.dim:
         raise DimensionMismatchError(f"rho dim {rho.dim} != drho dim {drho.dim}")
     scale = np.abs(drho.matrix).max()
     if abs(np.trace(drho.matrix)) > 1e-9 * max(1.0, scale):
         raise ContractViolationError("drho must be traceless")
     evals, vecs = np.linalg.eigh(rho.matrix)
-    pair_sums = evals[:, None] + evals[None, :]
-    kept = pair_sums > SLD_EIG_CUT_REL * max(evals.max(), 0.0)
     d_eig = vecs.conj().T @ drho.matrix @ vecs
-    if scale > 0 and not kept.all() and np.abs(d_eig[~kept]).max() > SUPPORT_LEAK_RTOL * scale:
-        warnings.warn(
-            "drho has weight outside the regularized support of rho; "
-            "formally divergent directions truncated from the SLD",
-            SupportTruncationWarning,
-            stacklevel=3,
-        )
-    l_eig = np.zeros_like(d_eig)
-    np.divide(2.0 * d_eig, pair_sums, out=l_eig, where=kept)
-    mean_lsq = float(evals @ (np.abs(l_eig) ** 2).sum(axis=1))
+    pair_sums, kept, l_eig, mean_lsq = _sld_in_eigenbasis(evals, d_eig, scale)
     return evals, vecs, pair_sums, kept, d_eig, l_eig, mean_lsq
 
 

@@ -37,9 +37,11 @@ def dephased_qubit_spec(beta: float) -> PhaseFamilySpec:
     )
 
 
-def fock_dephasing_spec(alpha: float, r: float, beta: float) -> PhaseFamilySpec:
+def fock_dephasing_spec(alpha: float, r: float, beta: float, dim=None) -> PhaseFamilySpec:
+    """The spec of qfi --alpha --r --beta [--dim] at --phi-true 0."""
     return PhaseFamilySpec(
-        probe=GaussianProbeSpec.with_default_dim(alpha, r),
+        probe=(GaussianProbeSpec.with_default_dim(alpha, r) if dim is None
+               else GaussianProbeSpec(alpha, r, dim)),
         diffusion=DiffusionParams(beta),
         phi_domain=(-math.pi, math.pi),
     )

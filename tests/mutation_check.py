@@ -36,8 +36,8 @@ MUTANTS = [
      "diffusion_noise = -xp.expm1(-1.1 * 4.0 * beta**2)",
      ["tests/test_invariants.py"]),
     ("nsrkit/dephasing.py",
-     "decay = np.exp(-(beta**2) * _delta_n",
-     "decay = np.exp(-1.01 * (beta**2) * _delta_n",
+     "np.exp(-(beta**2) * _delta_n",
+     "np.exp(-1.01 * (beta**2) * _delta_n",
      ["tests/test_invariants.py"]),
     ("nsrkit/operators.py",
      "ph = np.exp(-1j * phi * np.arange(self.dim))",
@@ -135,10 +135,22 @@ MUTANTS = [
      "spacing > 0.01 * sd",
      "spacing > 100.0 * sd",
      ["tests/test_montecarlo.py"]),
-    ("nsrkit/cli.py",
-     "        x = 0.0\n",
-     "        x = args.phi_true\n",
+    # the dephasing QFI and SLD spectrum read from rho(phi_true), real part
+    ("nsrkit/dephasing.py",
+     "rho0 = np.outer(c.real, c.real) * _kernel(d, spec.diffusion.beta)",
+     "rho0 = np.outer(c.real, c.real) * _kernel(d, spec.diffusion.beta)"
+     " * np.cos(sum(spec.phi_domain) / 2 * _delta_n(d))",
      ["tests/test_cli.py::TestPhaseCovariance"]),
+    # the factor 2 of A = L / i in the real route is _sld_in_eigenbasis's,
+    # which _solve_sld shares: the first mutant again, for the route's tests
+    ("nsrkit/estimation.py",
+     "np.divide(2.0 * d_eig, pair_sums",
+     "np.divide(d_eig, pair_sums",
+     ["tests/test_dephasing.py::TestCovariantSld"]),
+    ("nsrkit/dephasing.py",
+     "v.T @ (np.arange(d, dtype=float)[:, None] * v)",
+     "v @ (np.arange(d, dtype=float)[:, None] * v.T)",
+     ["tests/test_dephasing.py::TestCovariantSld"]),
     ("nsrkit/operators.py",
      "nsq = float(np.vdot(v, v).real)",
      "nsq = float(np.linalg.norm(v))",

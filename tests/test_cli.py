@@ -13,7 +13,6 @@ import nsrkit
 from nsrkit import (
     GaussianProbeSpec,
     analytic_fnsr,
-    dephasing_family,
     enhancement_scan,
     gaussian_probe,
     number_operator,
@@ -24,7 +23,7 @@ from nsrkit import (
 )
 from nsrkit import cli, errors
 from nsrkit.cli import main
-from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID
+from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, _covariant_sld
 from nsrkit.operators import MAX_DIM, Operator
 
 from conftest import fock_dephasing_spec
@@ -104,12 +103,13 @@ class TestQfiCommand:
         assert report["generator"] == "number"
         assert report["dim"] == 16
 
-    @pytest.mark.parametrize("argv, family", [
+    @pytest.mark.parametrize("argv, route_qfi", [
         (("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
-         lambda: dephasing_family(fock_dephasing_spec(1.0, 0.0, 0.3))),
-        (("--family", "pure", "--state", "coherent:1.0"), coherent_number_family),
+         lambda: _covariant_sld(fock_dephasing_spec(1.0, 0.0, 0.3))[0]),
+        (("--family", "pure", "--state", "coherent:1.0"),
+         lambda: qfi(coherent_number_family(), 0.0)),
     ], ids=["dephasing", "pure"])
-    def test_csv_flattens_sld_spectrum(self, capsys, argv, family):
+    def test_csv_flattens_sld_spectrum(self, capsys, argv, route_qfi):
         code, out, _ = run_cli(capsys, "qfi", *argv, "--format", "csv")
         assert code == 0
         header, row = csv.reader(out.splitlines())
@@ -123,7 +123,37 @@ class TestQfiCommand:
         assert float(cells["sld_spectrum_min"]) == spectrum["min"]
         assert float(cells["sld_spectrum_max"]) == spectrum["max"]
         assert int(cells["sld_spectrum_dim"]) == spectrum["dim"]
-        assert json.loads(out)["qfi"] == qfi(family(), 0.0)  # one formula, bit for bit
+        # the route cmd_qfi takes, bit for bit; TestCovariantSld holds the
+        # dephasing route to the dense solve
+        assert json.loads(out)["qfi"] == route_qfi()
+
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "1", "--beta", "0.3"),
+        ("--alpha", "2", "--r", "1", "--beta", "0.3", "--phi-true", "0.7"),
+        ("--alpha", "0", "--beta", "0.3"),  # the vacuum: a zero SLD
+    ], ids=["case", "large", "vacuum"])
+    def test_dephasing_route_is_real(self, capsys, monkeypatch, argv):
+        # one real eigh of rho(0) and one real eigvalsh of A^T A; no family
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, np.asarray(a).dtype))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        families = []
+        for module in (cli, nsrkit.dephasing):
+            monkeypatch.setattr(module, "dephasing_family",
+                                lambda spec: families.append(spec))
+        code, out, err = run_cli(capsys, "qfi", "--family", "dephasing", *argv)
+        assert (code, err) == (0, "")
+        assert families == []
+        assert calls == [("eigh", np.float64), ("eigvalsh", np.float64)]
+        spectrum = json.loads(out)["sld_spectrum"]
+        assert spectrum["min"] == -spectrum["max"]
+        assert '"min": -0.0' not in out
 
     def test_state_spec_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "qfi", "--family", "pure", "--h", "number",
@@ -671,9 +701,9 @@ def test_numpy_is_the_only_runtime_dependency():
     assert set(proc.stdout.split()) == {"nsrkit", "numpy"}
 
 
-# Runs qfi --dim 2048 (about 0.8 GB at its peak) with the address space capped
-# 100 MB above what the interpreter holds once nsrkit.cli is imported, so the
-# cap does not depend on how much numpy needs at import.
+# Runs qfi --dim 2048 (about 250 MB above import at its peak) with the address
+# space capped 100 MB above what the interpreter holds once nsrkit.cli is
+# imported, so the cap does not depend on how much numpy needs at import.
 OOM_CHILD = """
 import os, resource, sys
 from nsrkit.cli import main

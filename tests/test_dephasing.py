@@ -30,13 +30,21 @@ from nsrkit import (
     optimal_calibration,
     optimal_fnsr,
     pure_unitary_family,
+    pure_unitary_qfi,
     qfi,
     quadrature,
     r_max,
     r_opt,
 )
 from nsrkit import dephasing
-from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, _quadrature_reports
+from nsrkit.dephasing import (
+    DEFAULT_N_GRID,
+    DEFAULT_TWO_BETA_SQ_GRID,
+    _covariant_sld,
+    _quadrature_reports,
+)
+from nsrkit.errors import SupportTruncationWarning
+from nsrkit.estimation import SLD_EIG_CUT_REL, _solve_sld
 from nsrkit.operators import PSD_TOL, TRACE_TOL, Operator, StateVector
 
 from conftest import fock_dephasing_spec
@@ -321,6 +329,102 @@ class TestQuadratureReports:
         one_level = PhaseFamilySpec(StateVector([1.0]), DiffusionParams(0.3), (-1.0, 1.0))
         with pytest.raises(InvalidDimensionError):
             _quadrature_reports(one_level, 0.0)
+
+
+def mp_covariant_sld(spec, mp):
+    """_covariant_sld's formula and cut in 40-digit arithmetic, from the same
+    double amplitudes: (QFI, largest singular value of A)."""
+    with mp.workdps(40):
+        c = [mp.mpf(float(x)) for x in spec.probe_state().amplitudes.real]
+        d = len(c)
+        b2 = mp.mpf(spec.diffusion.beta) ** 2
+        rho0 = mp.matrix(d, d)
+        for n in range(d):
+            for m in range(d):
+                rho0[n, m] = c[n] * c[m] * mp.exp(-b2 * (n - m) ** 2)
+        p, v = mp.eigsy(rho0)
+        nv = mp.matrix(d, d)
+        for n in range(d):
+            for k in range(d):
+                nv[n, k] = n * v[n, k]
+        big_n = v.T * nv
+        cut = SLD_EIG_CUT_REL * max(p)
+        a = mp.matrix(d, d)
+        for j in range(d):
+            for k in range(d):
+                if p[j] + p[k] > cut:
+                    a[j, k] = 2 * (p[j] - p[k]) * big_n[j, k] / (p[j] + p[k])
+        q = mp.fsum(p[j] * a[j, k] ** 2 for j in range(d) for k in range(d))
+        top = max(mp.eigsy(a.T * a, eigvals_only=True))
+        return float(q), float(mp.sqrt(top))
+
+
+class TestCovariantSld:
+    """The real route of qfi --family dephasing against the dense complex SLD
+    solve at phase 0 and against the same formula in 40-digit arithmetic.
+
+    Tolerances, fixed before the first run: the QFI, a sum of positive terms,
+    to 1e-13 relative. The largest SLD eigenvalue hangs on rho0's near-null
+    eigenvectors, so it is held to 1e-5 relative of the dense route, and to
+    1e-10 (dim 16) and 1e-7 (dim 45) of the 40-digit value. Without
+    diffusion the family is pure, and both are held to 1e-10 of the closed
+    forms, which share no code with the route."""
+
+    @pytest.mark.parametrize("alpha, r, beta, dim", [
+        (1.0, 0.0, 0.3, None),   # dim 16, the case study
+        (1.0, 0.5, 0.3, None),   # dim 45
+        (2.0, 1.0, 0.3, None),   # dim 134, the large probe
+        (10.0, 0.0, 0.3, None),  # dim 179
+        (1.0, 1.5, 0.3, None),   # dim 281
+        (1.0, 0.0, 0.3, 1024),
+    ])
+    def test_matches_dense_solve(self, alpha, r, beta, dim):
+        spec = fock_dephasing_spec(alpha, r, beta, dim)
+        got_qfi, got_max = _covariant_sld(spec)
+        fam = dephasing_family(spec)
+        # the QFI qfi(fam, 0.0) returns, and L in rho's eigenbasis, from one solve
+        *_, l_eig, want_qfi = _solve_sld(fam.state_at(0.0), fam.derivative_at(0.0))
+        evals = np.linalg.eigvalsh(l_eig)
+        assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
+        assert got_max == pytest.approx(evals.max(), rel=1e-5)
+        assert got_max == pytest.approx(-evals.min(), rel=1e-5)
+
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.0), (2.0, 1.0), (0.5, 0.8)])
+    def test_pure_limit(self, alpha, r):
+        # beta = 0: rho0 = |psi><psi| and L = -2i[n, rho0], whose eigenvalues
+        # are +-2 sqrt(Var n), so the QFI is 4 Var(n)
+        spec = fock_dephasing_spec(alpha, r, 0.0)
+        four_var = pure_unitary_qfi(number_operator(spec.dim), spec.probe_state())
+        got_qfi, got_max = _covariant_sld(spec)
+        assert got_qfi == pytest.approx(four_var, rel=1e-10)
+        assert got_max == pytest.approx(math.sqrt(four_var), rel=1e-10)
+
+    @pytest.mark.parametrize("r, max_rtol", [(0.0, 1e-10), (0.5, 1e-7)], ids=["dim16", "dim45"])
+    def test_matches_40_digits(self, r, max_rtol):
+        mp = pytest.importorskip("mpmath")
+        spec = fock_dephasing_spec(1.0, r, 0.3)
+        want_qfi, want_max = mp_covariant_sld(spec, mp)
+        got_qfi, got_max = _covariant_sld(spec)
+        assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
+        assert got_max == pytest.approx(want_max, rel=max_rtol)
+
+    def test_support_truncation_warning_as_dense(self):
+        # near-vacuum real probe: dropped pairs of its two tiny eigenvalues
+        # carry |p_j - p_k| |N_jk| above SUPPORT_LEAK_RTOL of drho's scale
+        c = np.array([1.0, 1e-7, 1e-7])
+        spec = PhaseFamilySpec(StateVector(c / np.linalg.norm(c)), DiffusionParams(0.3),
+                               (-math.pi, math.pi))
+        with pytest.warns(SupportTruncationWarning):
+            got_qfi, _ = _covariant_sld(spec)
+        with pytest.warns(SupportTruncationWarning):
+            want_qfi = qfi(dephasing_family(spec), 0.0)
+        assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
+
+    def test_rejects_complex_probe(self):
+        spec = PhaseFamilySpec(StateVector(np.array([1.0, 1.0j]) / math.sqrt(2.0)),
+                               DiffusionParams(0.3), (-math.pi, math.pi))
+        with pytest.raises(ContractViolationError, match="real probe amplitudes"):
+            _covariant_sld(spec)
 
 
 class TestAnalyticFnsr:
