@@ -73,17 +73,14 @@ def _json_ready(obj):
     return obj
 
 
-def _atomic_write(path: str, text: str | Iterable[str]):
-    """Write text, a str or an iterable of str written in turn, to path
-    through a temp file in its directory and an atomic rename."""
+def _atomic_write(path: str, chunks: Iterable[str]):
+    """Write the strings of chunks in turn to path through a temp file in its
+    directory and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,12 +89,11 @@ def _atomic_write(path: str, text: str | Iterable[str]):
 
 
 def _emit(text: str, out: str | None):
+    """Write text, which ends in a newline, to the file out, else to stdout."""
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, (text,))
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _report_text(report: dict, fmt: str) -> str:
@@ -326,7 +322,7 @@ def cmd_fig2(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "fig2_left.csv"), _enhancement_table(scan))
-    _atomic_write(os.path.join(out_dir, "fig2_right.csv"), right)
+    _atomic_write(os.path.join(out_dir, "fig2_right.csv"), (right,))
     threshold = enhancement_threshold()
     sys.stdout.write(f"enhancement threshold two_beta_sq = {threshold:.4f}\n")
     return 0
@@ -502,7 +498,10 @@ def main(argv=None) -> int:
         print(f"error: an input is out of range: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # like an oversized count: too large for this machine
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        # one raised for a LAPACK workspace carries no text: name the command
+        dim = getattr(args, "dim", None)
+        detail = str(exc) or args.command + ("" if dim is None else f" at --dim {dim}")
+        print(f"error: out of memory: {detail}", file=sys.stderr)
         return 2
 
 

@@ -79,6 +79,18 @@ def _kernel(dim: int, beta: float) -> np.ndarray:
     return np.exp(-(beta**2) * _delta_n(dim).astype(float) ** 2)
 
 
+def _real_state(c: np.ndarray, kernel: np.ndarray, x: float) -> np.ndarray:
+    """Re rho(x) of the probe amplitudes c dephased by kernel, a real d x d
+    array: rho(x) = (psi psi^dag) o K with psi = e^{-ixn} c, and K is real, so
+
+        Re rho(x) = (Re psi Re psi^T + Im psi Im psi^T) o K.
+
+    A real basis needs no more: e^T Im(rho) e = 0 for real e, as Im(rho) is
+    antisymmetric."""
+    psi = np.exp(-1j * x * np.arange(c.size)) * c
+    return (np.outer(psi.real, psi.real) + np.outer(psi.imag, psi.imag)) * kernel
+
+
 def _dephased(state: np.ndarray, beta: float) -> DensityMatrix:
     """A state's matrix times the kernel: a state by the Schur product theorem
     (Horn & Johnson, Matrix Analysis, 7.5.3)."""
@@ -177,7 +189,8 @@ def _quadrature_reports(spec: PhaseFamilySpec, phi: float) -> Callable[[float], 
 def _covariant_sld(spec: PhaseFamilySpec) -> tuple[float, float]:
     """(QFI, largest eigenvalue of the SLD) of dephasing_family(spec), the same
     at every phase, from one real eigendecomposition of its state at phase 0,
-    rho0 = (c c^T) o K, for the real probe amplitudes c and the kernel K.
+    rho0 = (c c^T) o K (_real_state at x = 0), for the real probe amplitudes c
+    and the kernel K.
 
     rho(phi) = U rho0 U^dag with U = e^{-i phi n}, so drho = -i[n, rho]. With
     rho0 = V diag(p) V^T and N = V^T diag(n) V, drho in rho0's eigenbasis is
@@ -194,7 +207,7 @@ def _covariant_sld(spec: PhaseFamilySpec) -> tuple[float, float]:
     if c.imag.any():
         raise ContractViolationError("the covariant SLD route needs real probe amplitudes")
     d = c.size
-    rho0 = np.outer(c.real, c.real) * _kernel(d, spec.diffusion.beta)
+    rho0 = _real_state(c, _kernel(d, spec.diffusion.beta), 0.0)
     scale = np.abs(_delta_n(d) * rho0).max()  # the largest |drho_nm| = |n - m| |rho0_nm|
     p, v = np.linalg.eigh(rho0)
     # drho / i in rho0's eigenbasis, so that the SLD comes out as A = L / i

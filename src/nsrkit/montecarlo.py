@@ -16,10 +16,12 @@ approach the squared noise-to-sensibility ratio, and an adaptive loop
 re-centers on each round's estimate and scores each round's Fisher value.
 Both loops draw and invert through the same measurement step, keyed by the
 phase it is calibrated for: the quadrature angle and the window start are
-both phase - pi/2. They share one probe and one Born model per run:
+both phase - pi/2. They share one probe and one eigenbasis per run:
 X_theta = D X_0 D^dag with D = e^{-i theta n}, so X_0's eigenbasis at the
-shifted phase serves every angle. X_0 is real symmetric, so that one
-eigendecomposition is real, and so is each Born distribution's product.
+shifted phase serves every angle. X_0 = a + a^dag is real tridiagonal, so
+that one eigendecomposition is real, and each Born distribution reads only
+Re rho, which comes straight from the probe amplitudes: no density matrix
+is built.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dephasing import _quadrature_reports, dephasing_family, quadrature
+from .dephasing import _kernel, _quadrature_reports, _real_state
 from .errors import (
     ContractViolationError,
     EstimatorDivergenceError,
     NonInvertibleCurveError,
     NumericalConsistencyError,
 )
-from .estimation import ParamFamily, SensitivityReport
+from .estimation import SensitivityReport
 from .operators import IMAG_RESIDUE_TOL, TRACE_TOL
 
 PROB_NEG_TOL = 1e-12
@@ -50,46 +52,39 @@ CHUNK = 2**14
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Eigendecomposition of an observable, exposing Born-rule probabilities.
-
-    An observable whose matrix has no imaginary part, such as X_0, gets a
-    real eigenbasis (float64 eigenvectors); any other a complex one.
-    """
+    """Eigendecomposition of an observable, exposing Born-rule probabilities."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @classmethod
     def from_observable(cls, m) -> "MeasurementModel":
-        matrix = m.matrix if m.matrix.imag.any() else m.matrix.real
-        evals, vecs = np.linalg.eigh(matrix)
+        evals, vecs = np.linalg.eigh(m.matrix)
         evals.setflags(write=False)
         vecs.setflags(write=False)
         return cls(eigenvalues=evals, eigenvectors=vecs)
 
     def probabilities(self, rho) -> np.ndarray:
-        """p_k = <e_k|rho|e_k>, clamped at -PROB_NEG_TOL and divided by their
-        sum, Tr rho, which must be within TRACE_TOL of 1.
+        """The Born probabilities of the eigenbasis at the state rho (_born)."""
+        return _born(self.eigenvectors, rho.matrix)
 
-        With a real eigenbasis e_k^T Im(rho) e_k = 0, as Im(rho) is
-        antisymmetric, so Re(rho) alone gives p_k exactly.
-        """
-        vecs = self.eigenvectors
-        if np.isrealobj(vecs):
-            p = (vecs * (rho.matrix.real @ vecs)).sum(axis=0)
-        else:
-            p = np.real((vecs.conj() * (rho.matrix @ vecs)).sum(axis=0))
-        if p.min() < -PROB_NEG_TOL:
-            raise NumericalConsistencyError(
-                f"negative Born probability {p.min():.3e} beyond tolerance"
-            )
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if abs(total - 1.0) > TRACE_TOL:
-            raise NumericalConsistencyError(
-                f"Born probabilities sum to {total}, not 1"
-            )
-        return p / total
+
+def _born(vecs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """p_k = <e_k|rho|e_k> for the columns e_k of vecs and rho's matrix,
+    clamped at -PROB_NEG_TOL and divided by their sum, Tr rho, which must be
+    within TRACE_TOL of 1."""
+    p = np.real((vecs.conj() * (matrix @ vecs)).sum(axis=0))
+    if p.min() < -PROB_NEG_TOL:
+        raise NumericalConsistencyError(
+            f"negative Born probability {p.min():.3e} beyond tolerance"
+        )
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    if abs(total - 1.0) > TRACE_TOL:
+        raise NumericalConsistencyError(
+            f"Born probabilities sum to {total}, not 1"
+        )
+    return p / total
 
 
 class _GuideTable:
@@ -223,31 +218,17 @@ def invert_mean(curve: CalibrationCurve, observed_mean: float) -> tuple[float, b
     return estimate, estimate != x or abs(observed_mean) > abs(amplitude)
 
 
-def _measurement(fam: ParamFamily, report_at, model, phase: float, phi_true: float, nu: int):
-    """The step run_trials and adaptive_calibrate share, calibrated for phase:
-    with theta = phase - pi/2, the curve of X_theta from start theta, so its
-    window is centered on phase, and the guide table of its Born distribution
-    at rho(phi_true): model's (of X_0) at rho(pi/2 + (phi_true - phase)), as
-    X_theta = D X_0 D^dag with D = e^{-i theta n}; that offset is exact when
-    phase is phi_true. Returns rng -> invert_mean of the mean of nu draws."""
-    curve = build_curve(report_at, phase - math.pi / 2.0, fam.domain)
-    rho = fam.state_at(math.pi / 2.0 + (phi_true - phase))
-    table = _GuideTable(model.probabilities(rho), nu)
-
-    def estimate(rng: np.random.Generator) -> tuple[float, bool]:
-        return invert_mean(curve, float(table.counts(rng) @ model.eigenvalues) / nu)
-
-    return estimate
-
-
 def _prepare(spec, phi_true: float, nu: int):
-    """(family, report function, optimal report at offset -pi/2, model of X_0)
-    at phi_true, from one probe. A phi_true whose spacing of doubles exceeds
+    """(report function, optimal report at offset -pi/2, measurement) at
+    phi_true, from one probe. A phi_true whose spacing of doubles exceeds
     1/100 of the sd nsr / sqrt(nu) of one estimate is rejected: rounding it
-    would add more than (0.01)^2 / 12 of the variance."""
+    would add more than (0.01)^2 / 12 of the variance.
+
+    X_0 = a + a^dag is real, so its one eigendecomposition is real and reads
+    Re rho(x) alone (_real_state, from the probe amplitudes); it and the
+    kernel are built once, and each Born distribution is one d x d product."""
     spec = replace(spec, probe=spec.probe_state())
     report_at = _quadrature_reports(spec, phi_true)
-    fam = dephasing_family(spec)
     optimal = report_at(-math.pi / 2.0)
     spacing, sd = math.ulp(phi_true), optimal.nsr / math.sqrt(nu)
     if spacing > 0.01 * sd:
@@ -255,7 +236,28 @@ def _prepare(spec, phi_true: float, nu: int):
             f"phi_true {phi_true!r} is resolved only to the spacing of doubles there, "
             f"{spacing:.3g}, above 1/100 of the predicted sd of one estimate, {sd:.3g}"
         )
-    return fam, report_at, optimal, MeasurementModel.from_observable(quadrature(0.0, fam.dim))
+    root = np.sqrt(np.arange(1.0, spec.dim))  # the entries of a, as fock_ladder builds them
+    evals, vecs = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
+    kernel = _kernel(spec.dim, spec.diffusion.beta)  # after the eigh, so not in its peak
+
+    def measurement(phase: float):
+        """The step run_trials and adaptive_calibrate share, calibrated for
+        phase: with theta = phase - pi/2, the curve of X_theta from start
+        theta, so its window is centered on phase, and the guide table of its
+        Born distribution at rho(phi_true): X_0's at rho(pi/2 + (phi_true -
+        phase)), as X_theta = D X_0 D^dag with D = e^{-i theta n}; that offset
+        is exact when phase is phi_true. Returns rng -> invert_mean of the
+        mean of nu draws."""
+        curve = build_curve(report_at, phase - math.pi / 2.0, spec.phi_domain)
+        rho = _real_state(spec.probe.amplitudes, kernel, math.pi / 2.0 + (phi_true - phase))
+        table = _GuideTable(_born(vecs, rho), nu)
+
+        def estimate(rng: np.random.Generator) -> tuple[float, bool]:
+            return invert_mean(curve, float(table.counts(rng) @ evals) / nu)
+
+        return estimate
+
+    return report_at, optimal, measurement
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,9 +304,9 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
         raise ContractViolationError(f"sample count must be positive, got {nu}")
     if repeats < 2:
         raise ContractViolationError("need at least 2 repeats for a variance")
-    fam, report_at, report, model = _prepare(spec, phi_true, nu)
+    _, report, measurement = _prepare(spec, phi_true, nu)
     delta_m, threshold, ok = mean_inversion_condition(report, nu)
-    estimate = _measurement(fam, report_at, model, phi_true, phi_true, nu)
+    estimate = measurement(phi_true)
     estimates = np.empty(repeats)
     clamped = np.empty(repeats, dtype=bool)
     for k in range(repeats):
@@ -343,17 +345,17 @@ def adaptive_calibrate(
         raise ContractViolationError(f"need at least 1 round, got {rounds}")
     if batch < 1:
         raise ContractViolationError(f"sample count must be positive, got {batch}")
-    fam, report_at, optimal, model = _prepare(spec, phi_true_hidden, batch)
+    report_at, optimal, measurement = _prepare(spec, phi_true_hidden, batch)
 
     def fisher_at(angle: float) -> float:
         return report_at(angle - phi_true_hidden).fisher
 
-    phases = [(fam.domain[0] + fam.domain[1]) / 2.0]
+    phases = [sum(spec.phi_domain) / 2.0]
     estimates = np.empty(rounds)
     clamped = np.empty(rounds, dtype=bool)
     for k in range(rounds):
         try:
-            estimate = _measurement(fam, report_at, model, phases[k], phi_true_hidden, batch)
+            estimate = measurement(phases[k])
         except (EstimatorDivergenceError, NonInvertibleCurveError) as exc:
             raise EstimatorDivergenceError(
                 f"calibration window unusable at round {k}: {exc}", round_index=k

@@ -701,32 +701,55 @@ def test_numpy_is_the_only_runtime_dependency():
     assert set(proc.stdout.split()) == {"nsrkit", "numpy"}
 
 
-# Runs qfi --dim 2048 (about 250 MB above import at its peak) with the address
-# space capped 100 MB above what the interpreter holds once nsrkit.cli is
-# imported, so the cap does not depend on how much numpy needs at import.
-OOM_CHILD = """
+# Runs a command with the address space capped CAP_MB above what the
+# interpreter holds once nsrkit.cli is imported, so the cap does not depend
+# on how much numpy needs at import.
+CAPPED_CHILD = """
 import os, resource, sys
 from nsrkit.cli import main
+cap_mb, argv = int(sys.argv[1]), sys.argv[2:]
 with open("/proc/self/statm") as fh:
-    limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + 100 * 2**20
+    limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + cap_mb * 2**20
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 if hard != resource.RLIM_INFINITY:
     limit = min(limit, hard)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-sys.exit(main(["qfi", "--dim", "2048", "--alpha", "1"]))
+sys.exit(main(argv))
 """
+QFI_2048 = ("qfi", "--dim", "2048", "--alpha", "1")
+ADAPTIVE_MC_1699 = ("mc", "--adaptive", "--r", "2.5", "--alpha", "1", "--dim", "1699",
+                    "--rounds", "3", "--batch", "50")
+
+
+def run_capped(cap_mb: int, argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(cap_mb), *argv], env=env,
+                          capture_output=True, text=True)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_out_of_memory_exit_2():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
-    proc = subprocess.run([sys.executable, "-c", OOM_CHILD], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: out of memory")
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    # qfi --dim 2048 needs about 260 MB above import at its peak, the dim-1699
+    # adaptive mc about 145 MB. Most of these caps stop them in a LAPACK
+    # workspace, whose MemoryError carries no text: the message then names
+    # the command and its --dim.
+    for cap_mb, argv in ((100, QFI_2048), (150, QFI_2048), (250, QFI_2048),
+                         (100, ADAPTIVE_MC_1699)):
+        proc = run_capped(cap_mb, argv)
+        assert proc.returncode == 2, (cap_mb, argv)
+        assert proc.stderr.startswith("error: out of memory")
+        assert proc.stderr.removeprefix("error: out of memory:").strip(), (cap_mb, argv)
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_adaptive_mc_at_dim_1699_runs_in_200_mb():
+    # X_0's real eigenbasis and the probe's Re rho(x): no dense complex family
+    proc = run_capped(200, ADAPTIVE_MC_1699)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["command"] == "mc-adaptive"
 
 
 class TestTruncationHint:

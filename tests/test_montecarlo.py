@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -86,18 +87,25 @@ class TestMeasurementModel:
 
     @pytest.mark.parametrize("alpha, r", [(1.0, 0.0), (1.0, 0.8), (2.0, 1.0), (1.0, 1.5)],
                              ids=["dim-16", "dim-78", "dim-134", "dim-281"])
-    def test_x0_real_route_matches_complex_route(self, alpha, r):
+    def test_x0_real_route_matches_complex_route(self, alpha, r, monkeypatch):
+        # the distributions mc's measurement step hands its sampler, from X_0's
+        # real eigenbasis and Re rho(x) of the probe, against the complex model
+        # on the dense family; a step calibrated for phase reads X_0 at
+        # x = pi/2 + (0.7 - phase). On the rotated probe's complex amplitudes
+        # Re rho(x) is not even in x.
+        tables = []
+        monkeypatch.setattr(montecarlo, "_GuideTable", lambda p, nu: tables.append(p))
         spec = case_study_spec(alpha=alpha, r=r)
-        m = quadrature(0.0, spec.dim)
-        model = MeasurementModel.from_observable(m)
-        assert model.eigenvectors.dtype == np.float64
-        evals, vecs = np.linalg.eigh(m.matrix)
-        complex_model = MeasurementModel(eigenvalues=evals, eigenvectors=vecs)
-        fam = dephasing_family(spec)
-        for phi in (0.0, 0.7, 2.5):
-            rho = fam.state_at(phi)
-            np.testing.assert_allclose(model.probabilities(rho), complex_model.probabilities(rho),
-                                       rtol=0, atol=1e-14)
+        c = spec.probe_state().amplitudes
+        rotated = dataclasses.replace(spec, probe=StateVector(c * np.exp(-0.4j * np.arange(c.size))))
+        model = MeasurementModel.from_observable(quadrature(0.0, spec.dim))
+        for probe_spec in (spec, rotated):
+            _, _, measurement = montecarlo._prepare(probe_spec, 0.7, 100)
+            fam = dephasing_family(probe_spec)
+            for x in (0.0, 0.7, math.pi / 2, 2.5):
+                measurement(0.7 + (math.pi / 2 - x))
+                np.testing.assert_allclose(tables[-1], model.probabilities(fam.state_at(x)),
+                                           rtol=0, atol=1e-14)
 
     def test_complex_quadrature_keeps_complex_eigenbasis(self):
         model = MeasurementModel.from_observable(quadrature(0.3, 16))
@@ -320,15 +328,15 @@ class TestGuideTableSampler:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-        # At dim 134 the probe and the model alone peak near 2.3 MB, whatever
-        # nu, so one measurement step is traced on its own: about 1.45% of
-        # draws are node words, and holding those of 2e7 draws would take
-        # about 2.3 MB.
+        # At dim 134 the probe and X_0's eigenbasis alone peak near 2.3 MB,
+        # whatever nu, so one measurement step is traced on its own: about
+        # 1.45% of draws are node words, and holding those of 2e7 draws would
+        # take about 2.3 MB.
         spec, nu = case_study_spec(alpha=2.0, r=1.0), 20_000_000
-        fam, report_at, _, model = montecarlo._prepare(spec, 0.7, nu)
+        _, _, measurement = montecarlo._prepare(spec, 0.7, nu)
         tracemalloc.start()
         try:
-            estimate = montecarlo._measurement(fam, report_at, model, 0.7, 0.7, nu)
+            estimate = measurement(0.7)
             estimate(np.random.default_rng([0, 0]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -567,6 +575,37 @@ def test_calibration_cost_attains_fisher(alpha, r, beta, rng):
     assert 0.943 <= ratio <= 1.057
 
 
+def test_attainability_with_stated_error_rate():
+    """nu Var(phi_hat) F at the case-study point (alpha 1, beta 0.3, phi_true
+    0.7, dim 16) lies in a band that a correct estimator leaves with
+    probability at most 1e-6: R = 20000 repeats of nu = 10^4 draws, seed 1.
+
+    s^2 / sigma^2 over R estimates has Var(s^2) / sigma^4 = 2 / (R - 1)
+    + kappa / R, for kappa the estimates' excess kurtosis: 0 for Gaussian
+    estimates, and -0.03 to +0.04 measured at seeds 1 to 3, within the sd
+    sqrt(24 / R) = 0.035 of a sample kurtosis. The band allows kappa up to
+    0.1 through the effective degrees of freedom df = 2 / (2 / (R - 1)
+    + 0.1 / R), about 19050, and takes the chi-square quantiles for df at
+    each tail 5e-7 by Wilson-Hilferty, as perfbench/run.py::chi2_band does:
+    [0.9507, 1.0509] (kappa = 0 would give [0.9518, 1.0497]). The band was
+    fixed before the first run.
+
+    Power: the statistic's sd is about 0.010. A 5% error in the predicted
+    variance centers it on 1.05 or 0.95, at the band's edge, so it fails
+    with probability 0.46 or 0.53; a 9% move, such as the 1 / 1.05^2 = 0.907
+    that a 5% error in the curve's amplitude gives, is 4.8 sd outside the
+    band and fails with probability 1 - 1e-6. Criterion 9 keeps its own seed
+    and band.
+    """
+    repeats, nu, kappa, tail = 20000, 10**4, 0.1, 5e-7
+    df = 2.0 / (2.0 / (repeats - 1) + kappa / repeats)
+    z, c = statistics.NormalDist().inv_cdf(tail), 2.0 / (9.0 * df)
+    lo, hi = ((1.0 - c + s * z * math.sqrt(c)) ** 3 for s in (1.0, -1.0))
+    run = run_trials(case_study_spec(), 0.7, nu=nu, repeats=repeats, seed=1)
+    ratio = nu * run.empirical_variance * analytic_fnsr(0.0, 1.0, 0.3)
+    assert lo <= ratio <= hi
+
+
 class TestAdaptiveCalibrate:
     def optimal_fisher(self, spec, phi_true):
         fam = dephasing_family(spec)
@@ -715,20 +754,31 @@ def test_probe_built_once_per_run(monkeypatch):
 
 def test_one_state_per_measurement(monkeypatch):
     # the curve and the prediction come from the probe's sums: each
-    # measurement reads one state, its Born distribution's
+    # measurement reads one state, its Born distribution's Re rho(x)
     states = []
-    family = montecarlo.dephasing_family
-
-    def counted_family(spec):
-        fam = family(spec)
-        return dataclasses.replace(fam, state_at=lambda x: states.append(x) or fam.state_at(x))
-
-    monkeypatch.setattr(montecarlo, "dephasing_family", counted_family)
+    real_state = montecarlo._real_state
+    monkeypatch.setattr(montecarlo, "_real_state",
+                        lambda c, kernel, x: states.append(x) or real_state(c, kernel, x))
     run_trials(case_study_spec(), 0.7, nu=100, repeats=2, seed=0)
     assert states == [math.pi / 2]
     states.clear()
     adaptive_calibrate(case_study_spec(), 0.7, batch=100, rounds=3, seed=0)
     assert len(states) == 3
+
+
+@pytest.mark.parametrize("alpha, r", [(1.0, 0.0), (2.0, 1.0)], ids=["dim-16", "dim-134"])
+def test_no_operator_built(monkeypatch, alpha, r):
+    # mc reads X_0 and each Born distribution as real arrays: no Operator,
+    # DensityMatrix or dense family is built
+    def refuse(self):
+        raise AssertionError("mc built an Operator")
+
+    spec = case_study_spec(alpha=alpha, r=r)
+    monkeypatch.setattr(Operator, "__post_init__", refuse)
+    run = run_trials(spec, 0.7, nu=1000, repeats=3, seed=0)
+    assert run.estimates.shape == (3,)
+    estimates, *_ = adaptive_calibrate(spec, 0.7, batch=1000, rounds=3, seed=0)
+    assert estimates.shape == (3,)
 
 
 def test_run_trials_phase_covariant():
