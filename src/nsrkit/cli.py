@@ -28,6 +28,8 @@ from .dephasing import (
     DiffusionParams,
     PhaseFamilySpec,
     _covariant_sld,
+    _kernel,
+    _number_moments,
     _quadrature_reports,
     analytic_fnsr,
     dephasing_family,
@@ -36,7 +38,7 @@ from .dephasing import (
     optimal_calibration,
 )
 from .errors import ContractViolationError, NumericalError
-from .estimation import _solve_sld, assess_observable, pure_unitary_family, pure_unitary_qfi
+from .estimation import _sensitivity_report, assess_observable, pure_unitary_qfi
 from .montecarlo import adaptive_calibrate, run_trials
 from .operators import (
     MAX_DIM,
@@ -47,7 +49,6 @@ from .operators import (
     default_truncation_dim,
     fock_state,
     gaussian_probe,
-    number_operator,
 )
 
 # Largest count a command line may set: one grid's, the product of a
@@ -204,21 +205,28 @@ def _probe_header(spec: PhaseFamilySpec, phi_true: float) -> dict:
 
 
 def cmd_qfi(args) -> int:
+    """The QFI and SLD spectrum of either family from one covariant solve
+    (_covariant_sld) of its unitary orbit, the same at every point of the
+    orbit: --x and --phi-true are checked and echoed."""
     if args.family == "pure":
         if args.h == "number":
             psi = _parse_state(args.state, args.dim)
-            h = number_operator(psi.dim)
+            if psi.dim < 2:
+                raise ValueError(f"number operator needs dim >= 2, got {psi.dim}")
+            h, radius = np.arange(psi.dim, dtype=float), psi.dim - 1.0  # h's largest |eigenvalue|
+            four_var = 4.0 * _number_moments(psi.amplitudes)[1]
         elif os.path.exists(args.h):
-            h = load_observable(args.h)
-            psi = _parse_state(args.state, h.dim if args.dim is None else args.dim)
+            op = load_observable(args.h)
+            psi = _parse_state(args.state, op.dim if args.dim is None else args.dim)
+            h, four_var = op.matrix, pure_unitary_qfi(op, psi)
+            radius = float(np.linalg.norm(h))  # Frobenius: at least h's largest |eigenvalue|
+            if not math.isfinite(args.x * radius):  # only near overflow: the exact one
+                radius = float(np.abs(np.linalg.eigvalsh(h)).max())
         else:
             raise ValueError(f"unknown generator '{args.h}' (not 'number' or a file)")
-        fam = pure_unitary_family(h, psi)
-        # one SLD solve gives the QFI, as qfi() reads it, and L in rho's
-        # eigenbasis, which has the spectrum of L in the Fock basis
-        *_, l_eig, qfi = _solve_sld(fam.state_at(args.x), fam.derivative_at(args.x))
-        evals = np.linalg.eigvalsh(l_eig)
-        lo, hi = float(evals.min()), float(evals.max())
+        if not math.isfinite(args.x * radius):
+            raise ContractViolationError(f"phase x h is not finite at x={args.x}")
+        c, kernel = psi.amplitudes, 1.0
         report = {
             "command": "qfi",
             "family": "pure",
@@ -226,13 +234,12 @@ def cmd_qfi(args) -> int:
             "state": args.state,
             "dim": psi.dim,
             "x": args.x,
-            "pure_form_4var": pure_unitary_qfi(h, psi),
+            "pure_form_4var": four_var,
         }
     else:
         spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, args.phi_true)
-        # the same at every phase: --phi-true only centers the domain and is echoed
-        qfi, hi = _covariant_sld(spec)
-        lo = 0.0 - hi  # L = iA has a +- spectrum; a zero SLD prints min 0.0, not -0.0
+        c = spec.probe_state().amplitudes
+        kernel, h = _kernel(c.size, spec.diffusion.beta), np.arange(c.size, dtype=float)
         report = {
             "command": "qfi",
             "family": "dephasing",
@@ -240,8 +247,9 @@ def cmd_qfi(args) -> int:
             "dim": spec.dim,
             "fnsr_quadrature": analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta),
         }
-    report["qfi"] = qfi
-    report["sld_spectrum"] = {"min": lo, "max": hi, "dim": report["dim"]}
+    report["qfi"], hi = _covariant_sld(c, kernel, h)
+    # L = iA has a +- spectrum; a zero SLD prints min 0.0, not -0.0
+    report["sld_spectrum"] = {"min": 0.0 - hi, "max": hi, "dim": report["dim"]}
     _emit(_report_text(report, args.format), args.out)
     return 0
 
@@ -251,7 +259,9 @@ def cmd_nsr(args) -> int:
     the probe's four sums (_quadrature_reports), at the offset phi_exp -
     phi_true; by default the optimal offset -pi/2 itself, which is exact at
     any phi_true, while phi_exp reports optimal_calibration(phi_true). The
-    number operator and matrix files take the dense assess_observable."""
+    number operator's comes from its two sums (_number_moments), with slope
+    exactly 0, as n commutes with the phase. Only a matrix file takes the
+    dense assess_observable."""
     phi_true = args.phi_true
     spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, phi_true)
     if args.observable == "quadrature":
@@ -265,12 +275,11 @@ def cmd_nsr(args) -> int:
         rep = report_at(offset)
         obs_desc = {"observable": "quadrature", "phi_exp": phi_exp}
     else:
-        fam = dephasing_family(spec)
         if args.observable == "number":
-            m = number_operator(spec.dim)
+            rep = _sensitivity_report(*_number_moments(spec.probe_state().amplitudes), 0.0)
         else:
-            m = load_observable(args.observable)
-        rep = assess_observable(fam, phi_true, m)
+            rep = assess_observable(dephasing_family(spec), phi_true,
+                                    load_observable(args.observable))
         obs_desc = {"observable": args.observable}
     report = {
         "command": "nsr",

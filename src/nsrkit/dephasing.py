@@ -186,34 +186,51 @@ def _quadrature_reports(spec: PhaseFamilySpec, phi: float) -> Callable[[float], 
     return report
 
 
-def _covariant_sld(spec: PhaseFamilySpec) -> tuple[float, float]:
-    """(QFI, largest eigenvalue of the SLD) of dephasing_family(spec), the same
-    at every phase, from one real eigendecomposition of its state at phase 0,
-    rho0 = (c c^T) o K (_real_state at x = 0), for the real probe amplitudes c
-    and the kernel K.
+def _number_moments(c: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the number operator n on the probe amplitudes c,
+    from the sums sum n |c_n|^2 and sum n^2 |c_n|^2: O(d), no matrix. n
+    commutes with the phase and the diffusion keeps the populations |c_n|^2,
+    so these are its moments at every phase of the dephasing family too. The
+    variance is clamped to >= 0 against roundoff, as operators.variance does."""
+    p, n = (c.conj() * c).real, np.arange(c.size, dtype=float)
+    mean = float(n @ p)
+    return mean, max(float((n * n) @ p) - mean**2, 0.0)
 
-    rho(phi) = U rho0 U^dag with U = e^{-i phi n}, so drho = -i[n, rho]. With
-    rho0 = V diag(p) V^T and N = V^T diag(n) V, drho in rho0's eigenbasis is
-    i (p_j - p_k) N_jk, and the SLD is L = iA with the real antisymmetric
 
-        A_jk = 2 (p_j - p_k) N_jk / (p_j + p_k)
+def _covariant_sld(c: np.ndarray, kernel, h: np.ndarray) -> tuple[float, float]:
+    """(QFI, largest eigenvalue of the SLD) of the unitary orbit
+    rho(x) = U rho0 U^dag, U = e^{-ixh}, the same at every x, from one real
+    eigendecomposition of rho0 = (c c^T) o K (_real_state at x = 0), for the
+    real probe amplitudes c and the kernel K: _kernel(d, beta) for the
+    dephasing family, 1.0 for a pure state. The generator h is a 1-D array,
+    the diagonal of a Fock-diagonal generator such as n, or a dense Hermitian
+    matrix.
+
+    drho = -i[h, rho]. With rho0 = V diag(p) V^T and G = V^T h V (real for a
+    diagonal or real h), drho in rho0's eigenbasis is i (p_j - p_k) G_jk, and
+    the SLD is L = iA with
+
+        A_jk = 2 (p_j - p_k) G_jk / (p_j + p_k)
 
     on the pairs that _sld_in_eigenbasis keeps, under its cut and warning, as
-    for _solve_sld. The QFI is sum_jk p_j A_jk^2, and the spectrum of iA is
-    plus and minus the singular values of A, the largest
-    sqrt(lambda_max(A^T A)). No complex matrix is formed.
+    for _solve_sld (Paris, Int. J. Quantum Inf. 7, 125 (2009)). The QFI is
+    sum_jk p_j |A_jk|^2. The largest |eigenvalue| of iA is
+    sqrt(lambda_max(A^H A)), and the spectrum is symmetric, so that is the
+    largest eigenvalue, where A is real antisymmetric (a real G) and on a
+    pure state, where L = 2 drho has rank 2 and trace 0.
     """
-    c = spec.probe_state().amplitudes
     if c.imag.any():
         raise ContractViolationError("the covariant SLD route needs real probe amplitudes")
-    d = c.size
-    rho0 = _real_state(c, _kernel(d, spec.diffusion.beta), 0.0)
-    scale = np.abs(_delta_n(d) * rho0).max()  # the largest |drho_nm| = |n - m| |rho0_nm|
+    h = h if np.imag(h).any() else np.real(h)
+    rho0 = _real_state(c, kernel, 0.0)
+    # the largest |drho_nm|, drho = -i[h, rho0]
+    scale = np.abs((h[:, None] - h) * rho0 if h.ndim == 1 else h @ rho0 - rho0 @ h).max()
     p, v = np.linalg.eigh(rho0)
+    del rho0  # dead here: it makes room for the kernel, which the caller holds
     # drho / i in rho0's eigenbasis, so that the SLD comes out as A = L / i
-    d_eig = (p[:, None] - p[None, :]) * (v.T @ (np.arange(d, dtype=float)[:, None] * v))
+    d_eig = (p[:, None] - p[None, :]) * (v.T @ (h[:, None] * v) if h.ndim == 1 else v.T @ h @ v)
     *_, a, qfi = _sld_in_eigenbasis(p, d_eig, scale)
-    return qfi, math.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
+    return qfi, math.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1])
 
 
 def optimal_calibration(phi_true: float) -> float:

@@ -135,11 +135,13 @@ MUTANTS = [
      "spacing > 0.01 * sd",
      "spacing > 100.0 * sd",
      ["tests/test_montecarlo.py"]),
-    # the dephasing QFI and SLD spectrum read from rho(phi_true), real part
+    # the covariant QFI and SLD spectrum read from Re rho(x) away from the
+    # orbit's reference point x = 0
     ("nsrkit/dephasing.py",
-     "_real_state(c, _kernel(d, spec.diffusion.beta), 0.0)",
-     "_real_state(c, _kernel(d, spec.diffusion.beta), sum(spec.phi_domain) / 2)",
-     ["tests/test_cli.py::TestPhaseCovariance"]),
+     "rho0 = _real_state(c, kernel, 0.0)",
+     "rho0 = _real_state(c, kernel, 0.7)",
+     ["tests/test_dephasing.py::TestCovariantSld",
+      "tests/test_dephasing.py::TestCovariantSldPureOrbit"]),
     # Re rho(x) without its Im psi Im psi^T term, and with the phase's sign
     # flipped: the flip is equivalent on real probes, where Re rho(x) is even
     # in x, so the complex-amplitude probe of the oracle test must kill it
@@ -163,9 +165,20 @@ MUTANTS = [
      "np.divide(d_eig, pair_sums",
      ["tests/test_dephasing.py::TestCovariantSld"]),
     ("nsrkit/dephasing.py",
-     "v.T @ (np.arange(d, dtype=float)[:, None] * v)",
-     "v @ (np.arange(d, dtype=float)[:, None] * v.T)",
+     "v.T @ (h[:, None] * v)",
+     "v @ (h[:, None] * v.T)",
      ["tests/test_dephasing.py::TestCovariantSld"]),
+    # the largest SLD eigenvalue from A^T A: the same for the real A of a
+    # diagonal or real generator, so the complex-file oracle must kill it
+    ("nsrkit/dephasing.py",
+     "np.linalg.eigvalsh(a.conj().T @ a)",
+     "np.linalg.eigvalsh(a.T @ a)",
+     ["tests/test_dephasing.py::TestCovariantSldPureOrbit"]),
+    # the number operator's <n^2> read as <n>
+    ("nsrkit/dephasing.py",
+     "float((n * n) @ p)",
+     "float(n @ p)",
+     ["tests/test_cli.py::TestNsrCommand::test_number_matches_dense"]),
     ("nsrkit/operators.py",
      "nsq = float(np.vdot(v, v).real)",
      "nsq = float(np.linalg.norm(v))",

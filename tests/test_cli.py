@@ -13,12 +13,12 @@ import nsrkit
 from nsrkit import (
     GaussianProbeSpec,
     analytic_fnsr,
+    assess_observable,
+    dephasing_family,
     enhancement_scan,
     gaussian_probe,
     number_operator,
     optimal_calibration,
-    pure_unitary_family,
-    qfi,
     quadrature,
 )
 from nsrkit import cli, errors
@@ -26,7 +26,7 @@ from nsrkit.cli import main
 from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, _covariant_sld
 from nsrkit.operators import MAX_DIM, Operator
 
-from conftest import fock_dephasing_spec
+from conftest import dephasing_covariant_sld, fock_dephasing_spec
 
 
 def run_cli(capsys, *argv):
@@ -47,10 +47,10 @@ def last_json(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def coherent_number_family():
-    """The family `qfi --family pure --state coherent:1.0` builds."""
+def coherent_number_sld() -> tuple[float, float]:
+    """The solve `qfi --family pure --state coherent:1.0` makes."""
     psi = gaussian_probe(GaussianProbeSpec.with_default_dim(1.0, 0.0))
-    return pure_unitary_family(number_operator(psi.dim), psi)
+    return _covariant_sld(psi.amplitudes, 1.0, np.arange(psi.dim, dtype=float))
 
 
 class TestQfiCommand:
@@ -105,9 +105,9 @@ class TestQfiCommand:
 
     @pytest.mark.parametrize("argv, route_qfi", [
         (("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
-         lambda: _covariant_sld(fock_dephasing_spec(1.0, 0.0, 0.3))[0]),
+         lambda: dephasing_covariant_sld(fock_dephasing_spec(1.0, 0.0, 0.3))[0]),
         (("--family", "pure", "--state", "coherent:1.0"),
-         lambda: qfi(coherent_number_family(), 0.0)),
+         lambda: coherent_number_sld()[0]),
     ], ids=["dephasing", "pure"])
     def test_csv_flattens_sld_spectrum(self, capsys, argv, route_qfi):
         code, out, _ = run_cli(capsys, "qfi", *argv, "--format", "csv")
@@ -123,17 +123,21 @@ class TestQfiCommand:
         assert float(cells["sld_spectrum_min"]) == spectrum["min"]
         assert float(cells["sld_spectrum_max"]) == spectrum["max"]
         assert int(cells["sld_spectrum_dim"]) == spectrum["dim"]
-        # the route cmd_qfi takes, bit for bit; TestCovariantSld holds the
-        # dephasing route to the dense solve
+        # the route cmd_qfi takes, bit for bit; TestCovariantSld and
+        # TestCovariantSldPureOrbit hold it to the dense solve on both families
         assert json.loads(out)["qfi"] == route_qfi()
 
     @pytest.mark.parametrize("argv", [
-        ("--alpha", "1", "--beta", "0.3"),
-        ("--alpha", "2", "--r", "1", "--beta", "0.3", "--phi-true", "0.7"),
-        ("--alpha", "0", "--beta", "0.3"),  # the vacuum: a zero SLD
-    ], ids=["case", "large", "vacuum"])
+        ("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
+        ("--family", "dephasing", "--alpha", "2", "--r", "1", "--beta", "0.3",
+         "--phi-true", "0.7"),
+        ("--family", "dephasing", "--alpha", "0", "--beta", "0.3"),  # the vacuum: a zero SLD
+        ("--family", "pure", "--state", "coherent:1", "--x", "0.7"),
+        ("--family", "pure", "--state", "vacuum"),
+    ], ids=["case", "large", "vacuum", "pure", "pure-vacuum"])
     def test_dephasing_route_is_real(self, capsys, monkeypatch, argv):
-        # one real eigh of rho(0) and one real eigvalsh of A^T A; no family
+        # either family: one real eigh of rho(0) and one real eigvalsh of
+        # A^T A; no family, and no eigensolve of the generator
         calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
@@ -144,10 +148,10 @@ class TestQfiCommand:
 
             monkeypatch.setattr(np.linalg, name, recorded)
         families = []
-        for module in (cli, nsrkit.dephasing):
-            monkeypatch.setattr(module, "dephasing_family",
-                                lambda spec: families.append(spec))
-        code, out, err = run_cli(capsys, "qfi", "--family", "dephasing", *argv)
+        for module, name in ((cli, "dephasing_family"), (nsrkit.dephasing, "dephasing_family"),
+                             (nsrkit.estimation, "pure_unitary_family")):
+            monkeypatch.setattr(module, name, lambda *args: families.append(args))
+        code, out, err = run_cli(capsys, "qfi", *argv)
         assert (code, err) == (0, "")
         assert families == []
         assert calls == [("eigh", np.float64), ("eigvalsh", np.float64)]
@@ -199,11 +203,11 @@ class TestNsrCommand:
         (("nsr", "--alpha", "1", "--r", "0.5", "--beta", "0.3"), False),
         (("nsr", "--phi-exp", "0.2", "--beta", "0.3"), False),
         (("scan", "--numeric", "--grid-r", "0:1:3", "--beta", "0.3"), False),
-        (("nsr", "--observable", "number", "--beta", "0.3"), True),
+        (("nsr", "--observable", "number", "--beta", "0.3"), False),
     ], ids=["nsr-quadrature", "nsr-phi-exp", "scan-numeric", "nsr-number"])
     def test_quadrature_builds_no_matrix(self, capsys, monkeypatch, argv, dense):
-        # the quadrature's statistics come from the probe's sums: no
-        # Operator (DensityMatrix included) and no family is built
+        # the quadrature's and the number operator's statistics come from the
+        # probe's sums: no Operator (DensityMatrix included) and no family
         built = {"operators": 0, "families": 0}
         post_init, family = Operator.__post_init__, cli.dephasing_family
 
@@ -219,6 +223,24 @@ class TestNsrCommand:
         monkeypatch.setattr(cli, "dephasing_family", counted_family)
         assert run_cli(capsys, *argv)[0] == 0
         assert (built["operators"] > 0, built["families"]) == (dense, int(dense))
+
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.0), (1.0, 0.5), (2.0, 1.0), (1.0, 1.5)],
+                             ids=["dim16", "dim45", "dim134", "dim281"])
+    def test_number_matches_dense(self, capsys, alpha, r):
+        # the number operator's two sums against the dense assess_observable;
+        # tolerance fixed before the first run: mean and variance 1e-13
+        # relative. n commutes with the phase, so both slopes are exactly 0
+        code, out, err = run_cli(capsys, "nsr", "--observable", "number", "--alpha", str(alpha),
+                                 "--r", str(r), "--beta", "0.3", "--phi-true", "0.7")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        spec = fock_dephasing_spec(alpha, r, 0.3)
+        want = assess_observable(dephasing_family(spec), 0.7, number_operator(spec.dim))
+        assert report["dim"] == spec.dim
+        assert report["mean"] == pytest.approx(want.mean, rel=1e-13)
+        assert report["variance"] == pytest.approx(want.variance, rel=1e-13)
+        assert report["slope"] == want.slope == 0.0
+        assert report["fisher"] == want.fisher == 0.0
 
     def test_number_observable_blind(self, capsys):
         code, out, _ = run_cli(capsys, "nsr", "--alpha", "1", "--r", "0", "--beta",
@@ -531,14 +553,17 @@ class TestPhaseCovariance:
             assert values == reference, phi_true
 
     def test_pure_qfi_agrees_across_x(self, capsys):
-        # the pure family keeps solving at --x; its QFI 4 Var(n) cannot depend on x
-        qfis = []
-        for x in ("0", "0.7"):
+        # the pure family is solved once for its whole orbit: --x is echoed
+        reports = []
+        for x in ("0", "0.7", "1e6"):
             code, out, err = run_cli(capsys, "qfi", "--family", "pure", "--state", "coherent:1",
                                      "--x", x)
             assert (code, err) == (0, "")
-            qfis.append(json.loads(out)["qfi"])
-        assert qfis[1] == pytest.approx(qfis[0], rel=1e-12)
+            report = json.loads(out)
+            assert report.pop("x") == float(x)
+            reports.append(report)
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
 
 
 class TestNonFiniteInputs:
@@ -717,6 +742,9 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 sys.exit(main(argv))
 """
 QFI_2048 = ("qfi", "--dim", "2048", "--alpha", "1")
+PURE_QFI_1024 = ("qfi", "--family", "pure", "--state", "coherent:1", "--dim", "1024")
+NUMBER_NSR_2048 = ("nsr", "--observable", "number", "--alpha", "1", "--beta", "0.3",
+                   "--dim", "2048")
 ADAPTIVE_MC_1699 = ("mc", "--adaptive", "--r", "2.5", "--alpha", "1", "--dim", "1699",
                     "--rounds", "3", "--batch", "50")
 
@@ -742,6 +770,19 @@ def test_out_of_memory_exit_2():
         assert proc.stderr.removeprefix("error: out of memory:").strip(), (cap_mb, argv)
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("cap_mb, argv", [(140, PURE_QFI_1024), (50, NUMBER_NSR_2048)],
+                         ids=["qfi-pure-1024", "nsr-number-2048"])
+def test_no_dense_generator_runs_capped(cap_mb, argv):
+    # the pure QFI from one real eigh of rho0 needs about 82 MB above import
+    # at dim 1024, where the dense complex family needed 186 MB; the number
+    # operator's two sums need a few MB at dim 2048, where its dense family
+    # and m @ m needed 544 MB
+    proc = run_capped(cap_mb, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == int(argv[-1])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")

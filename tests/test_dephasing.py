@@ -47,12 +47,13 @@ from nsrkit.errors import SupportTruncationWarning
 from nsrkit.estimation import SLD_EIG_CUT_REL, _solve_sld
 from nsrkit.operators import PSD_TOL, TRACE_TOL, Operator, StateVector
 
-from conftest import fock_dephasing_spec
+from conftest import dephasing_covariant_sld, fock_dephasing_spec
 from oracles import (
     check_derivative,
     gauss_hermite_dephase,
     golden_max,
     random_density_mat,
+    random_hermitian,
     unitary_from_generator,
 )
 
@@ -380,7 +381,7 @@ class TestCovariantSld:
     ])
     def test_matches_dense_solve(self, alpha, r, beta, dim):
         spec = fock_dephasing_spec(alpha, r, beta, dim)
-        got_qfi, got_max = _covariant_sld(spec)
+        got_qfi, got_max = dephasing_covariant_sld(spec)
         fam = dephasing_family(spec)
         # the QFI qfi(fam, 0.0) returns, and L in rho's eigenbasis, from one solve
         *_, l_eig, want_qfi = _solve_sld(fam.state_at(0.0), fam.derivative_at(0.0))
@@ -395,7 +396,7 @@ class TestCovariantSld:
         # are +-2 sqrt(Var n), so the QFI is 4 Var(n)
         spec = fock_dephasing_spec(alpha, r, 0.0)
         four_var = pure_unitary_qfi(number_operator(spec.dim), spec.probe_state())
-        got_qfi, got_max = _covariant_sld(spec)
+        got_qfi, got_max = dephasing_covariant_sld(spec)
         assert got_qfi == pytest.approx(four_var, rel=1e-10)
         assert got_max == pytest.approx(math.sqrt(four_var), rel=1e-10)
 
@@ -404,7 +405,7 @@ class TestCovariantSld:
         mp = pytest.importorskip("mpmath")
         spec = fock_dephasing_spec(1.0, r, 0.3)
         want_qfi, want_max = mp_covariant_sld(spec, mp)
-        got_qfi, got_max = _covariant_sld(spec)
+        got_qfi, got_max = dephasing_covariant_sld(spec)
         assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
         assert got_max == pytest.approx(want_max, rel=max_rtol)
 
@@ -415,7 +416,7 @@ class TestCovariantSld:
         spec = PhaseFamilySpec(StateVector(c / np.linalg.norm(c)), DiffusionParams(0.3),
                                (-math.pi, math.pi))
         with pytest.warns(SupportTruncationWarning):
-            got_qfi, _ = _covariant_sld(spec)
+            got_qfi, _ = dephasing_covariant_sld(spec)
         with pytest.warns(SupportTruncationWarning):
             want_qfi = qfi(dephasing_family(spec), 0.0)
         assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
@@ -424,7 +425,46 @@ class TestCovariantSld:
         spec = PhaseFamilySpec(StateVector(np.array([1.0, 1.0j]) / math.sqrt(2.0)),
                                DiffusionParams(0.3), (-math.pi, math.pi))
         with pytest.raises(ContractViolationError, match="real probe amplitudes"):
-            _covariant_sld(spec)
+            dephasing_covariant_sld(spec)
+
+
+class TestCovariantSldPureOrbit:
+    """The route of qfi --family pure, _covariant_sld with kernel 1.0, against
+    the dense complex SLD solve on pure_unitary_family(h, psi) at two points
+    of the orbit, and against the closed form 4 Var(h), for the number
+    generator and for random real symmetric and complex Hermitian files.
+
+    Tolerances, fixed before the first run: the QFI to 1e-13 relative of the
+    dense solve and 1e-12 of 4 Var(h). A pure state's SLD L = 2 drho has rank
+    2 and trace 0, so its spectrum is +-2 sqrt(Var h) and no near-null pair
+    enters it: the largest eigenvalue is held to 1e-12 relative of the dense
+    max and of minus the dense min."""
+
+    @staticmethod
+    def generator(kind: str, dim: int):
+        """(h as the route takes it, h as an Operator)."""
+        if kind == "number":
+            return np.arange(dim, dtype=float), number_operator(dim)
+        mat = random_hermitian(np.random.default_rng(dim), dim)
+        if kind == "real":
+            mat = mat.real.astype(complex)  # a real symmetric file, read as complex
+        return mat, Operator(mat)
+
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    @pytest.mark.parametrize("kind", ["number", "real", "complex"])
+    @pytest.mark.parametrize("alpha, r", [(1.3, 0.0), (1.0, 0.5), (1.0, 1.5)],
+                             ids=["coherent:1.3", "gaussian:1:0.5", "gaussian:1:1.5"])
+    def test_matches_dense_solve(self, alpha, r, kind, x):
+        psi = gaussian_probe(GaussianProbeSpec.with_default_dim(alpha, r))
+        h, op = self.generator(kind, psi.dim)
+        got_qfi, got_max = _covariant_sld(psi.amplitudes, 1.0, h)
+        fam = pure_unitary_family(op, psi)
+        *_, l_eig, want_qfi = _solve_sld(fam.state_at(x), fam.derivative_at(x))
+        evals = np.linalg.eigvalsh(l_eig)
+        assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
+        assert got_max == pytest.approx(evals.max(), rel=1e-12)
+        assert got_max == pytest.approx(-evals.min(), rel=1e-12)
+        assert got_qfi == pytest.approx(pure_unitary_qfi(op, psi), rel=1e-12)
 
 
 class TestAnalyticFnsr:
