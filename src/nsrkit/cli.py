@@ -28,7 +28,6 @@ from .dephasing import (
     DiffusionParams,
     PhaseFamilySpec,
     _covariant_sld,
-    _kernel,
     _number_moments,
     _quadrature_reports,
     analytic_fnsr,
@@ -205,16 +204,16 @@ def _probe_header(spec: PhaseFamilySpec, phi_true: float) -> dict:
 
 
 def cmd_qfi(args) -> int:
-    """The QFI and SLD spectrum of either family from one covariant solve
-    (_covariant_sld) of its unitary orbit, the same at every point of the
-    orbit: --x and --phi-true are checked and echoed."""
+    """The QFI and SLD spectrum of either family, the same on its whole orbit,
+    so --x and --phi-true are checked and echoed. A pure state's SLD is 2 drho:
+    its QFI is 4 Var(h), from _number_moments or one product h c, and its
+    spectrum +-sqrt(QFI). The dephasing family's come from _covariant_sld."""
     if args.family == "pure":
         if args.h == "number":
             psi = _parse_state(args.state, args.dim)
             if psi.dim < 2:
                 raise ValueError(f"number operator needs dim >= 2, got {psi.dim}")
-            h, radius = np.arange(psi.dim, dtype=float), psi.dim - 1.0  # h's largest |eigenvalue|
-            four_var = 4.0 * _number_moments(psi.amplitudes)[1]
+            radius, four_var = psi.dim - 1.0, 4.0 * _number_moments(psi.amplitudes)[1]
         elif os.path.exists(args.h):
             op = load_observable(args.h)
             psi = _parse_state(args.state, op.dim if args.dim is None else args.dim)
@@ -226,7 +225,6 @@ def cmd_qfi(args) -> int:
             raise ValueError(f"unknown generator '{args.h}' (not 'number' or a file)")
         if not math.isfinite(args.x * radius):
             raise ContractViolationError(f"phase x h is not finite at x={args.x}")
-        c, kernel = psi.amplitudes, 1.0
         report = {
             "command": "qfi",
             "family": "pure",
@@ -236,10 +234,10 @@ def cmd_qfi(args) -> int:
             "x": args.x,
             "pure_form_4var": four_var,
         }
+        report["qfi"], hi = four_var, math.sqrt(four_var)
     else:
         spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, args.phi_true)
         c = spec.probe_state().amplitudes
-        kernel, h = _kernel(c.size, spec.diffusion.beta), np.arange(c.size, dtype=float)
         report = {
             "command": "qfi",
             "family": "dephasing",
@@ -247,7 +245,7 @@ def cmd_qfi(args) -> int:
             "dim": spec.dim,
             "fnsr_quadrature": analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta),
         }
-    report["qfi"], hi = _covariant_sld(c, kernel, h)
+        report["qfi"], hi = _covariant_sld(c, spec.diffusion.beta)
     # L = iA has a +- spectrum; a zero SLD prints min 0.0, not -0.0
     report["sld_spectrum"] = {"min": 0.0 - hi, "max": hi, "dim": report["dim"]}
     _emit(_report_text(report, args.format), args.out)

@@ -197,40 +197,29 @@ def _number_moments(c: np.ndarray) -> tuple[float, float]:
     return mean, max(float((n * n) @ p) - mean**2, 0.0)
 
 
-def _covariant_sld(c: np.ndarray, kernel, h: np.ndarray) -> tuple[float, float]:
-    """(QFI, largest eigenvalue of the SLD) of the unitary orbit
-    rho(x) = U rho0 U^dag, U = e^{-ixh}, the same at every x, from one real
-    eigendecomposition of rho0 = (c c^T) o K (_real_state at x = 0), for the
-    real probe amplitudes c and the kernel K: _kernel(d, beta) for the
-    dephasing family, 1.0 for a pure state. The generator h is a 1-D array,
-    the diagonal of a Fock-diagonal generator such as n, or a dense Hermitian
-    matrix.
-
-    drho = -i[h, rho]. With rho0 = V diag(p) V^T and G = V^T h V (real for a
-    diagonal or real h), drho in rho0's eigenbasis is i (p_j - p_k) G_jk, and
-    the SLD is L = iA with
-
-        A_jk = 2 (p_j - p_k) G_jk / (p_j + p_k)
-
-    on the pairs that _sld_in_eigenbasis keeps, under its cut and warning, as
-    for _solve_sld (Paris, Int. J. Quantum Inf. 7, 125 (2009)). The QFI is
-    sum_jk p_j |A_jk|^2. The largest |eigenvalue| of iA is
-    sqrt(lambda_max(A^H A)), and the spectrum is symmetric, so that is the
-    largest eigenvalue, where A is real antisymmetric (a real G) and on a
-    pure state, where L = 2 drho has rank 2 and trace 0.
-    """
+def _covariant_sld(c: np.ndarray, beta: float) -> tuple[float, float]:
+    """(QFI, largest SLD eigenvalue) of the dephasing family, the same at every
+    phase, from one real eigh of its state at phase 0, rho0 = (c c^T) o K =
+    V diag(p) V^T (_real_state), for real amplitudes c and K = _kernel(d, beta).
+    With G = V^T n V, drho = -i[n, rho] is i (p_j - p_k) G_jk there, and the
+    SLD is L = iA, A_jk = 2 (p_j - p_k) G_jk / (p_j + p_k) real antisymmetric,
+    on the pairs _sld_in_eigenbasis keeps (Paris, Int. J. Quantum Inf. 7, 125
+    (2009)). The QFI is sum_jk p_j A_jk^2; iA has a symmetric spectrum, whose
+    largest eigenvalue is sqrt(lambda_max(A^T A)). Each d x d array is dropped
+    after its last use, which bounds the peak memory near that of the eigh."""
     if c.imag.any():
         raise ContractViolationError("the covariant SLD route needs real probe amplitudes")
-    h = h if np.imag(h).any() else np.real(h)
-    rho0 = _real_state(c, kernel, 0.0)
-    # the largest |drho_nm|, drho = -i[h, rho0]
-    scale = np.abs((h[:, None] - h) * rho0 if h.ndim == 1 else h @ rho0 - rho0 @ h).max()
+    n = np.arange(c.size, dtype=float)
+    rho0 = _real_state(c, _kernel(c.size, beta), 0.0)
+    scale = np.abs((n[:, None] - n) * rho0).max()  # the largest |drho_nm|
     p, v = np.linalg.eigh(rho0)
-    del rho0  # dead here: it makes room for the kernel, which the caller holds
-    # drho / i in rho0's eigenbasis, so that the SLD comes out as A = L / i
-    d_eig = (p[:, None] - p[None, :]) * (v.T @ (h[:, None] * v) if h.ndim == 1 else v.T @ h @ v)
-    *_, a, qfi = _sld_in_eigenbasis(p, d_eig, scale)
-    return qfi, math.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1])
+    del rho0
+    g = v.T @ (n[:, None] * v)
+    del v
+    g *= p[:, None] - p  # drho / i in rho0's eigenbasis, so that A = L / i
+    a, qfi = _sld_in_eigenbasis(p, g, scale)[2:]
+    del g
+    return qfi, math.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
 
 
 def optimal_calibration(phi_true: float) -> float:

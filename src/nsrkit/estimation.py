@@ -223,8 +223,16 @@ def pure_unitary_family(h: Operator, psi: StateVector) -> ParamFamily:
 
 
 def pure_unitary_qfi(h: Operator, psi: StateVector) -> float:
-    """Closed form 4 Var(h) on |psi> for pure unitary families."""
-    return 4.0 * variance(psi.density_matrix(), h)
+    """Closed form 4 Var(h) = 4 (|h c|^2 - <c|h c>^2) >= 0 of pure unitary
+    families on |psi> = c; OverflowError where a moment overflows, not nan."""
+    if h.dim != psi.dim:
+        raise DimensionMismatchError(f"h dim {h.dim} != state dim {psi.dim}")
+    hc = h.matrix @ psi.amplitudes
+    mean, msq = float(np.vdot(psi.amplitudes, hc).real), float(np.vdot(hc, hc).real)
+    four_var = 4.0 * max(msq - mean * mean, 0.0)
+    if not math.isfinite(four_var):
+        raise OverflowError(f"4 Var(h) is not finite: <h> = {mean}, <h^2> = {msq}")
+    return four_var
 
 
 def calibration_curvature(fam: ParamFamily, x: float) -> float:
@@ -265,15 +273,19 @@ def _curvature_and_qfi(fam: ParamFamily, x: float) -> tuple[float, float]:
 
 def pure_unitary_sample_size_bound(h: Operator, psi: StateVector) -> float:
     """Closed-form calibration bound for exp(-i x h)|psi>:
-    [<(Delta h)^4> / <Delta h^2>^2 - 1] / 4. Scale-free in h."""
-    rho = psi.density_matrix()
-    hc = h.matrix - expectation(rho, h) * np.eye(h.dim)
-    hc2 = hc @ hc
-    m2 = real_trace(rho.matrix, hc2)
+    [<(Delta h)^4> / <Delta h^2>^2 - 1] / 4. Scale-free in h. The moments are
+    |hc|^2 and |(h - <h>) hc|^2 for hc = (h - <h>) c: two products with h."""
+    if h.dim != psi.dim:
+        raise DimensionMismatchError(f"h dim {h.dim} != state dim {psi.dim}")
+    c = psi.amplitudes
+    hc = h.matrix @ c
+    mean = float(np.vdot(c, hc).real)
+    hc -= mean * c
+    m2 = float(np.vdot(hc, hc).real)
     if m2 <= 0.0:
         raise NoInformationError("psi is an eigenstate of h; no information")
-    m4 = real_trace(rho.matrix, hc2 @ hc2)
-    return (m4 / m2**2 - 1.0) / 4.0
+    h2c = h.matrix @ hc - mean * hc
+    return (float(np.vdot(h2c, h2c).real) / m2**2 - 1.0) / 4.0
 
 
 def sample_size_bound(fam: ParamFamily, x: float) -> float:

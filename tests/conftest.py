@@ -12,7 +12,7 @@ from nsrkit import (
     dephasing_family,
     pure_unitary_family,
 )
-from nsrkit.dephasing import _covariant_sld, _kernel
+from nsrkit.dephasing import _covariant_sld
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,9 +51,7 @@ def fock_dephasing_spec(alpha: float, r: float, beta: float, dim=None) -> PhaseF
 def dephasing_covariant_sld(spec: PhaseFamilySpec) -> tuple[float, float]:
     """_covariant_sld on the orbit of dephasing_family(spec), as
     qfi --family dephasing calls it: (QFI, largest SLD eigenvalue)."""
-    d = spec.dim
-    return _covariant_sld(spec.probe_state().amplitudes, _kernel(d, spec.diffusion.beta),
-                          np.arange(d, dtype=float))
+    return _covariant_sld(spec.probe_state().amplitudes, spec.diffusion.beta)
 
 
 @pytest.fixture

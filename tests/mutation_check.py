@@ -138,10 +138,9 @@ MUTANTS = [
     # the covariant QFI and SLD spectrum read from Re rho(x) away from the
     # orbit's reference point x = 0
     ("nsrkit/dephasing.py",
-     "rho0 = _real_state(c, kernel, 0.0)",
-     "rho0 = _real_state(c, kernel, 0.7)",
-     ["tests/test_dephasing.py::TestCovariantSld",
-      "tests/test_dephasing.py::TestCovariantSldPureOrbit"]),
+     "rho0 = _real_state(c, _kernel(c.size, beta), 0.0)",
+     "rho0 = _real_state(c, _kernel(c.size, beta), 0.7)",
+     ["tests/test_dephasing.py::TestCovariantSld"]),
     # Re rho(x) without its Im psi Im psi^T term, and with the phase's sign
     # flipped: the flip is equivalent on real probes, where Re rho(x) is even
     # in x, so the complex-amplitude probe of the oracle test must kill it
@@ -165,15 +164,23 @@ MUTANTS = [
      "np.divide(d_eig, pair_sums",
      ["tests/test_dephasing.py::TestCovariantSld"]),
     ("nsrkit/dephasing.py",
-     "v.T @ (h[:, None] * v)",
-     "v @ (h[:, None] * v.T)",
+     "v.T @ (n[:, None] * v)",
+     "v @ (n[:, None] * v.T)",
      ["tests/test_dephasing.py::TestCovariantSld"]),
-    # the largest SLD eigenvalue from A^T A: the same for the real A of a
-    # diagonal or real generator, so the complex-file oracle must kill it
-    ("nsrkit/dephasing.py",
-     "np.linalg.eigvalsh(a.conj().T @ a)",
-     "np.linalg.eigvalsh(a.T @ a)",
-     ["tests/test_dephasing.py::TestCovariantSldPureOrbit"]),
+    # the pure closed forms: 4 Var(h) without its <c|h c>^2 term, the fourth
+    # central moment read as the second, and a non-finite 4 Var(h) returned
+    ("nsrkit/estimation.py",
+     "four_var = 4.0 * max(msq - mean * mean, 0.0)",
+     "four_var = 4.0 * max(msq, 0.0)",
+     ["tests/test_estimation.py::TestQfi", "tests/test_dephasing.py::TestCovariantSldPureOrbit"]),
+    ("nsrkit/estimation.py",
+     "h2c = h.matrix @ hc - mean * hc",
+     "h2c = hc",
+     ["tests/test_estimation.py::TestSampleSizeBound"]),
+    ("nsrkit/estimation.py",
+     "if not math.isfinite(four_var):",
+     "if False:",
+     ["tests/test_cli.py::TestQfiCommand::test_overflowing_generator_file_exit_2"]),
     # the number operator's <n^2> read as <n>
     ("nsrkit/dephasing.py",
      "float((n * n) @ p)",

@@ -23,7 +23,7 @@ from nsrkit import (
 )
 from nsrkit import cli, errors
 from nsrkit.cli import main
-from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, _covariant_sld
+from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, _number_moments
 from nsrkit.operators import MAX_DIM, Operator
 
 from conftest import dephasing_covariant_sld, fock_dephasing_spec
@@ -47,10 +47,34 @@ def last_json(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def coherent_number_sld() -> tuple[float, float]:
-    """The solve `qfi --family pure --state coherent:1.0` makes."""
+def coherent_number_four_var() -> float:
+    """4 Var(n) as `qfi --family pure --state coherent:1.0` reads it: from the
+    two sums of _number_moments."""
     psi = gaussian_probe(GaussianProbeSpec.with_default_dim(1.0, 0.0))
-    return _covariant_sld(psi.amplitudes, 1.0, np.arange(psi.dim, dtype=float))
+    return 4.0 * _number_moments(psi.amplitudes)[1]
+
+
+def number_file(path, dim: int, scale: float = 1.0) -> str:
+    """The number operator on dim levels, times scale, as a matrix FILE."""
+    mat = scale * number_operator(dim).matrix
+    tokens = " ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in mat.ravel())
+    path.write_text(f"dim {dim}\n{tokens}\n")
+    return str(path)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """The (name, dtype) of each numpy eigh and eigvalsh call, in order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.asarray(a).dtype))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
 
 
 class TestQfiCommand:
@@ -60,7 +84,7 @@ class TestQfiCommand:
         assert code == 0
         report = json.loads(out)
         assert report["qfi"] == pytest.approx(4.0, rel=1e-6)
-        assert report["pure_form_4var"] == pytest.approx(report["qfi"], rel=1e-9)
+        assert report["pure_form_4var"] == report["qfi"]
 
     def test_dephasing_beta_zero(self, capsys):
         code, out, _ = run_cli(capsys, "qfi", "--family", "dephasing", "--alpha", "1",
@@ -82,17 +106,27 @@ class TestQfiCommand:
         assert code == 0
         assert json.loads(out)["alpha"] == pytest.approx(1.0, rel=1e-12)
 
-    def test_generator_from_file(self, capsys, tmp_path):
-        from nsrkit import number_operator
-        dim = 16
-        mat = number_operator(dim).matrix
-        path = tmp_path / "gen.txt"
-        tokens = " ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in mat.ravel())
-        path.write_text(f"dim {dim}\n{tokens}\n")
-        code, out, _ = run_cli(capsys, "qfi", "--family", "pure", "--h", str(path),
-                               "--state", "coherent:1.0", "--dim", str(dim))
+    def test_generator_from_file(self, capsys, tmp_path, eig_calls):
+        path = number_file(tmp_path / "gen.txt", 16)
+        code, out, _ = run_cli(capsys, "qfi", "--family", "pure", "--h", path,
+                               "--state", "coherent:1.0", "--dim", "16")
         assert code == 0
-        assert json.loads(out)["qfi"] == pytest.approx(4.0, rel=1e-6)
+        report = json.loads(out)
+        assert report["qfi"] == pytest.approx(4.0, rel=1e-6)
+        # 4 Var(h) from one product h c: no eigensolver, and the spectrum +-sqrt(qfi)
+        assert report["qfi"] == report["pure_form_4var"]
+        assert report["sld_spectrum"]["max"] == math.sqrt(report["qfi"])
+        assert eig_calls == []
+
+    @pytest.mark.parametrize("scale", ["1e160", "1e200"])
+    def test_overflowing_generator_file_exit_2(self, tmp_path, scale):
+        # |h c|^2 and <c|h c>^2 overflow to inf, and inf - inf is nan
+        path = number_file(tmp_path / "big.txt", 16, float(scale))
+        proc = run_cold("qfi", "--family", "pure", "--h", path, "--state", "coherent:1.0")
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("error: an input is out of range: 4 Var(h) is not finite")
+        assert "Warning" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_number_generator_ignores_file_named_number(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "number").write_text("dim 2\n1 0 0 -1\n")
@@ -106,8 +140,7 @@ class TestQfiCommand:
     @pytest.mark.parametrize("argv, route_qfi", [
         (("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
          lambda: dephasing_covariant_sld(fock_dephasing_spec(1.0, 0.0, 0.3))[0]),
-        (("--family", "pure", "--state", "coherent:1.0"),
-         lambda: coherent_number_sld()[0]),
+        (("--family", "pure", "--state", "coherent:1.0"), coherent_number_four_var),
     ], ids=["dephasing", "pure"])
     def test_csv_flattens_sld_spectrum(self, capsys, argv, route_qfi):
         code, out, _ = run_cli(capsys, "qfi", *argv, "--format", "csv")
@@ -124,7 +157,7 @@ class TestQfiCommand:
         assert float(cells["sld_spectrum_max"]) == spectrum["max"]
         assert int(cells["sld_spectrum_dim"]) == spectrum["dim"]
         # the route cmd_qfi takes, bit for bit; TestCovariantSld and
-        # TestCovariantSldPureOrbit hold it to the dense solve on both families
+        # TestCovariantSldPureOrbit hold it to the dense solve on each family
         assert json.loads(out)["qfi"] == route_qfi()
 
     @pytest.mark.parametrize("argv", [
@@ -135,18 +168,10 @@ class TestQfiCommand:
         ("--family", "pure", "--state", "coherent:1", "--x", "0.7"),
         ("--family", "pure", "--state", "vacuum"),
     ], ids=["case", "large", "vacuum", "pure", "pure-vacuum"])
-    def test_dephasing_route_is_real(self, capsys, monkeypatch, argv):
-        # either family: one real eigh of rho(0) and one real eigvalsh of
-        # A^T A; no family, and no eigensolve of the generator
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def recorded(a, *args, _original=original, _name=name, **kwargs):
-                calls.append((_name, np.asarray(a).dtype))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recorded)
+    def test_dephasing_route_is_real(self, capsys, monkeypatch, eig_calls, argv):
+        # the dephasing family: one real eigh of rho(0) and one real eigvalsh
+        # of A^T A; the pure family: the closed form 4 Var(n), no eigensolver.
+        # Neither builds a family or solves for the generator's eigenbasis
         families = []
         for module, name in ((cli, "dephasing_family"), (nsrkit.dephasing, "dephasing_family"),
                              (nsrkit.estimation, "pure_unitary_family")):
@@ -154,7 +179,8 @@ class TestQfiCommand:
         code, out, err = run_cli(capsys, "qfi", *argv)
         assert (code, err) == (0, "")
         assert families == []
-        assert calls == [("eigh", np.float64), ("eigvalsh", np.float64)]
+        solves = [("eigh", np.float64), ("eigvalsh", np.float64)]
+        assert eig_calls == (solves if "dephasing" in argv else [])
         spectrum = json.loads(out)["sld_spectrum"]
         assert spectrum["min"] == -spectrum["max"]
         assert '"min": -0.0' not in out
@@ -758,12 +784,11 @@ def run_capped(cap_mb: int, argv) -> subprocess.CompletedProcess:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_out_of_memory_exit_2():
-    # qfi --dim 2048 needs about 260 MB above import at its peak, the dim-1699
+    # qfi --dim 2048 needs about 145 MB above import at its peak, the dim-1699
     # adaptive mc about 145 MB. Most of these caps stop them in a LAPACK
     # workspace, whose MemoryError carries no text: the message then names
     # the command and its --dim.
-    for cap_mb, argv in ((100, QFI_2048), (150, QFI_2048), (250, QFI_2048),
-                         (100, ADAPTIVE_MC_1699)):
+    for cap_mb, argv in ((100, QFI_2048), (150, QFI_2048), (100, ADAPTIVE_MC_1699)):
         proc = run_capped(cap_mb, argv)
         assert proc.returncode == 2, (cap_mb, argv)
         assert proc.stderr.startswith("error: out of memory")
@@ -773,13 +798,23 @@ def test_out_of_memory_exit_2():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
-@pytest.mark.parametrize("cap_mb, argv", [(140, PURE_QFI_1024), (50, NUMBER_NSR_2048)],
+def test_qfi_at_dim_2048_runs_in_250_mb():
+    # each d x d array of the dephasing solve is dropped after its last use,
+    # so the eigh of rho0 is the peak: it runs from a 200 MB cap on
+    proc = run_capped(250, QFI_2048)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == 2048
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("cap_mb, argv", [(5, PURE_QFI_1024), (50, NUMBER_NSR_2048)],
                          ids=["qfi-pure-1024", "nsr-number-2048"])
 def test_no_dense_generator_runs_capped(cap_mb, argv):
-    # the pure QFI from one real eigh of rho0 needs about 82 MB above import
-    # at dim 1024, where the dense complex family needed 186 MB; the number
-    # operator's two sums need a few MB at dim 2048, where its dense family
-    # and m @ m needed 544 MB
+    # the pure QFI 4 Var(n) from two sums runs at dim 1024 even at a 0 MB
+    # cap, where one real eigh of rho0 needed about 82 MB and the dense
+    # complex family 186 MB; 5 MB is below one 8 MiB float64 d x d array. The
+    # number operator's two sums need a few MB at dim 2048, where its dense
+    # family and m @ m needed 544 MB
     proc = run_capped(cap_mb, argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["dim"] == int(argv[-1])

@@ -35,12 +35,13 @@ from nsrkit import (
     quadrature,
     r_max,
     r_opt,
+    variance,
 )
 from nsrkit import dephasing
 from nsrkit.dephasing import (
     DEFAULT_N_GRID,
     DEFAULT_TWO_BETA_SQ_GRID,
-    _covariant_sld,
+    _number_moments,
     _quadrature_reports,
 )
 from nsrkit.errors import SupportTruncationWarning
@@ -429,26 +430,29 @@ class TestCovariantSld:
 
 
 class TestCovariantSldPureOrbit:
-    """The route of qfi --family pure, _covariant_sld with kernel 1.0, against
-    the dense complex SLD solve on pure_unitary_family(h, psi) at two points
-    of the orbit, and against the closed form 4 Var(h), for the number
-    generator and for random real symmetric and complex Hermitian files.
+    """The closed form of qfi --family pure, the QFI 4 Var(h) and the SLD
+    spectrum +-sqrt(4 Var h), against the dense complex SLD solve on
+    pure_unitary_family(h, psi) at two points of the orbit, and against
+    4 Var(h) from the density matrix, for the number generator (the two sums
+    of _number_moments) and for random real symmetric and complex Hermitian
+    files (pure_unitary_qfi's one product h c).
 
     Tolerances, fixed before the first run: the QFI to 1e-13 relative of the
-    dense solve and 1e-12 of 4 Var(h). A pure state's SLD L = 2 drho has rank
-    2 and trace 0, so its spectrum is +-2 sqrt(Var h) and no near-null pair
-    enters it: the largest eigenvalue is held to 1e-12 relative of the dense
-    max and of minus the dense min."""
+    dense solve and 1e-12 of the dense 4 Var(h). A pure state's SLD L = 2 drho
+    has rank 2 and trace 0, so its spectrum is +-2 sqrt(Var h) and no
+    near-null pair enters it: the largest eigenvalue is held to 1e-12
+    relative of the dense max and of minus the dense min."""
 
     @staticmethod
-    def generator(kind: str, dim: int):
-        """(h as the route takes it, h as an Operator)."""
+    def generator(kind: str, psi: StateVector):
+        """(4 Var(h) as qfi --family pure reads it, h as an Operator)."""
         if kind == "number":
-            return np.arange(dim, dtype=float), number_operator(dim)
-        mat = random_hermitian(np.random.default_rng(dim), dim)
+            return 4.0 * _number_moments(psi.amplitudes)[1], number_operator(psi.dim)
+        mat = random_hermitian(np.random.default_rng(psi.dim), psi.dim)
         if kind == "real":
             mat = mat.real.astype(complex)  # a real symmetric file, read as complex
-        return mat, Operator(mat)
+        op = Operator(mat)
+        return pure_unitary_qfi(op, psi), op
 
     @pytest.mark.parametrize("x", [0.0, 0.7])
     @pytest.mark.parametrize("kind", ["number", "real", "complex"])
@@ -456,15 +460,15 @@ class TestCovariantSldPureOrbit:
                              ids=["coherent:1.3", "gaussian:1:0.5", "gaussian:1:1.5"])
     def test_matches_dense_solve(self, alpha, r, kind, x):
         psi = gaussian_probe(GaussianProbeSpec.with_default_dim(alpha, r))
-        h, op = self.generator(kind, psi.dim)
-        got_qfi, got_max = _covariant_sld(psi.amplitudes, 1.0, h)
+        got_qfi, op = self.generator(kind, psi)
+        got_max = math.sqrt(got_qfi)
         fam = pure_unitary_family(op, psi)
         *_, l_eig, want_qfi = _solve_sld(fam.state_at(x), fam.derivative_at(x))
         evals = np.linalg.eigvalsh(l_eig)
         assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
         assert got_max == pytest.approx(evals.max(), rel=1e-12)
         assert got_max == pytest.approx(-evals.min(), rel=1e-12)
-        assert got_qfi == pytest.approx(pure_unitary_qfi(op, psi), rel=1e-12)
+        assert got_qfi == pytest.approx(4.0 * variance(psi.density_matrix(), op), rel=1e-12)
 
 
 class TestAnalyticFnsr:

@@ -177,6 +177,26 @@ class TestQfi:
             assert qfi(fam, float(rng.normal())) == pytest.approx(expected, rel=1e-9)
             assert pure_unitary_qfi(h, psi) == pytest.approx(expected, rel=1e-12)
 
+    def test_pure_closed_forms_build_no_state(self, monkeypatch):
+        # 4 Var(h) and the sample-size bound from products h c: no density
+        # matrix, and no Operator built on the way
+        h, psi = Operator(random_hermitian(np.random.default_rng(3), 8)), fock_state(8, 3)
+        expected = (4.0 * variance(psi.density_matrix(), h),
+                    sample_size_bound(pure_unitary_family(h, psi), 0.0))
+
+        def refuse(*args):
+            raise AssertionError("built a matrix")
+
+        monkeypatch.setattr(StateVector, "density_matrix", refuse)
+        monkeypatch.setattr(Operator, "__post_init__", refuse)
+        assert pure_unitary_qfi(h, psi) == pytest.approx(expected[0], rel=1e-12)
+        assert pure_unitary_sample_size_bound(h, psi) == pytest.approx(expected[1], rel=1e-8)
+
+    @pytest.mark.parametrize("closed_form", [pure_unitary_qfi, pure_unitary_sample_size_bound])
+    def test_pure_closed_forms_check_dims(self, closed_form):
+        with pytest.raises(DimensionMismatchError, match="h dim 4 != state dim 3"):
+            closed_form(number_operator(4), fock_state(3, 1))
+
     def test_pure_coherent_at_policy_dim(self):
         # the benchmark's qfi_pure check: 4 a^2 to 1e-9 relative, for a in
         # [0.5, 2]; the probe's tail beyond the policy dim sets the error
