@@ -217,7 +217,7 @@ def _covariant_sld(c: np.ndarray, beta: float) -> tuple[float, float]:
     g = v.T @ (n[:, None] * v)
     del v
     g *= p[:, None] - p  # drho / i in rho0's eigenbasis, so that A = L / i
-    a, qfi = _sld_in_eigenbasis(p, g, scale)[2:]
+    a, qfi = _sld_in_eigenbasis(p, g, scale)
     del g
     return qfi, math.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
 

@@ -114,34 +114,36 @@ def _sensitivity_report(mean: float, var: float, slope: float) -> SensitivityRep
     )
 
 
-def _sld_in_eigenbasis(evals: np.ndarray, d_eig: np.ndarray, scale: float):
-    """The SLD L_jk = 2 D_jk / (p_j + p_k) in the eigenbasis of rho, from its
-    eigenvalues p and D, drho in that basis, whose largest Fock-basis entry
-    is scale. Pairs with p_j + p_k at or below SLD_EIG_CUT_REL times the
-    largest eigenvalue are set to zero, with a SupportTruncationWarning if D
-    has weight there above SUPPORT_LEAK_RTOL times scale. Returns the pair
-    sums, the mask of kept pairs, L and the QFI <L^2> = sum_jk p_j |L_jk|^2,
-    the one QFI formula (Braunstein & Caves, PRL 72, 3439 (1994))."""
+def _sld_in_eigenbasis(evals: np.ndarray, y: np.ndarray, scale: float):
+    """X solving rho X + X rho = 2Y in the eigenbasis of rho, from its
+    eigenvalues p and Y in that basis: X_jk = 2 Y_jk / (p_j + p_k), and
+    <X^2> = sum_jk p_j |X_jk|^2. With Y = D = V^dag drho V, X is the SLD L and
+    <X^2> the QFI (Braunstein & Caves, PRL 72, 3439 (1994)). Pairs with
+    p_j + p_k at or below SLD_EIG_CUT_REL times the largest eigenvalue are set
+    to zero, with a SupportTruncationWarning if scale > 0 and Y has weight
+    there above SUPPORT_LEAK_RTOL times scale, drho's largest Fock entry.
+    X is doubled in place and <X^2> summed by row blocks: no 2Y or |X|^2 at d x d."""
     pair_sums = evals[:, None] + evals[None, :]
     kept = pair_sums > SLD_EIG_CUT_REL * max(evals.max(), 0.0)
-    if scale > 0 and not kept.all() and np.abs(d_eig[~kept]).max() > SUPPORT_LEAK_RTOL * scale:
+    if scale > 0 and not kept.all() and np.abs(y[~kept]).max() > SUPPORT_LEAK_RTOL * scale:
         warnings.warn(
             "drho has weight outside the regularized support of rho; "
             "formally divergent directions truncated from the SLD",
             SupportTruncationWarning,
             stacklevel=4,  # the caller of qfi or sld
         )
-    l_eig = np.zeros_like(d_eig)
-    np.divide(2.0 * d_eig, pair_sums, out=l_eig, where=kept)
-    return pair_sums, kept, l_eig, float(evals @ (np.abs(l_eig) ** 2).sum(axis=1))
+    x = np.zeros_like(y)
+    np.divide(y, pair_sums, out=x, where=kept)
+    x *= 2.0
+    rows = [(np.abs(x[i:i + 256]) ** 2).sum(axis=1) for i in range(0, len(x), 256)]
+    return x, float(evals @ np.concatenate(rows))
 
 
 def _solve_sld(rho: DensityMatrix, drho: Operator):
     """The SLD equation solved in the eigenbasis V of rho, shared by sld, qfi
-    and calibration_curvature: returns the eigenvalues p, V, the pair sums
-    p_j + p_k, the mask of kept pairs, D = V^dag drho V, L in that basis and
-    the QFI <L^2>, as _sld_in_eigenbasis gives them. The checks on drho live
-    here."""
+    and calibration_curvature: returns the eigenvalues p, V, D = V^dag drho V,
+    L in that basis and the QFI <L^2>, as _sld_in_eigenbasis gives them. The
+    checks on drho live here."""
     if rho.dim != drho.dim:
         raise DimensionMismatchError(f"rho dim {rho.dim} != drho dim {drho.dim}")
     scale = np.abs(drho.matrix).max()
@@ -149,8 +151,7 @@ def _solve_sld(rho: DensityMatrix, drho: Operator):
         raise ContractViolationError("drho must be traceless")
     evals, vecs = np.linalg.eigh(rho.matrix)
     d_eig = vecs.conj().T @ drho.matrix @ vecs
-    pair_sums, kept, l_eig, mean_lsq = _sld_in_eigenbasis(evals, d_eig, scale)
-    return evals, vecs, pair_sums, kept, d_eig, l_eig, mean_lsq
+    return evals, vecs, d_eig, *_sld_in_eigenbasis(evals, d_eig, scale)
 
 
 def sld(rho: DensityMatrix, drho: Operator) -> Operator:
@@ -163,7 +164,7 @@ def sld(rho: DensityMatrix, drho: Operator) -> Operator:
     there. With traceless drho this lands in the gauge <L>_rho = 0. Only
     here is L mapped back to the Fock basis.
     """
-    _, vecs, _, _, _, l_eig, _ = _solve_sld(rho, drho)
+    _, vecs, _, l_eig, _ = _solve_sld(rho, drho)
     l_mat = vecs @ l_eig @ vecs.conj().T
     return Operator((l_mat + l_mat.conj().T) / 2)
 
@@ -239,11 +240,11 @@ def calibration_curvature(fam: ParamFamily, x: float) -> float:
     """Signed curvature G(x) of the Fisher value of a miscalibrated SLD:
     G = Var(L') - <L' L + L L'>^2 / (4 <L^2>), moments at rho(x).
 
-    L' = dL/dx comes from the same eigenbasis solve as L: differentiating
-    (rho L + L rho)/2 = rho' gives rho L' + L' rho = 2 rho'' - (rho' L + L rho'),
-    so L'_jk = [2 V^dag rho'' V - (D L + L D)]_jk / (p_j + p_k) on the pairs
-    that sld keeps, and zero elsewhere. rho'' is a central difference of
-    derivative_at at x +- CURVATURE_STEP, which must stay in the domain.
+    L' = dL/dx solves rho L' + L' rho = 2Y', the derivative of
+    (rho L + L rho)/2 = rho', with Y' = V^dag rho'' V - (D L + L D)/2 taken
+    Hermitian: the same eigenbasis step as L, on the pairs sld keeps, without
+    a warning. rho'' is a central difference of derivative_at at
+    x +- CURVATURE_STEP, which must stay in the domain.
     G is not guaranteed nonnegative; the signed value is returned.
     """
     return _curvature_and_qfi(fam, x)[0]
@@ -255,18 +256,15 @@ def _curvature_and_qfi(fam: ParamFamily, x: float) -> tuple[float, float]:
     if not (fam.contains(x - h) and fam.contains(x + h)):
         raise ContractViolationError(f"x +- {h} leaves the family domain {fam.domain}")
     rho = fam.state_at(x)
-    p, vecs, pair_sums, kept, d_eig, l_eig, mean_lsq = _solve_sld(rho, fam.derivative_at(x))
+    p, vecs, d_eig, l_eig, mean_lsq = _solve_sld(rho, fam.derivative_at(x))
     d2rho = (fam.derivative_at(x + h).matrix - fam.derivative_at(x - h).matrix) / (2 * h)
-    rhs = 2.0 * (vecs.conj().T @ d2rho @ vecs) - (d_eig @ l_eig + l_eig @ d_eig)
-    dl_eig = np.zeros_like(rhs)
-    np.divide(rhs, pair_sums, out=dl_eig, where=kept)
-    dl_eig = (dl_eig + dl_eig.conj().T) / 2
+    y = vecs.conj().T @ d2rho @ vecs - (d_eig @ l_eig + l_eig @ d_eig) / 2.0
+    dl_eig, mean_dl2 = _sld_in_eigenbasis(p, (y + y.conj().T) / 2, 0.0)
 
     # <A> = sum_j p_j A_jj and <AB> = sum_jk p_j A_jk B_kj in the eigenbasis
     if mean_lsq <= 0.0:
         raise NoInformationError("zero <L^2>; curvature undefined")
     mean_dl = float(p @ dl_eig.diagonal().real)
-    mean_dl2 = float(p @ (np.abs(dl_eig) ** 2).sum(axis=1))
     mean_dlsq = 2.0 * float(p @ (dl_eig * l_eig.T).sum(axis=1).real)
     return (mean_dl2 - mean_dl**2) - mean_dlsq**2 / (4.0 * mean_lsq), mean_lsq
 

@@ -28,8 +28,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (file under src/, old text, new text, pytest selection)
 MUTANTS = [
     ("nsrkit/estimation.py",
-     "np.divide(2.0 * d_eig, pair_sums",
-     "np.divide(d_eig, pair_sums",
+     "x *= 2.0",
+     "x *= 1.0",
      ["tests/test_estimation.py"]),
     ("nsrkit/dephasing.py",
      "diffusion_noise = -xp.expm1(-4.0 * beta**2)",
@@ -160,9 +160,14 @@ MUTANTS = [
     # the factor 2 of A = L / i in the real route is _sld_in_eigenbasis's,
     # which _solve_sld shares: the first mutant again, for the route's tests
     ("nsrkit/estimation.py",
-     "np.divide(2.0 * d_eig, pair_sums",
-     "np.divide(d_eig, pair_sums",
+     "x *= 2.0",
+     "x *= 1.0",
      ["tests/test_dephasing.py::TestCovariantSld"]),
+    # dL/dx's source without the 1/2 of (D L + L D) / 2
+    ("nsrkit/estimation.py",
+     "(d_eig @ l_eig + l_eig @ d_eig) / 2.0",
+     "(d_eig @ l_eig + l_eig @ d_eig)",
+     ["tests/test_estimation.py::TestCalibrationCurvature"]),
     ("nsrkit/dephasing.py",
      "v.T @ (n[:, None] * v)",
      "v @ (n[:, None] * v.T)",

@@ -591,6 +591,43 @@ class TestPhaseCovariance:
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
 
+    def mc_rows(self, capsys, *argv):
+        code, out, err = run_cli(capsys, "mc", *argv)
+        assert (code, err) == (0, "")
+        *rows, summary = (json.loads(line) for line in out.splitlines())
+        return rows, summary
+
+    def test_mc_agrees_across_phases(self, capsys):
+        # mc draws from the probe at the offset from phi_true, so each estimate
+        # is phi_true plus the phase-0 estimate, up to the spacing of doubles
+        # near phi_true: measured at most 1 ulp(phi_true), bounded at 2 ulp
+        argv = ("--nu", "10000", "--repeats", "20", "--seed", "3")
+        reference, summary0 = self.mc_rows(capsys, *argv, "--phi-true", "0")
+        for phi_true in ("0.7", "-2.5", "2.5", "1e6"):
+            rows, summary = self.mc_rows(capsys, *argv, "--phi-true", phi_true)
+            phi, ulp = float(phi_true), math.ulp(float(phi_true))
+            for row, ref in zip(rows, reference, strict=True):
+                assert abs((row["estimate"] - phi) - ref["estimate"]) <= 2 * ulp, phi_true
+                assert row["clamped"] == ref["clamped"]
+            for key in ("clamped_count", "predicted_variance", "small_dm"):
+                assert summary[key] == summary0[key], (phi_true, key)
+
+    def test_mc_adaptive_agrees_across_phases(self, capsys):
+        # each round re-aims at the last estimate, which carries phi_true's
+        # rounding into the next quadrature: measured at most 5 ulp(phi_true)
+        # in the estimates and 7.5e-12 relative in the round Fisher values (at
+        # 1e6); the bounds leave a factor 2. optimal_fisher reads no estimate.
+        argv = ("--adaptive", "--rounds", "3", "--batch", "1000", "--seed", "3")
+        reference, summary0 = self.mc_rows(capsys, *argv, "--phi-true", "0")
+        for phi_true in ("0.7", "-2.5", "1e6"):
+            rows, summary = self.mc_rows(capsys, *argv, "--phi-true", phi_true)
+            phi, ulp = float(phi_true), math.ulp(float(phi_true))
+            for row, ref in zip(rows, reference, strict=True):
+                assert abs((row["estimate"] - phi) - ref["estimate"]) <= 10 * ulp, phi_true
+                assert row["fisher"] == pytest.approx(ref["fisher"], rel=1.5e-11, abs=0.0)
+                assert row["clamped"] == ref["clamped"]
+            assert summary["optimal_fisher"] == summary0["optimal_fisher"]
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv, name", [
