@@ -44,6 +44,7 @@ from .operators import (
     GaussianProbeSpec,
     Operator,
     StateVector,
+    _finite,
     check_dim,
     default_truncation_dim,
     fock_state,
@@ -266,10 +267,8 @@ def cmd_nsr(args) -> int:
         report_at = _quadrature_reports(spec, phi_true)
         if args.phi_exp is None:
             phi_exp, offset = optimal_calibration(phi_true), -math.pi / 2.0
-        elif math.isfinite(args.phi_exp):
-            phi_exp, offset = args.phi_exp, args.phi_exp - phi_true
         else:
-            raise ContractViolationError(f"phi_exp must be finite, got {args.phi_exp}")
+            phi_exp, offset = args.phi_exp, _finite("phi_exp", args.phi_exp) - phi_true
         rep = report_at(offset)
         obs_desc = {"observable": "quadrature", "phi_exp": phi_exp}
     else:
@@ -399,8 +398,8 @@ def cmd_scan(args) -> int:
         alphas = np.array([_resolve_alpha(args)])
     _check_count("grid cells", alphas.size * rs.size * betas.size)
     for name, values in (("alpha", alphas), ("r", rs)):
-        if not np.isfinite(values).all():
-            raise ContractViolationError(f"{name} must be finite, got {values}")
+        for value in values.tolist():
+            _finite(name, value)
     header = ["alpha", "r", "beta", "fnsr"]
     if args.numeric:
         header.append("fisher_numeric")

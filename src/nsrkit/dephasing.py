@@ -22,6 +22,8 @@ from .operators import (
     GaussianProbeSpec,
     Operator,
     StateVector,
+    _finite,
+    _finite_non_negative,
     fock_ladder,
     gaussian_probe,
 )
@@ -39,8 +41,7 @@ class DiffusionParams:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0 or not math.isfinite(self.beta):
-            raise ContractViolationError(f"beta must be finite and >= 0, got {self.beta}")
+        _finite_non_negative("beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,7 @@ def dephase_channel(rho: DensityMatrix, phi: float, beta: float) -> DensityMatri
     """
     if not isinstance(rho, DensityMatrix):
         raise ContractViolationError(f"expected a DensityMatrix, got {type(rho).__name__}")
-    if beta < 0 or not math.isfinite(beta):
-        raise ContractViolationError(f"beta must be finite and >= 0, got {beta}")
-    return _dephased(rho.matrix, beta).phase_shifted(phi)
+    return _dephased(rho.matrix, _finite_non_negative("beta", beta)).phase_shifted(phi)
 
 
 def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
@@ -136,8 +135,7 @@ def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
 
 def quadrature(phi_exp: float, dim: int) -> Operator:
     """Observable a e^{i phi_exp} + a^dag e^{-i phi_exp} (vacuum variance 1)."""
-    if not math.isfinite(phi_exp):
-        raise ContractViolationError(f"phi_exp must be finite, got {phi_exp}")
+    _finite("phi_exp", phi_exp)
     a, adag = fock_ladder(dim)
     return Operator(a * np.exp(1j * phi_exp) + adag * np.exp(-1j * phi_exp))
 
@@ -175,8 +173,7 @@ def _quadrature_reports(spec: PhaseFamilySpec, phi: float) -> Callable[[float], 
     sym = float(levels @ p[1:]) + float(levels @ p[:-1])  # <a^dag a> + <a a^dag>
 
     def report(offset: float) -> SensitivityReport:
-        if not math.isfinite(offset):
-            raise ContractViolationError(f"quadrature offset must be finite, got {offset}")
+        _finite("quadrature offset", offset)
         turn = complex(math.cos(offset), math.sin(offset))
         z = turn * a1
         mean = 2.0 * z.real
@@ -224,7 +221,7 @@ def _covariant_sld(c: np.ndarray, beta: float) -> tuple[float, float]:
 
 def optimal_calibration(phi_true: float) -> float:
     """Best quadrature angle phi_true - pi/2, wrapped into (-pi, pi]."""
-    x = phi_true - math.pi / 2.0
+    x = _finite("phi_true", phi_true) - math.pi / 2.0
     wrapped = math.fmod(x + math.pi, math.tau)
     if wrapped <= 0.0:
         wrapped += math.tau
@@ -251,7 +248,7 @@ def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
     Guarded against overflow for |r| beyond ~354; raises OverflowError where
     4 alpha^2 overflows, also for numpy scalars, which are taken as floats.
     """
-    r, alpha, beta = float(r), float(alpha), float(beta)
+    r, alpha, beta = _finite("r", r), _finite("alpha", alpha), _finite_non_negative("beta", beta)
     if math.isinf(4.0 * alpha**2):  # float multiplication overflows to inf without raising
         raise OverflowError(f"4 alpha^2 overflows at alpha={alpha}")
     try:
@@ -275,9 +272,7 @@ def r_max(beta: float) -> float:
     exact to roundoff and does not underflow. beta = 0 returns +inf: without
     diffusion more squeezing always helps.
     """
-    beta = float(beta)
-    if beta < 0:
-        raise ContractViolationError(f"beta must be >= 0, got {beta}")
+    beta = _finite_non_negative("beta", beta)
     if beta == 0.0:
         return math.inf
     if beta < 1e-4:  # ln coth x = -ln x + x^2/3 + ..., x = 2 beta^2 < 2e-8
@@ -312,11 +307,7 @@ def r_opt(n_mean: float, beta: float) -> float:
     q = 1/(2N + 1), p = 2N q and s = R w q: a quotient of sums of positive
     terms, which neither cancels nor overflows.
     """
-    n_mean, beta = float(n_mean), float(beta)
-    if n_mean < 0:
-        raise ContractViolationError(f"N must be >= 0, got {n_mean}")
-    if beta < 0:
-        raise ContractViolationError(f"beta must be >= 0, got {beta}")
+    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
     if math.isinf((2.0 * n_mean + 1.0) * math.exp(2.0 * beta**2)):  # overflows silently
         raise OverflowError(f"(2N + 1) e^{{2 beta^2}} overflows at N={n_mean}")
     r = _r_opt_form(math, n_mean, beta)
@@ -338,9 +329,7 @@ def _c_q_form(n_mean, beta, top):
 def c_q(n_mean: float, beta: float) -> float:
     """Standard-limit benchmark 4N / (1 + 8 beta^2 N), finite up to the
     largest N; numpy scalars are taken as floats."""
-    n_mean, beta = float(n_mean), float(beta)
-    if n_mean < 0:
-        raise ContractViolationError(f"N must be >= 0, got {n_mean}")
+    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
     return _c_q_form(n_mean, beta, max(n_mean, 1.0))
 
 
@@ -357,9 +346,7 @@ def no_squeeze_ratio_bound(n_mean: float, beta: float) -> float:
     fraction of the standard-limit information that a coherent probe retains.
     Both sides are divided by max(N, 1), so that neither overflows at large N;
     numpy scalars are taken as floats."""
-    n_mean, beta = float(n_mean), float(beta)
-    if n_mean < 0:
-        raise ContractViolationError(f"N must be >= 0, got {n_mean}")
+    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
     tb = 2.0 * beta**2
     top = max(n_mean, 1.0)
     u = n_mean / top

@@ -39,7 +39,7 @@ from .errors import (
     NumericalConsistencyError,
 )
 from .estimation import SensitivityReport
-from .operators import IMAG_RESIDUE_TOL, TRACE_TOL
+from .operators import IMAG_RESIDUE_TOL, TRACE_TOL, _finite, _sample_count
 
 PROB_NEG_TOL = 1e-12
 # Buckets of the sampling guide table; a power of two, so scaling is exact.
@@ -188,7 +188,7 @@ def build_curve(report_at, start: float, domain: tuple[float, float]) -> Calibra
         raise NonInvertibleCurveError(f"<m>_x is flat (amplitude {amplitude:.3g}); not invertible")
     theta = math.atan2(m1, m0)
     half_periods = math.floor((math.pi / 2 - theta) / math.pi)
-    x0 = start + theta + half_periods * math.pi
+    x0 = _finite("start", start) + theta + half_periods * math.pi
     if half_periods % 2:
         amplitude = -amplitude
     lo = max(start, x0, domain[0])
@@ -227,6 +227,7 @@ def _prepare(spec, phi_true: float, nu: int):
     X_0 = a + a^dag is real, so its one eigendecomposition is real and reads
     Re rho(x) alone (_real_state, from the probe amplitudes); it and the
     kernel are built once, and each Born distribution is one d x d product."""
+    _sample_count(nu)
     spec = replace(spec, probe=spec.probe_state())
     report_at = _quadrature_reports(spec, phi_true)
     optimal = report_at(-math.pi / 2.0)
@@ -284,7 +285,7 @@ def mean_inversion_condition(report: SensitivityReport, nu: int) -> tuple[float,
     condition is delta_M = sqrt(Var/nu) << 2 slope^2 / |mean|. Returns
     (delta_m, threshold, satisfied) with satisfied = delta_m <= threshold/10.
     """
-    delta_m = math.sqrt(report.variance / nu)
+    delta_m = math.sqrt(report.variance / _sample_count(nu))
     if abs(report.mean) <= IMAG_RESIDUE_TOL:  # a roundoff mean is an exact zero
         return delta_m, math.inf, True
     threshold = 2.0 * report.slope**2 / abs(report.mean)
@@ -300,8 +301,6 @@ def run_trials(spec, phi_true: float, nu: int, repeats: int, seed: int) -> Trial
     Per-repeat RNG streams derive from (seed, repeat index), so repeats are
     order-independent and the whole run is reproducible bit for bit.
     """
-    if nu < 1:
-        raise ContractViolationError(f"sample count must be positive, got {nu}")
     if repeats < 2:
         raise ContractViolationError("need at least 2 repeats for a variance")
     _, report, measurement = _prepare(spec, phi_true, nu)
@@ -343,8 +342,6 @@ def adaptive_calibrate(
     """
     if rounds < 1:
         raise ContractViolationError(f"need at least 1 round, got {rounds}")
-    if batch < 1:
-        raise ContractViolationError(f"sample count must be positive, got {batch}")
     report_at, optimal, measurement = _prepare(spec, phi_true_hidden, batch)
 
     def fisher_at(angle: float) -> float:

@@ -33,9 +33,10 @@ LEAKAGE_TOL = 1e-8
 # The policy's truncation: the smallest dim whose exact leakage is at most this.
 TAIL_TARGET = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
-# Largest truncation dimension accepted from the policy or a command line. A
-# dense complex matrix at this size is 64 MiB; the heaviest command here,
-# `qfi`, holds about a dozen at once and an eigensolver's work, under 1 GiB.
+# Largest truncation dimension accepted from the policy or a command line. A dense
+# complex matrix at this size is 64 MiB. Cold peaks here (max RSS, one BLAS thread,
+# 2-vCPU Xeon): nsr --observable FILE 590 MiB and qfi --family pure --h FILE 365 MiB,
+# most of it load_observable's d^2 tokens and complex entries; dephasing qfi 170 MiB.
 MAX_DIM = 2048
 
 
@@ -48,6 +49,27 @@ def _as_complex_matrix(entries) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ContractViolationError("matrix has a non-finite entry")
     return m
+
+
+def _finite(name: str, value: float) -> float:
+    """The rule for an input that must be finite: value, as a float, if it is."""
+    if not math.isfinite(value):
+        raise ContractViolationError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
+def _finite_non_negative(name: str, value: float) -> float:
+    """The rule for beta and N: value, as a float, if it is finite and >= 0."""
+    if not 0.0 <= value < math.inf:  # False for NaN too
+        raise ContractViolationError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
+
+
+def _sample_count(count: int) -> int:
+    """The rule for a number of draws: count, if it is at least 1."""
+    if not count >= 1:
+        raise ContractViolationError(f"sample count must be positive, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -107,8 +129,7 @@ class DensityMatrix(Operator):
         Conjugation by a unitary keeps the spectrum, so the state stays
         positive and is built through _positive, without an eigensolve.
         """
-        if not math.isfinite(phi):
-            raise ContractViolationError(f"phase shift must be finite, got {phi}")
+        _finite("phase shift", phi)
         ph = np.exp(-1j * phi * np.arange(self.dim))
         return DensityMatrix._positive(self.matrix * np.outer(ph, ph.conj()))
 
@@ -144,7 +165,7 @@ class GaussianProbeSpec:
     """Real displacement/squeezing pair defining a probe D(alpha) S(r) |0> on
     the first dim Fock states.
 
-    Checked in this order: a finite mean excitation, dim >= 2, a vacuum
+    Checked in this order: a finite alpha and r, dim >= 2, a vacuum
     amplitude that does not underflow (NumericalConsistencyError, since no
     dim can hold such a probe) and dim <= MAX_DIM.
     """
@@ -154,9 +175,8 @@ class GaussianProbeSpec:
     dim: int
 
     def __post_init__(self):
-        n = self.mean_excitation
-        if not math.isfinite(n) or n < 0:
-            raise ContractViolationError(f"mean excitation {n} must be finite and >= 0")
+        _finite("alpha", self.alpha)
+        _finite("r", self.r)
         if self.dim < 2:
             raise InvalidDimensionError("truncation dimension must be >= 2")
         c0 = self.vacuum_amplitude
@@ -185,10 +205,7 @@ def default_truncation_dim(alpha: float, r: float) -> int:
     """The smallest dim >= 16 whose exact leakage 1 - sum_{n<dim} c_n^2 is at
     most TAIL_TARGET, running the recurrence of gaussian_probe only that far;
     else MAX_DIM if it holds the probe within LEAKAGE_TOL, else
-    InvalidDimensionError. A vacuum amplitude that underflows is reported first."""
-    for name, value in (("alpha", alpha), ("r", r)):
-        if not math.isfinite(value):
-            raise ContractViolationError(f"{name} must be finite, got {value}")
+    InvalidDimensionError. Its spec checks alpha, r and the vacuum amplitude first."""
     leakage = 1.0
     for dim, c in enumerate(_amplitudes(GaussianProbeSpec(alpha, r, MAX_DIM)), 1):
         leakage -= c * c

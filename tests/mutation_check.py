@@ -195,6 +195,25 @@ MUTANTS = [
      "nsq = float(np.vdot(v, v).real)",
      "nsq = float(np.linalg.norm(v))",
      ["tests/test_operators.py"]),
+    # the three input rules: no finite check, a negative beta or N let
+    # through, and a sample count of 0 let through
+    ("nsrkit/operators.py",
+     "if not math.isfinite(value):",
+     "if False:",
+     ["tests/test_input_rules.py"]),
+    ("nsrkit/operators.py",
+     "if not 0.0 <= value < math.inf:",
+     "if not -1.0 <= value < math.inf:",
+     ["tests/test_input_rules.py"]),
+    ("nsrkit/operators.py",
+     "if not count >= 1:",
+     "if not count >= 0:",
+     ["tests/test_input_rules.py"]),
+    # a FILE generator's radius without its exact fallback near overflow
+    ("nsrkit/cli.py",
+     "if not math.isfinite(args.x * radius):  # only near overflow",
+     "if False:  # only near overflow",
+     ["tests/test_cli.py::TestQfiCommand::test_generator_file_radius_near_overflow"]),
 ]
 
 

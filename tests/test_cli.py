@@ -55,10 +55,15 @@ def coherent_number_four_var() -> float:
 
 
 def number_file(path, dim: int, scale: float = 1.0) -> str:
-    """The number operator on dim levels, times scale, as a matrix FILE."""
-    mat = scale * number_operator(dim).matrix
-    tokens = " ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in mat.ravel())
-    path.write_text(f"dim {dim}\n{tokens}\n")
+    """The number operator on dim levels, times scale, as a matrix FILE of
+    re+imj entries, written a row at a time: at dim 2048 it holds no d x d
+    array or list of d^2 strings."""
+    zero = "+0+0j"
+    with open(path, "w") as fh:
+        fh.write(f"dim {dim}\n")
+        for n in range(dim):
+            row = [zero] * n + [f"{scale * n:+.17g}+0j"] + [zero] * (dim - 1 - n)
+            fh.write(" ".join(row) + "\n")
     return str(path)
 
 
@@ -117,6 +122,21 @@ class TestQfiCommand:
         assert report["qfi"] == report["pure_form_4var"]
         assert report["sld_spectrum"]["max"] == math.sqrt(report["qfi"])
         assert eig_calls == []
+
+    def test_generator_file_radius_near_overflow(self, capsys, tmp_path, eig_calls):
+        # x ||n||_F overflows at x = 1e307 (||n||_F = sqrt(1240) on 16 levels), so the
+        # radius is the exact largest |eigenvalue|, 15, from one eigvalsh: 1.5e308
+        # is finite and the command runs; at x = 2e307, 3e308 is not
+        path = number_file(tmp_path / "gen.txt", 16)
+        argv = ("qfi", "--family", "pure", "--h", path, "--state", "coherent:1")
+        code, out, _ = run_cli(capsys, *argv, "--x", "1e307")
+        assert code == 0
+        report = json.loads(out)
+        assert report["qfi"] == report["pure_form_4var"] == pytest.approx(4.0, rel=1e-6)
+        assert report["x"] == 1e307
+        assert [name for name, _ in eig_calls] == ["eigvalsh"]
+        code, out, err = run_cli(capsys, *argv, "--x", "2e307")
+        assert (code, out, err) == (2, "", "error: phase x h is not finite at x=2e+307\n")
 
     @pytest.mark.parametrize("scale", ["1e160", "1e200"])
     def test_overflowing_generator_file_exit_2(self, tmp_path, scale):
@@ -820,12 +840,18 @@ def run_capped(cap_mb: int, argv) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
-def test_out_of_memory_exit_2():
+def test_out_of_memory_exit_2(tmp_path):
     # qfi --dim 2048 needs about 145 MB above import at its peak, the dim-1699
     # adaptive mc about 145 MB. Most of these caps stop them in a LAPACK
     # workspace, whose MemoryError carries no text: the message then names
-    # the command and its --dim.
-    for cap_mb, argv in ((100, QFI_2048), (150, QFI_2048), (100, ADAPTIVE_MC_1699)):
+    # the command and its --dim. The two dense FILE routes hold the file's
+    # d^2 tokens and complex entries before the matrix, several hundred MB at
+    # dim 2048.
+    path = number_file(tmp_path / "n2048.txt", 2048)
+    nsr_file = ("nsr", "--observable", path, "--alpha", "1", "--beta", "0.3", "--dim", "2048")
+    qfi_file = ("qfi", "--family", "pure", "--h", path, "--state", "coherent:1", "--dim", "2048")
+    for cap_mb, argv in ((100, QFI_2048), (150, QFI_2048), (100, ADAPTIVE_MC_1699),
+                         (150, nsr_file), (150, qfi_file)):
         proc = run_capped(cap_mb, argv)
         assert proc.returncode == 2, (cap_mb, argv)
         assert proc.stderr.startswith("error: out of memory")

@@ -612,11 +612,11 @@ class TestBenchmarks:
             assert no_squeeze_ratio_bound(n, 0.0) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("fn, args, fragment", [
-        (r_max, (-0.1,), "beta must be >= 0"),
-        (r_opt, (-1.0, 0.3), "N must be >= 0"),
-        (r_opt, (1.0, -0.3), "beta must be >= 0"),
-        (c_q, (-1.0, 0.3), "N must be >= 0"),
-        (no_squeeze_ratio_bound, (-1.0, 0.3), "N must be >= 0"),
+        (r_max, (-0.1,), "beta must be finite and >= 0"),
+        (r_opt, (-1.0, 0.3), "N must be finite and >= 0"),
+        (r_opt, (1.0, -0.3), "beta must be finite and >= 0"),
+        (c_q, (-1.0, 0.3), "N must be finite and >= 0"),
+        (no_squeeze_ratio_bound, (-1.0, 0.3), "N must be finite and >= 0"),
     ], ids=["r_max-beta", "r_opt-N", "r_opt-beta", "c_q-N", "no_squeeze-N"])
     def test_negative_inputs_rejected(self, fn, args, fragment):
         with pytest.raises(ContractViolationError, match=fragment):
