@@ -133,6 +133,8 @@ def _parse_grid(text: str, log: bool = False) -> np.ndarray:
         raise ValueError(f"grid bounds must be finite, got '{text}'")
     if count < 1 or hi < lo:
         raise ValueError(f"bad grid spec '{text}'")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"grid span hi - lo overflows in '{text}'")
     _check_count(f"grid '{text}' count", count)
     if log and count > 1 and lo <= 0:
         raise ValueError(f"log-spaced grid needs lo > 0, got '{text}'")

@@ -24,6 +24,7 @@ from .operators import (
     StateVector,
     _finite,
     _finite_non_negative,
+    _ladder_entries,
     fock_ladder,
     gaussian_probe,
 )
@@ -166,7 +167,7 @@ def _quadrature_reports(spec: PhaseFamilySpec, phi: float) -> Callable[[float], 
         raise InvalidDimensionError(f"quadrature needs dim >= 2, got {d}")
     beta = spec.diffusion.beta
     levels = np.arange(1, d, dtype=float)  # n + 1 for n < d - 1
-    root = np.sqrt(levels)  # the entries of a, as fock_ladder builds them
+    root = _ladder_entries(d)
     a1 = math.exp(-(beta**2)) * complex(np.vdot(c[:-1], root * c[1:]))
     a2 = math.exp(-4.0 * beta**2) * complex(np.vdot(c[:-2], root[:-1] * root[1:] * c[2:]))
     p = (c.conj() * c).real
@@ -252,7 +253,8 @@ def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
     if math.isinf(4.0 * alpha**2):  # float multiplication overflows to inf without raising
         raise OverflowError(f"4 alpha^2 overflows at alpha={alpha}")
     try:
-        return _fnsr_form(math, r, alpha, beta)
+        if not math.isinf(2.0 * r):  # math.exp and math.sinh take inf without raising
+            return _fnsr_form(math, r, alpha, beta)
     except OverflowError:  # e^{-2r} or sinh 2r overflows: |r| beyond about 354.9
         pass
     if r < 0 or beta**2 > 0 or alpha**2 == 0.0:

@@ -1,27 +1,17 @@
 """Monte Carlo verification of mean-inversion estimation.
 
-Outcomes are Born-rule draws from the observable's eigenbasis; the estimator
-inverts the calibration curve <M>_x at the observed sample mean. That mean
-needs only how often each eigenvalue came up, so the one sampler, a guide
-table, counts the draws CHUNK generator words at a time. A word's top bits
-are its guide bucket, so only the words in buckets that hold a CDF node are
-kept: they are compared, as integers, with the CDF's edges in word space,
-and counted each time their buffer fills. No word becomes a uniform, and
-memory is bounded by CHUNK words of each kind, whatever the sample count.
-On a phase family a quadrature's mean is an exact cosine in x, so two means
-from the probe's four sums fix the curve and the inversion is an arccos. An
-estimate outside the curve's window is clamped to it and flagged; the flags
-are data, returned with the estimates. Across repeats, nu * Var(x_hat) must
-approach the squared noise-to-sensibility ratio, and an adaptive loop
-re-centers on each round's estimate and scores each round's Fisher value.
-Both loops draw and invert through the same measurement step, keyed by the
-phase it is calibrated for: the quadrature angle and the window start are
-both phase - pi/2. They share one probe and one eigenbasis per run:
-X_theta = D X_0 D^dag with D = e^{-i theta n}, so X_0's eigenbasis at the
-shifted phase serves every angle. X_0 = a + a^dag is real tridiagonal, so
-that one eigendecomposition is real, and each Born distribution reads only
-Re rho, which comes straight from the probe amplitudes: no density matrix
-is built.
+Outcomes are Born-rule draws from the observable's eigenbasis, counted by one
+sampler, a guide table (_GuideTable), in memory that does not grow with the
+sample count. On a phase family a quadrature's mean is an exact cosine in x,
+so the estimator inverts the observed sample mean with an arccos; an estimate
+outside the curve's window is clamped to it and flagged, and the flags are
+data, returned with the estimates. Across repeats nu * Var(x_hat) must
+approach the squared noise-to-sensibility ratio (run_trials), and an adaptive
+loop re-centers on each round's estimate and scores each round's Fisher value
+(adaptive_calibrate). Both draw through one measurement step per phase
+(_prepare), from one probe and the one real eigenbasis of X_0 = a + a^dag per
+run; each Born distribution reads Re rho straight from the probe amplitudes,
+so no density matrix is built.
 """
 
 from __future__ import annotations
@@ -39,7 +29,7 @@ from .errors import (
     NumericalConsistencyError,
 )
 from .estimation import SensitivityReport
-from .operators import IMAG_RESIDUE_TOL, TRACE_TOL, _finite, _sample_count
+from .operators import IMAG_RESIDUE_TOL, TRACE_TOL, _finite, _ladder_entries, _sample_count
 
 PROB_NEG_TOL = 1e-12
 # Buckets of the sampling guide table; a power of two, so scaling is exact.
@@ -237,7 +227,7 @@ def _prepare(spec, phi_true: float, nu: int):
             f"phi_true {phi_true!r} is resolved only to the spacing of doubles there, "
             f"{spacing:.3g}, above 1/100 of the predicted sd of one estimate, {sd:.3g}"
         )
-    root = np.sqrt(np.arange(1.0, spec.dim))  # the entries of a, as fock_ladder builds them
+    root = _ladder_entries(spec.dim)
     evals, vecs = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
     kernel = _kernel(spec.dim, spec.diffusion.beta)  # after the eigh, so not in its peak
 

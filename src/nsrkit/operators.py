@@ -33,10 +33,8 @@ LEAKAGE_TOL = 1e-8
 # The policy's truncation: the smallest dim whose exact leakage is at most this.
 TAIL_TARGET = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
-# Largest truncation dimension accepted from the policy or a command line. A dense
-# complex matrix at this size is 64 MiB. Cold peaks here (max RSS, one BLAS thread,
-# 2-vCPU Xeon): nsr --observable FILE 590 MiB and qfi --family pure --h FILE 365 MiB,
-# most of it load_observable's d^2 tokens and complex entries; dephasing qfi 170 MiB.
+# Largest truncation dimension accepted from the policy or a command line: one
+# dense complex matrix at this size is 64 MiB.
 MAX_DIM = 2048
 
 
@@ -226,13 +224,18 @@ def check_dim(dim: int) -> int:
     return dim
 
 
+def _ladder_entries(dim: int) -> np.ndarray:
+    """sqrt(n + 1) for n < dim - 1, the entries <n|a|n+1> of a on dim levels."""
+    return np.sqrt(np.arange(1, dim, dtype=float))
+
+
 def fock_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation matrices (a, a^dag) on a dim-dimensional Fock
     space, as read-only complex arrays: they are not Hermitian, so not
     Operators."""
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidDimensionError(f"ladder operators need dim >= 2, got {dim}")
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+    a = np.diag(_ladder_entries(dim), 1).astype(complex)
     adag = a.T.conj()
     a.setflags(write=False)
     adag.setflags(write=False)

@@ -214,6 +214,11 @@ MUTANTS = [
      "if not math.isfinite(args.x * radius):  # only near overflow",
      "if False:  # only near overflow",
      ["tests/test_cli.py::TestQfiCommand::test_generator_file_radius_near_overflow"]),
+    # a grid whose finite bounds have an overflowing span reaches linspace
+    ("nsrkit/cli.py",
+     "if not math.isfinite(hi - lo):",
+     "if False:",
+     ["tests/test_cli.py::TestNonFiniteInputs::test_grid_span_overflow_exit_2"]),
 ]
 
 

@@ -671,6 +671,17 @@ class TestNonFiniteInputs:
         assert f"{name} must be finite" in proc.stderr
         assert proc.stdout == ""
 
+    # finite bounds whose span overflows are rejected before numpy's linspace
+    # sees them, which would warn (an error under this suite) and make NaN points
+    @pytest.mark.parametrize("flag, grid", [
+        ("--grid-alpha", "-1e308:1e308:3"),
+        ("--grid-r", "-1e308:1e308:2"),
+    ], ids=["alpha", "r"])
+    def test_grid_span_overflow_exit_2(self, capsys, flag, grid):
+        code, out, err = run_cli(capsys, "scan", f"{flag}={grid}")
+        assert (code, out) == (2, "")
+        assert err == f"error: grid span hi - lo overflows in '{grid}'\n"
+
     # the domain phi_true +- pi rounds to a bad interval at these values; the
     # message shows the interval, as the user never set a domain
     @pytest.mark.parametrize("value, message", [

@@ -1,6 +1,7 @@
 """Property test of the CLI exit-code contract: every argument vector exits
-0 (ok), 2 (configuration) or 3 (numerical), raises nothing, and an rc-0 run
-prints no NaN."""
+0 (ok), 2 (configuration) or 3 (numerical) and raises nothing; an rc-0 run
+prints no NaN and nothing on stderr, and an rc-2 or rc-3 run prints one
+`error:` line on stderr and nothing on stdout."""
 
 import contextlib
 import io
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from nsrkit.cli import main  # noqa: E402
 
 VALUES = ["0", "1e-300", "1e-8", "0.3", "0.7", "1", "2.5", "-0.5", "-3",
-          "1e3", "1e200", "1e308", "nan", "inf", "-inf"]
+          "1e3", "1e200", "1e308", "-1e308", "nan", "inf", "-inf"]
 # None leaves the truncation to the policy, which must stay under MAX_DIM.
 DIMS = ["2", "3", "8", "16", None]
 values = st.sampled_from(VALUES)
@@ -70,8 +71,8 @@ def argvs(draw):
 
 
 def run_in_process(argv):
-    """(rc, stdout plus any CSV tables written) of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
+    """(rc, stdout, stderr, the CSV tables written) of one in-process run."""
+    out, err, tables = io.StringIO(), io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] == "fig2":
             argv = argv + [f"--out={tmp}"]
@@ -82,8 +83,8 @@ def run_in_process(argv):
                 rc = exc.code
         for name in sorted(os.listdir(tmp)):
             with open(os.path.join(tmp, name)) as fh:
-                out.write(fh.read())
-    return rc, out.getvalue()
+                tables.write(fh.read())
+    return rc, out.getvalue(), err.getvalue(), tables.getvalue()
 
 
 # One vector per subcommand that exits 0, so the rc-0 check always runs.
@@ -101,10 +102,14 @@ VALID = [
 @settings(max_examples=1000, database=None, derandomize=True, deadline=None)
 @given(argvs())
 def test_exit_code_contract(argv):
-    rc, out = run_in_process(argv)
+    rc, out, err, tables = run_in_process(argv)
     assert rc in (0, 2, 3), (argv, rc)
     if rc == 0:
-        assert "nan" not in out.lower(), (argv, out)
+        assert "nan" not in (out + tables).lower(), (argv, out + tables)
+        assert err == "", (argv, err)
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert out == "", (argv, out)
 
 
 for _argv in VALID:

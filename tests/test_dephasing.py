@@ -491,6 +491,10 @@ class TestAnalyticFnsr:
         assert analytic_fnsr(400.0, 1.0, 0.3) == pytest.approx(0.0, abs=1e-200)
         assert analytic_fnsr(-400.0, 1.0, 0.3) == pytest.approx(0.0, abs=1e-200)
         assert math.isinf(analytic_fnsr(400.0, 1.0, 0.0))
+        # 2r overflows to inf, which math.exp and math.sinh take without raising
+        assert math.isinf(analytic_fnsr(1e308, 1.0, 0.0))
+        assert analytic_fnsr(-1e308, 1.0, 0.0) == 0.0
+        assert analytic_fnsr(1e308, 1.0, 0.3) == 0.0
 
     def test_numpy_scalars_behave_as_floats(self):
         args = (np.float64(0.5), np.float64(1.0), np.float64(0.3))

@@ -1,4 +1,4 @@
-"""The README's library example, run as a user would run it."""
+"""The README's library example, run as a user would run it, and its size."""
 
 import os
 import re
@@ -20,3 +20,12 @@ def test_library_example_runs():
     assert abs(fisher - closed_form) <= 1e-6
     assert abs(closed_form - 2.5162191) <= 1e-6
     assert quantum >= closed_form
+
+
+def test_readme_stays_short():
+    """One short paragraph per module: the README stays under 12 kB, with no
+    line over 400 characters."""
+    readme = (ROOT / "README.md").read_bytes()
+    assert len(readme) < 12_000, len(readme)
+    longest = max(readme.decode().splitlines(), key=len)
+    assert len(longest) <= 400, longest[:80]
