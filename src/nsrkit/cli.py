@@ -5,6 +5,10 @@ as CSV; all file writes go through a temp file and an atomic rename so a
 failure never leaves a partial output behind.
 
 Exit codes, by error type: 0 success, 2 bad input or out of memory, 3 NumericalError.
+
+The module imports no numpy: nsr (quadrature and number), scan and
+qfi --family pure --h number run on the numpy-free layer (scalar), and the
+branches that need a numpy module import it where they start.
 """
 
 from __future__ import annotations
@@ -19,36 +23,24 @@ import sys
 import tempfile
 from collections.abc import Iterable, Iterator
 
-import numpy as np
-
 from . import __version__
-from .dephasing import (
-    DEFAULT_N_GRID,
-    DEFAULT_TWO_BETA_SQ_GRID,
-    DiffusionParams,
-    PhaseFamilySpec,
-    _covariant_sld,
-    _number_moments,
-    _quadrature_reports,
-    analytic_fnsr,
-    dephasing_family,
-    enhancement_scan,
-    enhancement_threshold,
-    optimal_calibration,
-)
 from .errors import ContractViolationError, NumericalError
-from .estimation import _sensitivity_report, assess_observable, pure_unitary_qfi
-from .montecarlo import adaptive_calibrate, run_trials
-from .operators import (
+from .scalar import (
     MAX_DIM,
+    DiffusionParams,
     GaussianProbeSpec,
-    Operator,
-    StateVector,
+    PhaseFamilySpec,
     _finite,
+    _fock,
+    _number_moments,
+    _probe,
+    _quadrature_reports,
+    _sensitivity_report,
+    analytic_fnsr,
     check_dim,
     default_truncation_dim,
-    fock_state,
-    gaussian_probe,
+    enhancement_threshold,
+    optimal_calibration,
 )
 
 # Largest count a command line may set: one grid's, the product of a
@@ -123,8 +115,11 @@ def _check_count(name: str, count: int):
         raise ValueError(f"{name} {count} exceeds the ceiling MAX_COUNT = {MAX_COUNT}")
 
 
-def _parse_grid(text: str, log: bool = False) -> np.ndarray:
-    """lo:hi:count -> linspace (or geomspace with log=True)."""
+def _parse_grid(text: str, log: bool = False) -> list[float]:
+    """lo:hi:count -> np.linspace's points, computed here as it computes them
+    (step = (hi - lo) / (count - 1), point i = i * step + lo, or
+    (i / (count - 1)) * (hi - lo) + lo where step underflows to 0, and the
+    last point hi), or np.geomspace's with log=True."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec '{text}' must be lo:hi:count")
@@ -139,12 +134,25 @@ def _parse_grid(text: str, log: bool = False) -> np.ndarray:
     if log and count > 1 and lo <= 0:
         raise ValueError(f"log-spaced grid needs lo > 0, got '{text}'")
     if count == 1:
-        return np.array([lo])
-    return np.geomspace(lo, hi, count) if log else np.linspace(lo, hi, count)
+        return [lo]
+    if log:
+        import numpy as np
+
+        return np.geomspace(lo, hi, count).tolist()
+    div, delta = count - 1, hi - lo
+    step = delta / div
+    if step == 0:  # a span so small that the step underflows
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
 
 
-def load_observable(path: str) -> Operator:
-    """Read 'dim <n>' then n*n whitespace-separated complex entries (re+imj)."""
+def load_observable(path: str):
+    """Read 'dim <n>' then n*n whitespace-separated complex entries (re+imj)
+    into an Operator."""
+    import numpy as np
+
+    from .operators import Operator
+
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2 or tokens[0] != "dim":
@@ -159,13 +167,13 @@ def load_observable(path: str) -> Operator:
     return Operator(mat)
 
 
-def _parse_state(text: str, dim: int | None = None) -> StateVector:
-    """vacuum | fock:n | coherent:a | gaussian:a:r on dim Fock levels; without
-    dim, on the spec's default truncation."""
+def _parse_state(text: str, dim: int | None = None) -> list[float]:
+    """The amplitudes of vacuum | fock:n | coherent:a | gaussian:a:r on dim
+    Fock levels; without dim, on the spec's default truncation."""
     kind, _, rest = text.partition(":")
     if kind in ("vacuum", "fock"):
         n = int(rest) if kind == "fock" else 0
-        return fock_state(check_dim(max(16, 2 * (n + 1)) if dim is None else dim), n)
+        return _fock(check_dim(max(16, 2 * (n + 1)) if dim is None else dim), n)
     if kind == "coherent":
         alpha, r = float(rest), 0.0
     elif kind == "gaussian":
@@ -175,7 +183,7 @@ def _parse_state(text: str, dim: int | None = None) -> StateVector:
         raise ValueError(f"unknown state spec '{text}'")
     if dim is None:
         dim = default_truncation_dim(alpha, r)
-    return gaussian_probe(GaussianProbeSpec(alpha, r, dim))
+    return _probe(GaussianProbeSpec(alpha, r, dim))
 
 
 def _resolve_alpha(args) -> float:
@@ -210,35 +218,49 @@ def cmd_qfi(args) -> int:
     """The QFI and SLD spectrum of either family, the same on its whole orbit,
     so --x and --phi-true are checked and echoed. A pure state's SLD is 2 drho:
     its QFI is 4 Var(h), from _number_moments or one product h c, and its
-    spectrum +-sqrt(QFI). The dephasing family's come from _covariant_sld."""
+    spectrum +-sqrt(QFI). The dephasing family's come from _covariant_sld,
+    and it takes none of the pure family's flags --state, --h and --x."""
     if args.family == "pure":
-        if args.h == "number":
-            psi = _parse_state(args.state, args.dim)
-            if psi.dim < 2:
-                raise ValueError(f"number operator needs dim >= 2, got {psi.dim}")
-            radius, four_var = psi.dim - 1.0, 4.0 * _number_moments(psi.amplitudes)[1]
-        elif os.path.exists(args.h):
-            op = load_observable(args.h)
-            psi = _parse_state(args.state, op.dim if args.dim is None else args.dim)
-            h, four_var = op.matrix, pure_unitary_qfi(op, psi)
+        state = "vacuum" if args.state is None else args.state
+        generator = "number" if args.h is None else args.h
+        x = 0.0 if args.x is None else args.x
+        if generator == "number":
+            c = _parse_state(state, args.dim)
+            if len(c) < 2:
+                raise ValueError(f"number operator needs dim >= 2, got {len(c)}")
+            radius, four_var = len(c) - 1.0, 4.0 * _number_moments(c)[1]
+        elif os.path.exists(generator):
+            import numpy as np
+
+            from .estimation import pure_unitary_qfi
+            from .operators import StateVector
+
+            op = load_observable(generator)
+            c = _parse_state(state, op.dim if args.dim is None else args.dim)
+            h, four_var = op.matrix, pure_unitary_qfi(op, StateVector(c))
             radius = float(np.linalg.norm(h))  # Frobenius: at least h's largest |eigenvalue|
-            if not math.isfinite(args.x * radius):  # only near overflow: the exact one
+            if not math.isfinite(x * radius):  # only near overflow: the exact one
                 radius = float(np.abs(np.linalg.eigvalsh(h)).max())
         else:
-            raise ValueError(f"unknown generator '{args.h}' (not 'number' or a file)")
-        if not math.isfinite(args.x * radius):
-            raise ContractViolationError(f"phase x h is not finite at x={args.x}")
+            raise ValueError(f"unknown generator '{generator}' (not 'number' or a file)")
+        if not math.isfinite(x * radius):
+            raise ContractViolationError(f"phase x h is not finite at x={x}")
         report = {
             "command": "qfi",
             "family": "pure",
-            "generator": args.h,
-            "state": args.state,
-            "dim": psi.dim,
-            "x": args.x,
+            "generator": generator,
+            "state": state,
+            "dim": len(c),
+            "x": x,
             "pure_form_4var": four_var,
         }
         report["qfi"], hi = four_var, math.sqrt(four_var)
     else:
+        for flag, value in (("--state", args.state), ("--h", args.h), ("--x", args.x)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --family pure only")
+        from .dephasing import _covariant_sld
+
         spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, args.phi_true)
         c = spec.probe_state().amplitudes
         report = {
@@ -275,8 +297,11 @@ def cmd_nsr(args) -> int:
         obs_desc = {"observable": "quadrature", "phi_exp": phi_exp}
     else:
         if args.observable == "number":
-            rep = _sensitivity_report(*_number_moments(spec.probe_state().amplitudes), 0.0)
+            rep = _sensitivity_report(*_number_moments(_probe(spec.probe)), 0.0)
         else:
+            from .dephasing import dephasing_family
+            from .estimation import assess_observable
+
             rep = assess_observable(dephasing_family(spec), phi_true,
                                     load_observable(args.observable))
         obs_desc = {"observable": args.observable}
@@ -314,13 +339,17 @@ def cmd_fig2(args) -> int:
     forms (enhancement_scan): fig2_left.csv holds every cell of the
     (2 beta^2, N) grid, fig2_right.csv each row's first maximum over N, and
     stdout the threshold 2 beta^2."""
+    import numpy as np
+
+    from .dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, enhancement_scan
+
     tbs_grid = (
         _parse_grid(args.grid_two_beta_sq, log=True)
         if args.grid_two_beta_sq
         else DEFAULT_TWO_BETA_SQ_GRID
     )
     n_grid = _parse_grid(args.grid_N, log=True) if args.grid_N else DEFAULT_N_GRID
-    _check_count("grid cells", tbs_grid.size * n_grid.size)
+    _check_count("grid cells", len(tbs_grid) * len(n_grid))
     scan = enhancement_scan(tbs_grid, n_grid)
     best = scan.ratio[np.arange(scan.two_beta_sq.size), scan.argmax]
     right = _csv_text(
@@ -337,6 +366,8 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from .montecarlo import adaptive_calibrate, run_trials
+
     phi_true = args.phi_true
     spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, phi_true)
     lines: list[str] = []
@@ -394,13 +425,13 @@ def cmd_mc(args) -> int:
 
 def cmd_scan(args) -> int:
     alphas = _parse_grid(args.grid_alpha) if args.grid_alpha else None
-    rs = _parse_grid(args.grid_r) if args.grid_r else np.array([args.r])
-    betas = _parse_grid(args.grid_beta) if args.grid_beta else np.array([args.beta])
+    rs = _parse_grid(args.grid_r) if args.grid_r else [args.r]
+    betas = _parse_grid(args.grid_beta) if args.grid_beta else [args.beta]
     if alphas is None:
-        alphas = np.array([_resolve_alpha(args)])
-    _check_count("grid cells", alphas.size * rs.size * betas.size)
+        alphas = [_resolve_alpha(args)]
+    _check_count("grid cells", len(alphas) * len(rs) * len(betas))
     for name, values in (("alpha", alphas), ("r", rs)):
-        for value in values.tolist():
+        for value in values:
             _finite(name, value)
     header = ["alpha", "r", "beta", "fnsr"]
     if args.numeric:
@@ -440,10 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qfi = sub.add_parser("qfi", help="quantum Fisher information of a family")
     p_qfi.add_argument("--family", choices=["pure", "dephasing"], default="dephasing")
-    p_qfi.add_argument("--h", default="number", help="pure-family generator: 'number' or a matrix file")
-    p_qfi.add_argument("--state", default="vacuum",
+    # the pure family's flags default to None, so that the dephasing family
+    # can reject them; cmd_qfi reads None as number, vacuum and 0.0
+    p_qfi.add_argument("--h", default=None, help="pure-family generator: 'number' or a matrix file")
+    p_qfi.add_argument("--state", default=None,
                        help="pure-family state: vacuum | fock:n | coherent:a | gaussian:a:r")
-    p_qfi.add_argument("--x", type=float, default=0.0, help="evaluation point (pure family)")
+    p_qfi.add_argument("--x", type=float, default=None, help="evaluation point (pure family)")
     _add_family_args(p_qfi)
     p_qfi.add_argument("--out", default=None)
     p_qfi.add_argument("--format", choices=["json", "csv"], default="json")

@@ -11,64 +11,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidDimensionError, NumericalConsistencyError
-from .estimation import ParamFamily, SensitivityReport, _sensitivity_report, _sld_in_eigenbasis
-from .operators import (
-    DensityMatrix,
-    GaussianProbeSpec,
-    Operator,
-    StateVector,
+from .errors import ContractViolationError, NumericalConsistencyError
+from .estimation import ParamFamily, _sld_in_eigenbasis
+from .operators import DensityMatrix, Operator, fock_ladder
+from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines them)
+    DiffusionParams,
+    PhaseFamilySpec,
+    _c_q_form,
+    _enhancement_ratio,
     _finite,
     _finite_non_negative,
-    _ladder_entries,
-    fock_ladder,
-    gaussian_probe,
+    _fnsr_form,
+    _number_moments,
+    _quadrature_reports,
+    _r_opt_form,
+    analytic_fnsr,
+    c_q,
+    enhancement_threshold,
+    max_enhancement_ratio,
+    no_squeeze_ratio_bound,
+    optimal_calibration,
+    optimal_fnsr,
+    r_max,
+    r_opt,
 )
 
 # Default Fig.-2 style grids: log-spaced, dense near small 2 beta^2 where the
-# enhancement threshold sits.
+# enhancement threshold sits; max_enhancement_ratio searches N over the ends
+# of DEFAULT_N_GRID, which geomspace returns exactly.
 DEFAULT_TWO_BETA_SQ_GRID = np.geomspace(0.01, 1.0, 60)
 DEFAULT_N_GRID = np.geomspace(0.05, 1e4, 200)
-
-
-@dataclass(frozen=True)
-class DiffusionParams:
-    """Degree beta >= 0 of the Gaussian phase diffusion."""
-
-    beta: float
-
-    def __post_init__(self):
-        _finite_non_negative("beta", self.beta)
-
-
-@dataclass(frozen=True)
-class PhaseFamilySpec:
-    """Probe + diffusion + phase interval defining one estimation problem."""
-
-    probe: GaussianProbeSpec | StateVector
-    diffusion: DiffusionParams
-    phi_domain: tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.phi_domain
-        if not (hi > lo):
-            raise ContractViolationError(f"phi_domain ({lo}, {hi}) must be a nonempty interval")
-        # phi +- pi may round each end by up to its spacing of doubles
-        if hi - lo > math.tau + 1e-12 + math.ulp(lo) + math.ulp(hi):
-            raise ContractViolationError(f"phi_domain ({lo}, {hi}) wider than one phase period")
-
-    @property
-    def dim(self) -> int:
-        return self.probe.dim
-
-    def probe_state(self) -> StateVector:
-        if isinstance(self.probe, StateVector):
-            return self.probe
-        return gaussian_probe(self.probe)
 
 
 def _delta_n(dim: int) -> np.ndarray:
@@ -141,60 +116,6 @@ def quadrature(phi_exp: float, dim: int) -> Operator:
     return Operator(a * np.exp(1j * phi_exp) + adag * np.exp(-1j * phi_exp))
 
 
-def _quadrature_reports(spec: PhaseFamilySpec, phi: float) -> Callable[[float], SensitivityReport]:
-    """offset -> the SensitivityReport of quadrature(phi + offset) at rho(phi),
-    as assess_observable gives it, from four sums over the probe amplitudes c
-    instead of d x d matrices:
-
-        <a>       = e^{-beta^2} sum sqrt(n+1) c_{n+1} conj(c_n),
-        <a^2>     = e^{-4 beta^2} sum sqrt((n+1)(n+2)) c_{n+2} conj(c_n),
-        <a^dag a> = sum n |c_n|^2,
-        <a a^dag> = sum_{n<d-1} (n+1) |c_n|^2 (a a^dag on d levels).
-
-    At rho(phi) the phase turns <a> by e^{-i phi} and <a^2> by e^{-2i phi};
-    the quadrature's angle phi + offset turns them back, so the report
-    depends on the offset alone, which is exact for any phi (the family is
-    covariant): with z = e^{i offset} <a>, the mean is 2 Re z, the slope
-    2 Im z and <X^2> = 2 Re(e^{2i offset} <a^2>) + <a^dag a> + <a a^dag>.
-    The probe is built, and phi checked against the domain, once.
-    """
-    lo, hi = spec.phi_domain
-    if not (math.isfinite(phi) and lo <= phi <= hi):
-        raise ContractViolationError(f"phi_true {phi} outside family domain {spec.phi_domain}")
-    c = spec.probe_state().amplitudes
-    d = c.size
-    if d < 2:
-        raise InvalidDimensionError(f"quadrature needs dim >= 2, got {d}")
-    beta = spec.diffusion.beta
-    levels = np.arange(1, d, dtype=float)  # n + 1 for n < d - 1
-    root = _ladder_entries(d)
-    a1 = math.exp(-(beta**2)) * complex(np.vdot(c[:-1], root * c[1:]))
-    a2 = math.exp(-4.0 * beta**2) * complex(np.vdot(c[:-2], root[:-1] * root[1:] * c[2:]))
-    p = (c.conj() * c).real
-    sym = float(levels @ p[1:]) + float(levels @ p[:-1])  # <a^dag a> + <a a^dag>
-
-    def report(offset: float) -> SensitivityReport:
-        _finite("quadrature offset", offset)
-        turn = complex(math.cos(offset), math.sin(offset))
-        z = turn * a1
-        mean = 2.0 * z.real
-        msq = 2.0 * (turn * turn * a2).real + sym
-        return _sensitivity_report(mean, max(msq - mean**2, 0.0), 2.0 * z.imag)
-
-    return report
-
-
-def _number_moments(c: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of the number operator n on the probe amplitudes c,
-    from the sums sum n |c_n|^2 and sum n^2 |c_n|^2: O(d), no matrix. n
-    commutes with the phase and the diffusion keeps the populations |c_n|^2,
-    so these are its moments at every phase of the dephasing family too. The
-    variance is clamped to >= 0 against roundoff, as operators.variance does."""
-    p, n = (c.conj() * c).real, np.arange(c.size, dtype=float)
-    mean = float(n @ p)
-    return mean, max(float((n * n) @ p) - mean**2, 0.0)
-
-
 def _covariant_sld(c: np.ndarray, beta: float) -> tuple[float, float]:
     """(QFI, largest SLD eigenvalue) of the dephasing family, the same at every
     phase, from one real eigh of its state at phase 0, rho0 = (c c^T) o K =
@@ -218,146 +139,6 @@ def _covariant_sld(c: np.ndarray, beta: float) -> tuple[float, float]:
     a, qfi = _sld_in_eigenbasis(p, g, scale)
     del g
     return qfi, math.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
-
-
-def optimal_calibration(phi_true: float) -> float:
-    """Best quadrature angle phi_true - pi/2, wrapped into (-pi, pi]."""
-    x = _finite("phi_true", phi_true) - math.pi / 2.0
-    wrapped = math.fmod(x + math.pi, math.tau)
-    if wrapped <= 0.0:
-        wrapped += math.tau
-    return wrapped - math.pi
-
-
-def _fnsr_form(xp, r, alpha, beta):
-    """analytic_fnsr's quotient in the namespace xp (math for floats, numpy
-    for arrays), exact where e^{-2r} and sinh 2r are finite: |r| below
-    about 354.9."""
-    num = 4.0 * alpha**2 * xp.exp(-2.0 * beta**2)
-    diffusion_noise = -xp.expm1(-4.0 * beta**2)  # 1 - e^{-4 beta^2}, exact near 0
-    return num / (xp.exp(-2.0 * r) + diffusion_noise * (2.0 * alpha**2 + xp.sinh(2.0 * r)))
-
-
-def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
-    """Fisher value of the optimally calibrated quadrature on the probe
-    D(alpha)S(r)|0> after diffusion beta:
-
-        4 alpha^2 e^{-2 beta^2}
-        -----------------------------------------------
-        e^{-2r} + (1 - e^{-4 beta^2})(2 alpha^2 + sinh 2r)
-
-    Guarded against overflow for |r| beyond ~354; raises OverflowError where
-    4 alpha^2 overflows, also for numpy scalars, which are taken as floats.
-    """
-    r, alpha, beta = _finite("r", r), _finite("alpha", alpha), _finite_non_negative("beta", beta)
-    if math.isinf(4.0 * alpha**2):  # float multiplication overflows to inf without raising
-        raise OverflowError(f"4 alpha^2 overflows at alpha={alpha}")
-    try:
-        if not math.isinf(2.0 * r):  # math.exp and math.sinh take inf without raising
-            return _fnsr_form(math, r, alpha, beta)
-    except OverflowError:  # e^{-2r} or sinh 2r overflows: |r| beyond about 354.9
-        pass
-    if r < 0 or beta**2 > 0 or alpha**2 == 0.0:
-        return 0.0  # the anti-squeezed quadrature, or the diffusion, swamps the signal
-    # no diffusion: 4 alpha^2 e^{2r}, where e^{-2r} is subnormal; beyond
-    # r = 709 the product overflows to inf for every alpha^2 > 0
-    e_r = math.exp(min(r, 709.0))
-    return 4.0 * alpha**2 * e_r * e_r
-
-
-def r_max(beta: float) -> float:
-    """Squeezing beyond (1/4) ln coth(2 beta^2) starts hurting the sensitivity.
-
-    coth(2 beta^2) - 1 = 2 e^{-4 beta^2} / (1 - e^{-4 beta^2}) is formed
-    directly, so log1p takes it without the cancellation of coth -> 1 and
-    nothing overflows; below beta = 1e-4 the leading term -ln(2 beta^2) is
-    exact to roundoff and does not underflow. beta = 0 returns +inf: without
-    diffusion more squeezing always helps.
-    """
-    beta = _finite_non_negative("beta", beta)
-    if beta == 0.0:
-        return math.inf
-    if beta < 1e-4:  # ln coth x = -ln x + x^2/3 + ..., x = 2 beta^2 < 2e-8
-        return -0.25 * (math.log(2.0) + 2.0 * math.log(beta))
-    u = 4.0 * beta**2
-    return 0.25 * math.log1p(2.0 * math.exp(-u) / -math.expm1(-u))
-
-
-def _r_opt_form(xp, n_mean, beta):
-    """r_opt's closed form in the namespace xp: math for floats, numpy for
-    arrays."""
-    w = xp.exp(-4.0 * beta**2)
-    q = 1.0 / (2.0 * n_mean + 1.0)
-    p = 2.0 * n_mean * q
-    s = xp.hypot(xp.sqrt(-xp.expm1(-8.0 * beta**2)), w * q)  # sqrt(1 - w^2 + w^2 q^2)
-    a = (1.0 + w) * (2.0 - q) - w * q * q  # >= 1
-    b = q * q * (4.0 + 2.0 * w) + 4.0 * (1.0 + w) * p * (2.0 * q + p)
-    x = w * p * (1.0 + w) * b / ((a + q * s) * (1.0 + w + s) * (w * q + s))
-    return 0.5 * xp.log1p(x)
-
-
-def r_opt(n_mean: float, beta: float) -> float:
-    """Squeezing that maximizes the quadrature Fisher value at fixed mean
-    excitation N = alpha^2 + sinh^2 r:
-
-        r = (1/2) ln[2 S cosh(2 beta^2) / (1 + R)],
-        S = (2N + 1) e^{2 beta^2},  R = sqrt(1 + 2 S^2 sinh(4 beta^2)).
-
-    Raises OverflowError where S overflows, also for numpy scalars, which are
-    taken as floats. The ratio tends to 1 as beta grows or N -> 0, so r is
-    taken as (1/2) log1p(x), with x rewritten in w = e^{-4 beta^2},
-    q = 1/(2N + 1), p = 2N q and s = R w q: a quotient of sums of positive
-    terms, which neither cancels nor overflows.
-    """
-    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
-    if math.isinf((2.0 * n_mean + 1.0) * math.exp(2.0 * beta**2)):  # overflows silently
-        raise OverflowError(f"(2N + 1) e^{{2 beta^2}} overflows at N={n_mean}")
-    r = _r_opt_form(math, n_mean, beta)
-    if math.sinh(r) ** 2 > n_mean + 1e-12 * max(1.0, n_mean):
-        raise NumericalConsistencyError(
-            f"r_opt={r} puts sinh^2 r above N={n_mean}; no excitation left for alpha"
-        )
-    return r
-
-
-def _c_q_form(n_mean, beta, top):
-    """4N / (1 + 8 beta^2 N) with both terms divided by top = max(N, 1), so
-    that 4N cannot overflow: 4 / (1/N + 8 beta^2) for N >= 1. Arithmetic
-    only, so it takes floats and arrays alike."""
-    u = n_mean / top
-    return 4.0 * u / (1.0 / top + 8.0 * beta**2 * u)
-
-
-def c_q(n_mean: float, beta: float) -> float:
-    """Standard-limit benchmark 4N / (1 + 8 beta^2 N), finite up to the
-    largest N; numpy scalars are taken as floats."""
-    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
-    return _c_q_form(n_mean, beta, max(n_mean, 1.0))
-
-
-def optimal_fnsr(n_mean: float, beta: float) -> float:
-    """Quadrature Fisher value at the optimum squeezing for mean excitation N."""
-    n_mean, beta = float(n_mean), float(beta)
-    r = r_opt(n_mean, beta)
-    alpha_sq = max(n_mean - math.sinh(r) ** 2, 0.0)
-    return analytic_fnsr(r, math.sqrt(alpha_sq), beta)
-
-
-def no_squeeze_ratio_bound(n_mean: float, beta: float) -> float:
-    """Lower bound (1 + 8 beta^2 N) / (e^{2 beta^2} + 4 sinh(2 beta^2) N) on the
-    fraction of the standard-limit information that a coherent probe retains.
-    Both sides are divided by max(N, 1), so that neither overflows at large N;
-    numpy scalars are taken as floats."""
-    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
-    tb = 2.0 * beta**2
-    top = max(n_mean, 1.0)
-    u = n_mean / top
-    return (1.0 / top + 8.0 * beta**2 * u) / (math.exp(tb) / top + 4.0 * math.sinh(tb) * u)
-
-
-def _enhancement_ratio(n_mean: float, beta: float) -> float:
-    """optimal_fnsr / c_q at one point of the (beta, N) plane."""
-    return optimal_fnsr(n_mean, beta) / c_q(n_mean, beta)
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields have no truth value for __eq__
@@ -421,60 +202,3 @@ def enhancement_scan(two_beta_sq_grid, n_grid) -> EnhancementScan:
     for arr in (tbs, n, ratio, argmax):
         arr.flags.writeable = False
     return EnhancementScan(two_beta_sq=tbs, n=n, ratio=ratio, argmax=argmax)
-
-
-def _golden_max(fun, lo: float, hi: float) -> float:
-    """Golden-section maximizer of a unimodal function on [lo, hi], to 1e-12
-    relative."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > 1e-12 * max(1.0, abs(a) + abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
-
-
-def max_enhancement_ratio(beta: float) -> tuple[float, float]:
-    """Max over N of optimal_fnsr/c_q at fixed beta: one golden-section
-    search in log N over the whole range of DEFAULT_N_GRID, on which the ratio
-    is unimodal (its slope changes sign at most once). Where it still rises
-    at the range end, the search converges to that end. Returns
-    (max_ratio, argmax_N)."""
-
-    def ratio_log(u: float) -> float:
-        return _enhancement_ratio(math.exp(u), beta)
-
-    u_star = _golden_max(ratio_log, math.log(DEFAULT_N_GRID[0]), math.log(DEFAULT_N_GRID[-1]))
-    return ratio_log(u_star), math.exp(u_star)
-
-
-def enhancement_threshold() -> float:
-    """2 beta^2 at which the best squeezing enhancement crosses the standard
-    benchmark (max ratio = 1), located by bisection on [0.01, 1] to 1e-4."""
-    lo, hi = 0.01, 1.0
-
-    def excess(tbs: float) -> float:
-        beta = math.sqrt(tbs / 2.0)
-        return max_enhancement_ratio(beta)[0] - 1.0
-
-    f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo <= 0 or f_hi >= 0:
-        raise NumericalConsistencyError(
-            f"no sign change on [{lo}, {hi}]: excess {f_lo:.3e} .. {f_hi:.3e}"
-        )
-    while hi - lo > 1e-4:
-        mid = (lo + hi) / 2.0
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ContractViolationError,
-    DegenerateObservableError,
     DimensionMismatchError,
     NoInformationError,
     SupportTruncationWarning,
@@ -32,14 +31,17 @@ from .operators import (
     real_trace,
     variance,
 )
+from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines them)
+    VARIANCE_ZERO_RTOL,
+    SensitivityReport,
+    _sensitivity_report,
+)
 
 # Eigenvalue-pair cut for the SLD solve, relative to the largest eigenvalue.
 SLD_EIG_CUT_REL = 1e-12
 # Weight of drho outside the kept support that triggers a warning, relative
 # to the largest entry of drho.
 SUPPORT_LEAK_RTOL = 1e-8
-# Variance this small (relative to <m^2>) is treated as an exact eigenstate.
-VARIANCE_ZERO_RTOL = 1e-13
 # Step of the central difference of derivative_at that gives d^2 rho/dx^2;
 # 1e-3 and 1e-4 leave up to 5.9e-6 and 6e-8 relative error in G (dim 16-116).
 CURVATURE_STEP = 1e-5
@@ -58,25 +60,10 @@ class ParamFamily:
         return math.isfinite(x) and self.domain[0] <= x <= self.domain[1]
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Statistics of one (family, x, observable) triple.
-
-    nsr is the parameter uncertainty propagated from the observable's noise;
-    fisher = slope^2 / variance is its square inverse.
-    """
-
-    mean: float
-    variance: float
-    slope: float
-    nsr: float
-    fisher: float
-
-
 def assess_observable(fam: ParamFamily, x: float, m: Operator) -> SensitivityReport:
     """Mean, variance, slope and noise-to-sensibility ratio of m at rho(x),
     from the dense matrices: O(d^3) for the variance's m @ m. A quadrature on
-    a dephasing family has the O(d) route dephasing._quadrature_reports,
+    a dephasing family has the O(d) route scalar._quadrature_reports,
     which returns through the same rule (_sensitivity_report).
 
     The slope is Tr[drho/dx m], signed; the nsr takes its absolute value.
@@ -92,26 +79,6 @@ def assess_observable(fam: ParamFamily, x: float, m: Operator) -> SensitivityRep
     var = variance(rho, m)
     slope = real_trace(drho.matrix, m.matrix)
     return _sensitivity_report(mean, var, slope)
-
-
-def _sensitivity_report(mean: float, var: float, slope: float) -> SensitivityReport:
-    """The report of an observable's mean, variance (>= 0) and slope: a
-    variance at roundoff level is an eigenstate, which carries no information
-    unless the mean moves (DegenerateObservableError); otherwise nsr and
-    fisher follow from the variance and |slope|."""
-    msq = mean**2 + var
-    if var <= VARIANCE_ZERO_RTOL * max(1.0, msq):
-        if slope != 0.0 and abs(slope) > VARIANCE_ZERO_RTOL * max(1.0, abs(mean)):
-            raise DegenerateObservableError(
-                "zero variance with moving mean; eigenstate of m yet <m> depends "
-                "on x (truncation artifact or inconsistent family)"
-            )
-        return SensitivityReport(mean, var, slope, math.inf, 0.0)
-    if slope == 0.0:
-        return SensitivityReport(mean, var, slope, math.inf, 0.0)
-    return SensitivityReport(
-        mean, var, slope, math.sqrt(var) / abs(slope), slope**2 / var
-    )
 
 
 def _sld_in_eigenbasis(evals: np.ndarray, y: np.ndarray, scale: float):

@@ -21,15 +21,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dephasing import _kernel, _quadrature_reports, _real_state
+from .dephasing import _kernel, _real_state
 from .errors import (
     ContractViolationError,
     EstimatorDivergenceError,
     NonInvertibleCurveError,
     NumericalConsistencyError,
 )
-from .estimation import SensitivityReport
-from .operators import IMAG_RESIDUE_TOL, TRACE_TOL, _finite, _ladder_entries, _sample_count
+from .operators import _ladder_entries
+from .scalar import (
+    IMAG_RESIDUE_TOL,
+    TRACE_TOL,
+    SensitivityReport,
+    _finite,
+    _quadrature_reports,
+    _sample_count,
+)
 
 PROB_NEG_TOL = 1e-12
 # Buckets of the sampling guide table; a power of two, so scaling is exact.

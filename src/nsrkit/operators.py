@@ -12,7 +12,6 @@ normalized so the vacuum variance is 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,20 +21,22 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     NumericalConsistencyError,
-    TruncationError,
 )
-
-# Tolerances from the numerical contract; exposed so callers can reuse them.
-HERMITICITY_RTOL = 1e-12
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-LEAKAGE_TOL = 1e-8
-# The policy's truncation: the smallest dim whose exact leakage is at most this.
-TAIL_TARGET = 1e-12
-IMAG_RESIDUE_TOL = 1e-10
-# Largest truncation dimension accepted from the policy or a command line: one
-# dense complex matrix at this size is 64 MiB.
-MAX_DIM = 2048
+from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines them)
+    HERMITICITY_RTOL,
+    IMAG_RESIDUE_TOL,
+    LEAKAGE_TOL,
+    MAX_DIM,
+    PSD_TOL,
+    TAIL_TARGET,
+    TRACE_TOL,
+    GaussianProbeSpec,
+    _finite,
+    _fock,
+    _probe,
+    check_dim,
+    default_truncation_dim,
+)
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -47,27 +48,6 @@ def _as_complex_matrix(entries) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ContractViolationError("matrix has a non-finite entry")
     return m
-
-
-def _finite(name: str, value: float) -> float:
-    """The rule for an input that must be finite: value, as a float, if it is."""
-    if not math.isfinite(value):
-        raise ContractViolationError(f"{name} must be finite, got {value}")
-    return float(value)
-
-
-def _finite_non_negative(name: str, value: float) -> float:
-    """The rule for beta and N: value, as a float, if it is finite and >= 0."""
-    if not 0.0 <= value < math.inf:  # False for NaN too
-        raise ContractViolationError(f"{name} must be finite and >= 0, got {value}")
-    return float(value)
-
-
-def _sample_count(count: int) -> int:
-    """The rule for a number of draws: count, if it is at least 1."""
-    if not count >= 1:
-        raise ContractViolationError(f"sample count must be positive, got {count}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -158,72 +138,6 @@ class StateVector:
         return DensityMatrix._positive(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
-class GaussianProbeSpec:
-    """Real displacement/squeezing pair defining a probe D(alpha) S(r) |0> on
-    the first dim Fock states.
-
-    Checked in this order: a finite alpha and r, dim >= 2, a vacuum
-    amplitude that does not underflow (NumericalConsistencyError, since no
-    dim can hold such a probe) and dim <= MAX_DIM.
-    """
-
-    alpha: float
-    r: float
-    dim: int
-
-    def __post_init__(self):
-        _finite("alpha", self.alpha)
-        _finite("r", self.r)
-        if self.dim < 2:
-            raise InvalidDimensionError("truncation dimension must be >= 2")
-        c0 = self.vacuum_amplitude
-        if c0 < np.finfo(float).tiny:
-            raise NumericalConsistencyError(
-                f"probe vacuum amplitude underflows ({c0:.3e}) at alpha={self.alpha}, r={self.r}"
-            )
-        check_dim(self.dim)
-
-    @property
-    def mean_excitation(self) -> float:
-        return self.alpha**2 + math.sinh(self.r) ** 2
-
-    @property
-    def vacuum_amplitude(self) -> float:
-        """c_0 = exp(-alpha^2 (1 - tanh r)/2) / sqrt(cosh r)."""
-        one_minus_tanh = math.exp(-self.r) / math.cosh(self.r)  # without cancellation
-        return math.exp(-0.5 * self.alpha**2 * one_minus_tanh) / math.sqrt(math.cosh(self.r))
-
-    @classmethod
-    def with_default_dim(cls, alpha: float, r: float) -> "GaussianProbeSpec":
-        return cls(alpha, r, default_truncation_dim(alpha, r))
-
-
-def default_truncation_dim(alpha: float, r: float) -> int:
-    """The smallest dim >= 16 whose exact leakage 1 - sum_{n<dim} c_n^2 is at
-    most TAIL_TARGET, running the recurrence of gaussian_probe only that far;
-    else MAX_DIM if it holds the probe within LEAKAGE_TOL, else
-    InvalidDimensionError. Its spec checks alpha, r and the vacuum amplitude first."""
-    leakage = 1.0
-    for dim, c in enumerate(_amplitudes(GaussianProbeSpec(alpha, r, MAX_DIM)), 1):
-        leakage -= c * c
-        if dim >= 16 and leakage <= TAIL_TARGET:
-            return dim
-    if leakage > LEAKAGE_TOL:
-        raise InvalidDimensionError(
-            f"no truncation up to the ceiling MAX_DIM = {MAX_DIM} holds alpha={alpha}, r={r}")
-    return MAX_DIM
-
-
-def check_dim(dim: int) -> int:
-    """dim if it is at most MAX_DIM; InvalidDimensionError naming both otherwise."""
-    if dim > MAX_DIM:
-        raise InvalidDimensionError(
-            f"truncation dim {dim} exceeds the ceiling MAX_DIM = {MAX_DIM}"
-        )
-    return dim
-
-
 def _ladder_entries(dim: int) -> np.ndarray:
     """sqrt(n + 1) for n < dim - 1, the entries <n|a|n+1> of a on dim levels."""
     return np.sqrt(np.arange(1, dim, dtype=float))
@@ -250,21 +164,7 @@ def number_operator(dim: int) -> Operator:
 
 
 def fock_state(dim: int, n: int) -> StateVector:
-    if not 0 <= n < dim:
-        raise InvalidDimensionError(f"Fock index {n} outside [0, {dim})")
-    v = np.zeros(dim, dtype=complex)
-    v[n] = 1.0
-    return StateVector(v)
-
-
-def _amplitudes(spec: GaussianProbeSpec):
-    """c_0, ..., c_{dim-1} by the recurrence of gaussian_probe, from spec.vacuum_amplitude."""
-    drive = spec.alpha * (math.exp(-spec.r) / math.cosh(spec.r))  # alpha (1 - tanh r)
-    tanh = math.tanh(spec.r)
-    c, prev = spec.vacuum_amplitude, 0.0
-    for n in range(spec.dim):
-        yield c
-        c, prev = (drive * c + tanh * math.sqrt(n) * prev) / math.sqrt(n + 1), c
+    return StateVector(_fock(dim, n))
 
 
 def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
@@ -274,21 +174,12 @@ def gaussian_probe(spec: GaussianProbeSpec) -> StateVector:
 
         sqrt(n+1) cosh(r) c_{n+1} = alpha e^{-r} c_n + sqrt(n) sinh(r) c_{n-1}.
 
-    The leakage 1 - sum_{n<dim} c_n^2 is exact. Raises TruncationError if it
-    exceeds LEAKAGE_TOL, with default_truncation_dim as the dim to try, or
-    with suggested_dim None when no truncation up to MAX_DIM holds the probe.
+    The amplitudes are scalar._probe's floats: the leakage 1 - sum_{n<dim} c_n^2
+    is exact, and TruncationError is raised if it exceeds LEAKAGE_TOL, with
+    default_truncation_dim as the dim to try, or with suggested_dim None when
+    no truncation up to MAX_DIM holds the probe.
     """
-    c = np.fromiter(_amplitudes(spec), float, spec.dim)
-    leakage = 1.0 - float(c @ c)
-    if leakage > LEAKAGE_TOL:
-        lost = f"projection to dim={spec.dim} loses {leakage:.3e} of the norm; "
-        try:
-            suggested = default_truncation_dim(spec.alpha, spec.r)
-        except InvalidDimensionError:
-            raise TruncationError(
-                lost + f"no truncation up to MAX_DIM = {MAX_DIM} holds the probe") from None
-        raise TruncationError(lost + f"try dim >= {suggested}", suggested_dim=suggested)
-    return StateVector(c / np.linalg.norm(c))
+    return StateVector(_probe(spec))
 
 
 def real_trace(a: np.ndarray, b: np.ndarray) -> float:

@@ -31,7 +31,7 @@ MUTANTS = [
      "x *= 2.0",
      "x *= 1.0",
      ["tests/test_estimation.py"]),
-    ("nsrkit/dephasing.py",
+    ("nsrkit/scalar.py",
      "diffusion_noise = -xp.expm1(-4.0 * beta**2)",
      "diffusion_noise = -xp.expm1(-1.1 * 4.0 * beta**2)",
      ["tests/test_invariants.py"]),
@@ -47,25 +47,26 @@ MUTANTS = [
      "math.pi / 2.0 + (phi_true - phase)",
      "math.pi / 2.0 + (phase - phi_true)",
      ["tests/test_montecarlo.py"]),
-    ("nsrkit/operators.py",
+    ("nsrkit/scalar.py",
      "TAIL_TARGET = 1e-12",
      "TAIL_TARGET = 1e-11",
      ["tests/test_operators.py", "tests/test_estimation.py"]),
-    ("nsrkit/operators.py",
+    ("nsrkit/scalar.py",
      "if dim >= 16 and leakage <= TAIL_TARGET:",
      "if leakage <= TAIL_TARGET:",
      ["tests/test_operators.py"]),
-    ("nsrkit/operators.py",
+    ("nsrkit/scalar.py",
      "if leakage > LEAKAGE_TOL:\n        raise InvalidDimensionError(",
      "if True:\n        raise InvalidDimensionError(",
      ["tests/test_operators.py"]),
-    ("nsrkit/dephasing.py",
-     "DEFAULT_N_GRID[-1]",
-     "DEFAULT_N_GRID[-2]",
+    # the ends of DEFAULT_N_GRID's range, moved to its neighbouring points
+    ("nsrkit/scalar.py",
+     "math.log(1e4)",
+     "math.log(9.4e3)",
      ["tests/test_dephasing.py"]),
-    ("nsrkit/dephasing.py",
-     "DEFAULT_N_GRID[0]",
-     "DEFAULT_N_GRID[100]",
+    ("nsrkit/scalar.py",
+     "math.log(0.05)",
+     "math.log(23.0)",
      ["tests/test_dephasing.py"]),
     ("nsrkit/montecarlo.py",
      "phase - math.pi / 2.0",
@@ -79,19 +80,25 @@ MUTANTS = [
      "fisher_at(p - math.pi / 2.0)",
      "fisher_at(p)",
      ["tests/test_montecarlo.py"]),
-    ("nsrkit/dephasing.py",
-     "math.exp(-4.0 * beta**2) * complex(",
-     "complex(",
+    ("nsrkit/scalar.py",
+     "math.exp(-4.0 * beta**2) * _complex_fsum(",
+     "_complex_fsum(",
      ["tests/test_dephasing.py::TestQuadratureReports"]),
-    ("nsrkit/dephasing.py",
-     "float(levels @ p[:-1])",
-     "float(np.arange(1.0, d + 1) @ p)",
+    # <a a^dag> with the top level's weight d, and with the weight n of
+    # <a^dag a> in place of n + 1
+    ("nsrkit/scalar.py",
+     "(n + 1) * p[n] for n in range(d - 1)",
+     "(n + 1) * p[n] for n in range(d)",
      ["tests/test_dephasing.py::TestQuadratureReports"]),
-    ("nsrkit/dephasing.py",
+    ("nsrkit/scalar.py",
+     "(n + 1) * p[n]",
+     "n * p[n]",
+     ["tests/test_dephasing.py::TestQuadratureReports"]),
+    ("nsrkit/scalar.py",
      "complex(math.cos(offset), math.sin(offset))",
      "complex(math.cos(offset), -math.sin(offset))",
      ["tests/test_dephasing.py::TestQuadratureReports"]),
-    ("nsrkit/dephasing.py",
+    ("nsrkit/scalar.py",
      "4.0 * u / (1.0 / top + 8.0 * beta**2 * u)",
      "4.0 * u / (1.0 / top + 4.0 * beta**2 * u)",
      ["tests/test_dephasing.py::TestBenchmarks", "tests/test_dephasing.py::TestEnhancementScan"]),
@@ -187,9 +194,9 @@ MUTANTS = [
      "if False:",
      ["tests/test_cli.py::TestQfiCommand::test_overflowing_generator_file_exit_2"]),
     # the number operator's <n^2> read as <n>
-    ("nsrkit/dephasing.py",
-     "float((n * n) @ p)",
-     "float(n @ p)",
+    ("nsrkit/scalar.py",
+     "n * n * pn",
+     "n * pn",
      ["tests/test_cli.py::TestNsrCommand::test_number_matches_dense"]),
     ("nsrkit/operators.py",
      "nsq = float(np.vdot(v, v).real)",
@@ -197,21 +204,21 @@ MUTANTS = [
      ["tests/test_operators.py"]),
     # the three input rules: no finite check, a negative beta or N let
     # through, and a sample count of 0 let through
-    ("nsrkit/operators.py",
+    ("nsrkit/scalar.py",
      "if not math.isfinite(value):",
      "if False:",
      ["tests/test_input_rules.py"]),
-    ("nsrkit/operators.py",
+    ("nsrkit/scalar.py",
      "if not 0.0 <= value < math.inf:",
      "if not -1.0 <= value < math.inf:",
      ["tests/test_input_rules.py"]),
-    ("nsrkit/operators.py",
+    ("nsrkit/scalar.py",
      "if not count >= 1:",
      "if not count >= 0:",
      ["tests/test_input_rules.py"]),
     # a FILE generator's radius without its exact fallback near overflow
     ("nsrkit/cli.py",
-     "if not math.isfinite(args.x * radius):  # only near overflow",
+     "if not math.isfinite(x * radius):  # only near overflow",
      "if False:  # only near overflow",
      ["tests/test_cli.py::TestQfiCommand::test_generator_file_radius_near_overflow"]),
     # a grid whose finite bounds have an overflowing span reaches linspace
@@ -219,6 +226,11 @@ MUTANTS = [
      "if not math.isfinite(hi - lo):",
      "if False:",
      ["tests/test_cli.py::TestNonFiniteInputs::test_grid_span_overflow_exit_2"]),
+    # the linear grid's points where its step underflows to 0, all put at lo
+    ("nsrkit/cli.py",
+     "return [i / div * delta + lo for i in range(div)] + [hi]",
+     "return [lo] * div + [hi]",
+     ["tests/test_cli.py::test_linear_grid_is_linspace_bit_for_bit"]),
 ]
 
 

@@ -191,9 +191,10 @@ class TestQfiCommand:
     def test_dephasing_route_is_real(self, capsys, monkeypatch, eig_calls, argv):
         # the dephasing family: one real eigh of rho(0) and one real eigvalsh
         # of A^T A; the pure family: the closed form 4 Var(n), no eigensolver.
-        # Neither builds a family or solves for the generator's eigenbasis
+        # Neither builds a family or solves for the generator's eigenbasis.
+        # cli imports dephasing_family from nsrkit.dephasing where it calls it
         families = []
-        for module, name in ((cli, "dephasing_family"), (nsrkit.dephasing, "dephasing_family"),
+        for module, name in ((nsrkit.dephasing, "dephasing_family"),
                              (nsrkit.estimation, "pure_unitary_family")):
             monkeypatch.setattr(module, name, lambda *args: families.append(args))
         code, out, err = run_cli(capsys, "qfi", *argv)
@@ -253,9 +254,10 @@ class TestNsrCommand:
     ], ids=["nsr-quadrature", "nsr-phi-exp", "scan-numeric", "nsr-number"])
     def test_quadrature_builds_no_matrix(self, capsys, monkeypatch, argv, dense):
         # the quadrature's and the number operator's statistics come from the
-        # probe's sums: no Operator (DensityMatrix included) and no family
+        # probe's sums: no Operator (DensityMatrix included) and no family;
+        # cli imports dephasing_family from nsrkit.dephasing where it calls it
         built = {"operators": 0, "families": 0}
-        post_init, family = Operator.__post_init__, cli.dephasing_family
+        post_init, family = Operator.__post_init__, nsrkit.dephasing.dephasing_family
 
         def counted_post_init(self):
             built["operators"] += 1
@@ -266,7 +268,7 @@ class TestNsrCommand:
             return family(spec)
 
         monkeypatch.setattr(Operator, "__post_init__", counted_post_init)
-        monkeypatch.setattr(cli, "dephasing_family", counted_family)
+        monkeypatch.setattr(nsrkit.dephasing, "dephasing_family", counted_family)
         assert run_cli(capsys, *argv)[0] == 0
         assert (built["operators"] > 0, built["families"]) == (dense, int(dense))
 
@@ -802,12 +804,15 @@ class TestErrorContract:
         assert run_cli(capsys, "nsr") == (3, "", "error: no trustworthy number\n")
 
 
-# Top-level modules that importing nsrkit.cli adds to a bare interpreter's,
-# less the standard library's; site's own imports are already in the bare set.
+# Top-level modules that importing nsrkit.cli and every name of nsrkit adds
+# to a bare interpreter's, less the standard library's; site's own imports
+# are already in the bare set. nsrkit loads its numpy modules on first use,
+# so the star import loads them all.
 NEW_MODULES = """
 import sys
 bare = set(sys.modules)
 import nsrkit.cli
+from nsrkit import *
 added = {name.partition(".")[0] for name in set(sys.modules) - bare}
 print(" ".join(sorted(added - set(sys.stdlib_module_names))))
 """
@@ -820,20 +825,135 @@ def test_numpy_is_the_only_runtime_dependency():
     assert set(proc.stdout.split()) == {"nsrkit", "numpy"}
 
 
+# Runs each argv of the JSON list argv[1] through main in one interpreter and
+# prints [exit code, whether numpy is loaded] after each.
+NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+from nsrkit.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_o_d_routes_import_no_numpy(tmp_path):
+    # nsr (quadrature and number), scan and qfi --family pure --h number run
+    # on nsrkit.scalar, their error exits included
+    runs = [
+        (("nsr", "--alpha", "1", "--r", "0.5", "--beta", "0.3", "--phi-true", "0.3",
+          "--out", str(tmp_path / "nsr.json")), 0),
+        (("nsr", "--observable", "number", "--alpha", "1", "--beta", "0.3", "--dim", "2048"), 0),
+        (("nsr", "--phi-exp", "0.2", "--beta", "0.3", "--format", "csv"), 0),
+        (("scan", "--alpha", "1", "--beta", "0.3", "--grid-r", "0:0.8:5"), 0),
+        (("scan", "--numeric", "--grid-alpha", "0.5:2:4", "--grid-r", "0:1:6",
+          "--grid-beta", "0.1:0.4:3", "--phi-true", "0.3"), 0),
+        (("qfi", "--family", "pure", "--state", "coherent:1"), 0),
+        (("qfi", "--family", "pure", "--h", "number", "--state", "gaussian:1:0.5",
+          "--x", "0.7"), 0),
+        (("qfi", "--family", "pure", "--state", "fock:3", "--format", "csv"), 0),
+        (("nsr", "--alpha", "nan"), 2),
+        (("nsr", "--dim", "3000"), 2),
+        (("qfi", "--family", "pure", "--state", "fock:2", "--dim", "3000"), 2),
+        (("scan", "--grid-r=-1e308:1e308:2"), 2),
+        (("qfi", "--family", "pure", "--h", str(tmp_path / "missing")), 2),
+        (("qfi", "--family", "dephasing", "--x", "1"), 2),
+        (("nsr", "--N", "10000", "--r", "1.2", "--beta", "0.3"), 3),  # vacuum underflow
+        (("nsr", "--alpha", "30", "--dim", "16"), 3),  # truncation
+    ]
+    proc = run_child(NUMPY_FREE_CHILD, json.dumps([argv for argv, _ in runs]))
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for (argv, code), (got, numpy_loaded) in zip(runs, results):
+        assert (got, numpy_loaded) == (code, False), argv
+    assert json.loads((tmp_path / "nsr.json").read_text())["command"] == "nsr"
+
+
+LAZY_IMPORT_CHILD = """
+import json, sys
+import nsrkit
+report = {"after_import": "numpy" in sys.modules}
+report["dir_has_all"] = set(nsrkit.__all__) <= set(dir(nsrkit))
+report["after_dir"] = "numpy" in sys.modules
+psi = nsrkit.gaussian_probe(nsrkit.GaussianProbeSpec(1.0, 0.5, 45))
+report["probe_dim"] = psi.dim
+report["module_attribute"] = nsrkit.dephasing.quadrature is nsrkit.quadrature
+names = {}
+exec("from nsrkit import *", names)
+report["star_has_all"] = set(nsrkit.__all__) <= set(names)
+print(json.dumps(report))
+"""
+
+
+def test_import_nsrkit_is_lazy():
+    # import nsrkit loads errors and scalar only; a numpy-backed name loads
+    # its module on first access, and the star import loads them all
+    proc = run_child(LAZY_IMPORT_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "after_import": False, "dir_has_all": True, "after_dir": False, "probe_dim": 45,
+        "module_attribute": True, "star_has_all": True,
+    }
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        nsrkit.no_such_name
+
+
+@pytest.mark.parametrize("spec", [
+    "0:1:1", "0.3:0.3:1", "0:1:2", "-3:-1:5", "-2.5:7.25:9", "0:0.8:17", "0.1:0.4:3",
+    "0.5:2:4", "0:1:6", "-0:1:3", "-1e300:1e300:7", "1:1:5", "0:5e-324:4", "-5e-324:0:3",
+])
+def test_linear_grid_is_linspace_bit_for_bit(spec):
+    lo, hi, count = float(spec.split(":")[0]), float(spec.split(":")[1]), int(spec.split(":")[2])
+    want = np.linspace(lo, hi, count)
+    assert np.array(cli._parse_grid(spec), dtype=float).tobytes() == want.tobytes()
+    if spec.endswith("e-324:4") or spec.startswith("-5e-324"):
+        assert (hi - lo) / (count - 1) == 0.0  # linspace's branch for a step that underflows
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--state", "coherent:1"), ("--h", "number"), ("--x", "0"),
+])
+def test_dephasing_qfi_rejects_pure_flags(flag, value):
+    # the dephasing family takes none of the pure family's flags, even set
+    # to their values under --family pure
+    proc = run_cold("qfi", "--family", "dephasing", "--alpha", "1", "--beta", "0.3", flag, value)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {flag} applies to --family pure only\n"
+
+
 # Runs a command with the address space capped CAP_MB above what the
 # interpreter holds once nsrkit.cli is imported, so the cap does not depend
-# on how much numpy needs at import.
+# on how much numpy needs at import. nsrkit.cli loads no numpy: a dense
+# route's baseline imports it first, as the route does, and a numpy-free
+# route's baseline holds none, and the run fails if the route loads it.
 CAPPED_CHILD = """
 import os, resource, sys
 from nsrkit.cli import main
-cap_mb, argv = int(sys.argv[1]), sys.argv[2:]
+cap_mb, baseline, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
+if baseline == "numpy":
+    import numpy
 with open("/proc/self/statm") as fh:
     limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + cap_mb * 2**20
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 if hard != resource.RLIM_INFINITY:
     limit = min(limit, hard)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-sys.exit(main(argv))
+code = main(argv)
+if baseline == "no-numpy" and "numpy" in sys.modules:
+    print("numpy was imported", file=sys.stderr)
+    code = 1
+sys.exit(code)
 """
 QFI_2048 = ("qfi", "--dim", "2048", "--alpha", "1")
 PURE_QFI_1024 = ("qfi", "--family", "pure", "--state", "coherent:1", "--dim", "1024")
@@ -843,11 +963,13 @@ ADAPTIVE_MC_1699 = ("mc", "--adaptive", "--r", "2.5", "--alpha", "1", "--dim", "
                     "--rounds", "3", "--batch", "50")
 
 
-def run_capped(cap_mb: int, argv) -> subprocess.CompletedProcess:
+def run_capped(cap_mb: int, argv, baseline: str = "numpy") -> subprocess.CompletedProcess:
+    """argv under a cap of cap_mb above a baseline with numpy imported, or,
+    with baseline "no-numpy", above one without it."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(nsrkit.__file__)))
-    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(cap_mb), *argv], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(cap_mb), baseline, *argv],
+                          env=env, capture_output=True, text=True)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
@@ -888,8 +1010,8 @@ def test_no_dense_generator_runs_capped(cap_mb, argv):
     # cap, where one real eigh of rho0 needed about 82 MB and the dense
     # complex family 186 MB; 5 MB is below one 8 MiB float64 d x d array. The
     # number operator's two sums need a few MB at dim 2048, where its dense
-    # family and m @ m needed 544 MB
-    proc = run_capped(cap_mb, argv)
+    # family and m @ m needed 544 MB. Neither imports numpy
+    proc = run_capped(cap_mb, argv, baseline="no-numpy")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["dim"] == int(argv[-1])
 

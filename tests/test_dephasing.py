@@ -37,7 +37,7 @@ from nsrkit import (
     r_opt,
     variance,
 )
-from nsrkit import dephasing
+from nsrkit import dephasing, scalar
 from nsrkit.dephasing import (
     DEFAULT_N_GRID,
     DEFAULT_TWO_BETA_SQ_GRID,
@@ -789,7 +789,9 @@ class TestEnhancementScanParity:
         def drifted(xp, n_mean, beta):
             return form(xp, n_mean, beta) + (1.0 if scalar_too or xp is np else 0.0)
 
+        # the grid's form is dephasing's, the scalar route's is scalar's
         monkeypatch.setattr(dephasing, "_r_opt_form", drifted)
+        monkeypatch.setattr(scalar, "_r_opt_form", drifted)
         with pytest.raises(NumericalConsistencyError, match="sinh" if scalar_too else "grid"):
             enhancement_scan([0.1], [1.0, 2.0])
 

@@ -38,7 +38,7 @@ from nsrkit import (
     number_operator,
     run_trials,
 )
-from nsrkit import dephasing, montecarlo
+from nsrkit import montecarlo, operators
 from nsrkit.dephasing import _quadrature_reports
 from nsrkit.montecarlo import CHUNK, GUIDE_BUCKETS, SHIFT, _GuideTable
 
@@ -740,10 +740,11 @@ class TestSpacingGuard:
 
 
 def test_probe_built_once_per_run(monkeypatch):
-    # the family and the report function share one probe
+    # the family and the report function share one probe, which
+    # PhaseFamilySpec.probe_state builds with operators.gaussian_probe
     calls = []
-    probe = dephasing.gaussian_probe
-    monkeypatch.setattr(dephasing, "gaussian_probe", lambda spec: calls.append(spec) or probe(spec))
+    probe = operators.gaussian_probe
+    monkeypatch.setattr(operators, "gaussian_probe", lambda spec: calls.append(spec) or probe(spec))
     spec = case_study_spec()
     run_trials(spec, 0.7, nu=100, repeats=2, seed=0)
     assert len(calls) == 1
