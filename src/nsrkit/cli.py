@@ -6,7 +6,7 @@ failure never leaves a partial output behind.
 
 Exit codes, by error type: 0 success, 2 bad input or out of memory, 3 NumericalError.
 
-The module imports no numpy: nsr (quadrature and number), scan and
+The module imports no numpy: nsr (quadrature and number), scan, fig2 and
 qfi --family pure --h number run on the numpy-free layer (scalar), and the
 branches that need a numpy module import it where they start.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -26,15 +27,20 @@ from collections.abc import Iterable, Iterator
 from . import __version__
 from .errors import ContractViolationError, NumericalError
 from .scalar import (
+    DEFAULT_N_GRID,
+    DEFAULT_TWO_BETA_SQ_GRID,
     MAX_DIM,
     DiffusionParams,
     GaussianProbeSpec,
     PhaseFamilySpec,
     _finite,
     _fock,
+    _geomspace,
+    _linspace,
     _number_moments,
     _probe,
     _quadrature_reports,
+    _ratio_table,
     _sensitivity_report,
     analytic_fnsr,
     check_dim,
@@ -116,10 +122,8 @@ def _check_count(name: str, count: int):
 
 
 def _parse_grid(text: str, log: bool = False) -> list[float]:
-    """lo:hi:count -> np.linspace's points, computed here as it computes them
-    (step = (hi - lo) / (count - 1), point i = i * step + lo, or
-    (i / (count - 1)) * (hi - lo) + lo where step underflows to 0, and the
-    last point hi), or np.geomspace's with log=True."""
+    """lo:hi:count -> np.linspace's points (_linspace), or np.geomspace's
+    with log=True (_geomspace)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec '{text}' must be lo:hi:count")
@@ -133,38 +137,50 @@ def _parse_grid(text: str, log: bool = False) -> list[float]:
     _check_count(f"grid '{text}' count", count)
     if log and count > 1 and lo <= 0:
         raise ValueError(f"log-spaced grid needs lo > 0, got '{text}'")
-    if count == 1:
-        return [lo]
-    if log:
-        import numpy as np
+    return (_geomspace if log else _linspace)(lo, hi, count)
 
-        return np.geomspace(lo, hi, count).tolist()
-    div, delta = count - 1, hi - lo
-    step = delta / div
-    if step == 0:  # a span so small that the step underflows
-        return [i / div * delta + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
+
+def _token_chunks(fh, size: int = 1 << 16) -> Iterator[list[str]]:
+    """A text file's whitespace-separated tokens, a list per chunk of about
+    size characters; a token cut by a chunk's end goes to the next."""
+    tail = ""
+    while chunk := fh.read(size):
+        tokens = (tail + chunk).split()
+        tail = tokens.pop() if tokens and not chunk[-1].isspace() else ""
+        yield tokens
+    if tail:
+        yield [tail]
 
 
 def load_observable(path: str):
     """Read 'dim <n>' then n*n whitespace-separated complex entries (re+imj)
-    into an Operator."""
+    into an Operator, streamed: each chunk's tokens go through complex() into
+    one preallocated array. A wrong count is reported before a bad entry."""
     import numpy as np
 
     from .operators import Operator
 
     with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2 or tokens[0] != "dim":
-        raise ValueError(f"{path}: expected header 'dim <n>'")
-    n = check_dim(int(tokens[1]))
-    if n < 1:
-        raise ValueError(f"{path}: header 'dim {tokens[1]}' must name a dim >= 1")
-    entries = tokens[2:]
-    if len(entries) != n * n:
-        raise ValueError(f"{path}: expected {n * n} entries, found {len(entries)}")
-    mat = np.array([complex(t) for t in entries]).reshape(n, n)
-    return Operator(mat)
+        tokens = itertools.chain.from_iterable(_token_chunks(fh))
+        head = list(itertools.islice(tokens, 2))
+        if len(head) < 2 or head[0] != "dim":
+            raise ValueError(f"{path}: expected header 'dim <n>'")
+        n = check_dim(int(head[1]))
+        if n < 1:
+            raise ValueError(f"{path}: header 'dim {head[1]}' must name a dim >= 1")
+        flat, found, malformed = np.empty(n * n, dtype=complex), 0, None
+        while batch := list(itertools.islice(tokens, 1 << 13)):
+            part = batch[:max(n * n - found, 0)]
+            try:
+                flat[found:found + len(part)] = list(map(complex, part))
+            except ValueError as exc:
+                malformed = malformed or exc
+            found += len(batch)
+    if found != n * n:
+        raise ValueError(f"{path}: expected {n * n} entries, found {found}")
+    if malformed:
+        raise malformed
+    return Operator(flat.reshape(n, n))
 
 
 def _parse_state(text: str, dim: int | None = None) -> list[float]:
@@ -321,44 +337,35 @@ def cmd_nsr(args) -> int:
     return 0
 
 
-def _enhancement_table(scan) -> Iterator[str]:
+def _left_table(two_beta_sq, n_grid, rows) -> Iterator[str]:
     """fig2_left.csv as a header, then one string per 2 beta^2 row of the
-    scan: a line (two_beta_sq, N, ratio, enhanced) per cell, formatted
-    straight from the scan's arrays with each grid value repr'd once; the
-    bytes _csv_text gives for the same rows."""
-    n_text = [repr(n) for n in scan.n.tolist()]
+    table: a line (two_beta_sq, N, ratio, enhanced) per cell, with each grid
+    value repr'd once; the bytes _csv_text gives for the same rows."""
+    n_text = [repr(n) for n in n_grid]
     yield "two_beta_sq,N,ratio,enhanced\r\n"
-    for t, row in zip(scan.two_beta_sq.tolist(), scan.ratio):
+    for t, row in zip(two_beta_sq, rows):
         t = repr(t)
         yield "".join(f"{t},{n},{ratio!r},{int(ratio >= 1.0)}\r\n"
-                      for n, ratio in zip(n_text, row.tolist()))
+                      for n, ratio in zip(n_text, row))
 
 
 def cmd_fig2(args) -> int:
-    """Fig. 2's enhancement region from one array evaluation of its closed
-    forms (enhancement_scan): fig2_left.csv holds every cell of the
-    (2 beta^2, N) grid, fig2_right.csv each row's first maximum over N, and
-    stdout the threshold 2 beta^2."""
-    import numpy as np
-
-    from .dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, enhancement_scan
-
-    tbs_grid = (
-        _parse_grid(args.grid_two_beta_sq, log=True)
-        if args.grid_two_beta_sq
-        else DEFAULT_TWO_BETA_SQ_GRID
-    )
+    """Fig. 2's enhancement region from its closed forms on floats
+    (_ratio_table): fig2_left.csv holds every cell of the (2 beta^2, N) grid,
+    fig2_right.csv each row's first maximum over N, and stdout the threshold
+    2 beta^2."""
+    tbs_grid = (_parse_grid(args.grid_two_beta_sq, log=True) if args.grid_two_beta_sq
+                else DEFAULT_TWO_BETA_SQ_GRID)
     n_grid = _parse_grid(args.grid_N, log=True) if args.grid_N else DEFAULT_N_GRID
     _check_count("grid cells", len(tbs_grid) * len(n_grid))
-    scan = enhancement_scan(tbs_grid, n_grid)
-    best = scan.ratio[np.arange(scan.two_beta_sq.size), scan.argmax]
+    rows, argmax = _ratio_table(tbs_grid, n_grid)
     right = _csv_text(
         ["two_beta_sq", "max_ratio", "argmax_N"],
-        zip(scan.two_beta_sq.tolist(), best.tolist(), scan.n[scan.argmax].tolist()),
+        ((t, row[j], n_grid[j]) for t, row, j in zip(tbs_grid, rows, argmax)),
     )
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "fig2_left.csv"), _enhancement_table(scan))
+    _atomic_write(os.path.join(out_dir, "fig2_left.csv"), _left_table(tbs_grid, n_grid, rows))
     _atomic_write(os.path.join(out_dir, "fig2_right.csv"), (right,))
     threshold = enhancement_threshold()
     sys.stdout.write(f"enhancement threshold two_beta_sq = {threshold:.4f}\n")

@@ -14,20 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalConsistencyError
+from .errors import ContractViolationError
 from .estimation import ParamFamily, _sld_in_eigenbasis
 from .operators import DensityMatrix, Operator, fock_ladder
 from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines them)
+    DEFAULT_N_GRID,
+    DEFAULT_TWO_BETA_SQ_GRID,
     DiffusionParams,
     PhaseFamilySpec,
-    _c_q_form,
-    _enhancement_ratio,
     _finite,
     _finite_non_negative,
-    _fnsr_form,
     _number_moments,
     _quadrature_reports,
-    _r_opt_form,
+    _ratio_table,
     analytic_fnsr,
     c_q,
     enhancement_threshold,
@@ -38,12 +37,6 @@ from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines 
     r_max,
     r_opt,
 )
-
-# Default Fig.-2 style grids: log-spaced, dense near small 2 beta^2 where the
-# enhancement threshold sits; max_enhancement_ratio searches N over the ends
-# of DEFAULT_N_GRID, which geomspace returns exactly.
-DEFAULT_TWO_BETA_SQ_GRID = np.geomspace(0.01, 1.0, 60)
-DEFAULT_N_GRID = np.geomspace(0.05, 1e4, 200)
 
 
 def _delta_n(dim: int) -> np.ndarray:
@@ -161,44 +154,14 @@ class EnhancementScan:
 
 
 def enhancement_scan(two_beta_sq_grid, n_grid) -> EnhancementScan:
-    """Tabulate optimal_fnsr / c_q over (2 beta^2, N) in one array evaluation
-    of the closed forms the scalar functions evaluate with math, one ufunc
-    call per step over the whole grid. beta = sqrt(2 beta^2 / 2) per row, as
-    the scalar route builds it. The values agree with the scalar route to
-    roundoff: numpy's exp, expm1, log1p and sinh may differ from libm in the
-    last bit.
-
-    A cell the scalar route would reject (its ratio not finite, sinh^2 r
-    above N, or (2N + 1) e^{2 beta^2} overflowing) raises what the scalar
-    route raises there: the first such cell in row order is evaluated with
-    Python floats, and NumericalConsistencyError is raised if that passes.
-    """
+    """scalar._ratio_table over one-dimensional grids, which are copied, not
+    frozen, as read-only arrays: every cell bit-identical to the scalar route."""
     tbs = np.array(two_beta_sq_grid, dtype=float)
     n = np.array(n_grid, dtype=float)
-    if tbs.ndim != 1 or tbs.size == 0 or not np.all(np.isfinite(tbs) & (tbs >= 0)):
-        raise ContractViolationError("two_beta_sq grid must be nonempty, finite and >= 0")
-    if n.ndim != 1 or n.size == 0 or not np.all(np.isfinite(n) & (n > 0)):
-        raise ContractViolationError("N grid must be nonempty, finite and positive")
-    beta = np.sqrt(tbs / 2.0)[:, None]
-    with np.errstate(all="ignore"):
-        r = _r_opt_form(np, n, beta)
-        sinh_sq = np.sinh(r) ** 2
-        alpha = np.sqrt(np.maximum(n - sinh_sq, 0.0))
-        ratio = _fnsr_form(np, r, alpha, beta) / _c_q_form(n, beta, np.maximum(n, 1.0))
-        bad = (
-            ~np.isfinite(ratio)
-            | (sinh_sq > n + 1e-12 * np.maximum(n, 1.0))
-            | np.isinf((2.0 * n + 1.0) * np.exp(2.0 * beta**2))
-        )
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        t, n_mean = float(tbs[i]), float(n[j])
-        _enhancement_ratio(n_mean, math.sqrt(t / 2.0))
-        raise NumericalConsistencyError(
-            f"enhancement ratio at 2 beta^2={t}, N={n_mean} is {ratio[i, j]} on the grid, "
-            "where the scalar closed forms accept the point"
-        )
-    argmax = np.argmax(ratio, axis=1)
-    for arr in (tbs, n, ratio, argmax):
+    if tbs.ndim != 1 or n.ndim != 1:
+        raise ContractViolationError("the two_beta_sq and N grids must be one-dimensional")
+    ratio, argmax = _ratio_table(tbs.tolist(), n.tolist())
+    fields = (tbs, n, np.array(ratio), np.array(argmax))
+    for arr in fields:
         arr.flags.writeable = False
-    return EnhancementScan(two_beta_sq=tbs, n=n, ratio=ratio, argmax=argmax)
+    return EnhancementScan(*fields)

@@ -3,8 +3,8 @@ amplitude recurrence, the O(d) sums over its amplitudes and the closed forms
 of the phase-diffusion case study, all on Python floats and `math`.
 
 The numpy modules (operators, estimation, dephasing) re-export every name
-defined here, so `nsr`, `scan` and `qfi --family pure --h number` run without
-importing numpy. Sums over amplitudes are math.fsum, so each is exactly
+defined here, so `nsr`, `scan`, `fig2` and `qfi --family pure --h number` run
+without importing numpy. Sums over amplitudes are math.fsum, so each is exactly
 rounded.
 """
 
@@ -311,13 +311,20 @@ def optimal_calibration(phi_true: float) -> float:
     return wrapped - math.pi
 
 
-def _fnsr_form(xp, r, alpha, beta):
-    """analytic_fnsr's quotient in the namespace xp (math for floats, numpy
-    for arrays), exact where e^{-2r} and sinh 2r are finite: |r| below
+def _beta_terms(beta: float) -> tuple[float, float, float, float, float]:
+    """The beta-only factors of r_opt, analytic_fnsr and c_q: w = e^{-4 beta^2},
+    sqrt(1 - w^2), e^{-2 beta^2}, 1 - w (by expm1, exact near 0) and 8 beta^2."""
+    b2 = beta**2
+    return (math.exp(-4.0 * b2), math.sqrt(-math.expm1(-8.0 * b2)),
+            math.exp(-2.0 * b2), -math.expm1(-4.0 * b2), 8.0 * b2)
+
+
+def _fnsr_form(r, alpha, decay, noise):
+    """analytic_fnsr's quotient at decay = e^{-2 beta^2} and noise =
+    1 - e^{-4 beta^2}, exact where e^{-2r} and sinh 2r are finite: |r| below
     about 354.9."""
-    num = 4.0 * alpha**2 * xp.exp(-2.0 * beta**2)
-    diffusion_noise = -xp.expm1(-4.0 * beta**2)  # 1 - e^{-4 beta^2}, exact near 0
-    return num / (xp.exp(-2.0 * r) + diffusion_noise * (2.0 * alpha**2 + xp.sinh(2.0 * r)))
+    num = 4.0 * alpha**2 * decay
+    return num / (math.exp(-2.0 * r) + noise * (2.0 * alpha**2 + math.sinh(2.0 * r)))
 
 
 def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
@@ -336,7 +343,8 @@ def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
         raise OverflowError(f"4 alpha^2 overflows at alpha={alpha}")
     try:
         if not math.isinf(2.0 * r):  # math.exp and math.sinh take inf without raising
-            return _fnsr_form(math, r, alpha, beta)
+            _, _, decay, noise, _ = _beta_terms(beta)
+            return _fnsr_form(r, alpha, decay, noise)
     except OverflowError:  # e^{-2r} or sinh 2r overflows: |r| beyond about 354.9
         pass
     if r < 0 or beta**2 > 0 or alpha**2 == 0.0:
@@ -365,17 +373,15 @@ def r_max(beta: float) -> float:
     return 0.25 * math.log1p(2.0 * math.exp(-u) / -math.expm1(-u))
 
 
-def _r_opt_form(xp, n_mean, beta):
-    """r_opt's closed form in the namespace xp: math for floats, numpy for
-    arrays."""
-    w = xp.exp(-4.0 * beta**2)
+def _r_opt_form(n_mean, w, root):
+    """r_opt's closed form at w = e^{-4 beta^2} and root = sqrt(1 - w^2)."""
     q = 1.0 / (2.0 * n_mean + 1.0)
     p = 2.0 * n_mean * q
-    s = xp.hypot(xp.sqrt(-xp.expm1(-8.0 * beta**2)), w * q)  # sqrt(1 - w^2 + w^2 q^2)
+    s = math.hypot(root, w * q)  # sqrt(1 - w^2 + w^2 q^2)
     a = (1.0 + w) * (2.0 - q) - w * q * q  # >= 1
     b = q * q * (4.0 + 2.0 * w) + 4.0 * (1.0 + w) * p * (2.0 * q + p)
     x = w * p * (1.0 + w) * b / ((a + q * s) * (1.0 + w + s) * (w * q + s))
-    return 0.5 * xp.log1p(x)
+    return 0.5 * math.log1p(x)
 
 
 def r_opt(n_mean: float, beta: float) -> float:
@@ -394,7 +400,8 @@ def r_opt(n_mean: float, beta: float) -> float:
     n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
     if math.isinf((2.0 * n_mean + 1.0) * math.exp(2.0 * beta**2)):  # overflows silently
         raise OverflowError(f"(2N + 1) e^{{2 beta^2}} overflows at N={n_mean}")
-    r = _r_opt_form(math, n_mean, beta)
+    w, root, *_ = _beta_terms(beta)
+    r = _r_opt_form(n_mean, w, root)
     if math.sinh(r) ** 2 > n_mean + 1e-12 * max(1.0, n_mean):
         raise NumericalConsistencyError(
             f"r_opt={r} puts sinh^2 r above N={n_mean}; no excitation left for alpha"
@@ -402,19 +409,18 @@ def r_opt(n_mean: float, beta: float) -> float:
     return r
 
 
-def _c_q_form(n_mean, beta, top):
+def _c_q_form(n_mean, eight_beta_sq, top):
     """4N / (1 + 8 beta^2 N) with both terms divided by top = max(N, 1), so
-    that 4N cannot overflow: 4 / (1/N + 8 beta^2) for N >= 1. Arithmetic
-    only, so it takes floats and arrays alike."""
+    that 4N cannot overflow: 4 / (1/N + 8 beta^2) for N >= 1."""
     u = n_mean / top
-    return 4.0 * u / (1.0 / top + 8.0 * beta**2 * u)
+    return 4.0 * u / (1.0 / top + eight_beta_sq * u)
 
 
 def c_q(n_mean: float, beta: float) -> float:
     """Standard-limit benchmark 4N / (1 + 8 beta^2 N), finite up to the
     largest N; numpy scalars are taken as floats."""
     n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
-    return _c_q_form(n_mean, beta, max(n_mean, 1.0))
+    return _c_q_form(n_mean, _beta_terms(beta)[4], max(n_mean, 1.0))
 
 
 def optimal_fnsr(n_mean: float, beta: float) -> float:
@@ -442,6 +448,76 @@ def _enhancement_ratio(n_mean: float, beta: float) -> float:
     return optimal_fnsr(n_mean, beta) / c_q(n_mean, beta)
 
 
+def _ratio_table(two_beta_sq_grid, n_grid) -> tuple[list[list[float]], list[int]]:
+    """Fig. 2's table in O(cells): for each 2 beta^2, the row of
+    _enhancement_ratio(N, sqrt(2 beta^2 / 2)) over n_grid, bit for bit, as
+    it runs the point functions' per-cell forms after _beta_terms once per
+    row; and the index of the row's first maximum. The first cell in row
+    order that the scalar route may reject (a ratio not finite, sinh^2 r
+    above N, (2N + 1) e^{2 beta^2} overflowing, an arithmetic error) is
+    replayed through _enhancement_ratio, which raises what that route raises;
+    NumericalConsistencyError if it passes."""
+    tbs, ns = [float(t) for t in two_beta_sq_grid], [float(n) for n in n_grid]
+    if not tbs or not all(0.0 <= t < math.inf for t in tbs):
+        raise ContractViolationError("two_beta_sq grid must be nonempty, finite and >= 0")
+    if not ns or not all(0.0 < n < math.inf for n in ns):
+        raise ContractViolationError("N grid must be nonempty, finite and positive")
+    rows, argmax = [], []
+    for t in tbs:
+        beta, row = math.sqrt(t / 2.0), []
+        try:
+            w, root, decay, noise, eight_beta_sq = _beta_terms(beta)
+            grow = math.exp(2.0 * beta**2)
+            for n in ns:
+                r = _r_opt_form(n, w, root)
+                sinh_sq = math.sinh(r) ** 2
+                alpha = math.sqrt(max(n - sinh_sq, 0.0))
+                ratio = (_fnsr_form(r, alpha, decay, noise)
+                         / _c_q_form(n, eight_beta_sq, max(n, 1.0)))
+                if not ((2.0 * n + 1.0) * grow < math.inf
+                        and sinh_sq <= n + 1e-12 * max(1.0, n) and ratio < math.inf):
+                    break
+                row.append(ratio)
+        except (ArithmeticError, ValueError):
+            pass  # the replay raises it as the scalar route does
+        if len(row) < len(ns):
+            _enhancement_ratio(ns[len(row)], beta)
+            raise NumericalConsistencyError(
+                f"enhancement ratio at 2 beta^2={t}, N={ns[len(row)]} fails on the table, "
+                "where the scalar closed forms accept the point")
+        rows.append(row)
+        argmax.append(row.index(max(row)))
+    return rows, argmax
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """np.linspace's points as it computes them: i * step + lo with step =
+    (hi - lo) / (count - 1), or (i / (count - 1)) * (hi - lo) + lo where step
+    underflows to 0, and the last point hi."""
+    if count == 1:
+        return [lo]
+    div, delta = count - 1, hi - lo
+    step = delta / div
+    if step == 0:  # a span so small that the step underflows
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
+def _geomspace(lo: float, hi: float, count: int) -> list[float]:
+    """np.geomspace's rule for 0 < lo <= hi on floats: 10.0 ** y at the
+    _linspace points y from log10(lo) to log10(hi), both ends pinned to lo
+    and hi. libm's log10 and pow may differ from numpy's in the last bit."""
+    if count == 1:
+        return [lo]
+    exponents = _linspace(math.log10(lo), math.log10(hi), count)
+    return [lo] + [10.0 ** y for y in exponents[1:-1]] + [hi]
+
+
+# Fig. 2's default grids, dense near small 2 beta^2, where the threshold sits.
+DEFAULT_TWO_BETA_SQ_GRID = tuple(_geomspace(0.01, 1.0, 60))
+DEFAULT_N_GRID = tuple(_geomspace(0.05, 1e4, 200))
+
+
 def _golden_max(fun, lo: float, hi: float) -> float:
     """Golden-section maximizer of a unimodal function on [lo, hi], to 1e-12
     relative."""
@@ -465,8 +541,8 @@ def _golden_max(fun, lo: float, hi: float) -> float:
 def max_enhancement_ratio(beta: float) -> tuple[float, float]:
     """Max over N of optimal_fnsr/c_q at fixed beta: one golden-section
     search in log N over [0.05, 1e4], the whole range of Fig. 2's
-    DEFAULT_N_GRID, on which the ratio is unimodal (its slope changes sign at
-    most once). Where it still rises at the range end, the search converges
+    DEFAULT_N_GRID (the rule pins both ends), on which the ratio is unimodal
+    (its slope changes sign at most once). Where it still rises at the range end, the search converges
     to that end. Returns (max_ratio, argmax_N)."""
 
     def ratio_log(u: float) -> float:

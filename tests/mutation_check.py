@@ -32,8 +32,8 @@ MUTANTS = [
      "x *= 1.0",
      ["tests/test_estimation.py"]),
     ("nsrkit/scalar.py",
-     "diffusion_noise = -xp.expm1(-4.0 * beta**2)",
-     "diffusion_noise = -xp.expm1(-1.1 * 4.0 * beta**2)",
+     "-math.expm1(-4.0 * b2)",
+     "-math.expm1(-1.1 * 4.0 * b2)",
      ["tests/test_invariants.py"]),
     ("nsrkit/dephasing.py",
      "np.exp(-(beta**2) * _delta_n",
@@ -98,18 +98,30 @@ MUTANTS = [
      "complex(math.cos(offset), math.sin(offset))",
      "complex(math.cos(offset), -math.sin(offset))",
      ["tests/test_dephasing.py::TestQuadratureReports"]),
+    # c_q's per-cell form without its scaling by top = max(N, 1), and its
+    # beta-only factor 8 beta^2 halved in the table and the point functions
     ("nsrkit/scalar.py",
-     "4.0 * u / (1.0 / top + 8.0 * beta**2 * u)",
-     "4.0 * u / (1.0 / top + 4.0 * beta**2 * u)",
+     "4.0 * u / (1.0 / top + eight_beta_sq * u)",
+     "4.0 * u / (1.0 + eight_beta_sq * u)",
      ["tests/test_dephasing.py::TestBenchmarks", "tests/test_dephasing.py::TestEnhancementScan"]),
-    ("nsrkit/dephasing.py",
-     "argmax = np.argmax(ratio, axis=1)",
-     "argmax = ratio.shape[1] - 1 - np.argmax(ratio[:, ::-1], axis=1)",
+    ("nsrkit/scalar.py",
+     "-math.expm1(-4.0 * b2), 8.0 * b2)",
+     "-math.expm1(-4.0 * b2), 4.0 * b2)",
      ["tests/test_dephasing.py::TestEnhancementScan"]),
-    ("nsrkit/dephasing.py",
-     "            | (sinh_sq > n + 1e-12 * np.maximum(n, 1.0))\n",
-     "",
+    # the table's first maximum of a row taken as its last
+    ("nsrkit/scalar.py",
+     "argmax.append(row.index(max(row)))",
+     "argmax.append(len(row) - 1 - row[::-1].index(max(row)))",
+     ["tests/test_dephasing.py::TestEnhancementScan"]),
+    ("nsrkit/scalar.py",
+     "and sinh_sq <= n + 1e-12 * max(1.0, n) and ratio < math.inf",
+     "and ratio < math.inf",
      ["tests/test_dephasing.py::TestEnhancementScanParity"]),
+    # the log grid without its pinned last point: 10 ** log10(hi) for hi
+    ("nsrkit/scalar.py",
+     "for y in exponents[1:-1]] + [hi]",
+     "for y in exponents[1:]]",
+     ["tests/test_cli.py::test_log_grid_is_geomspace_with_exact_ends"]),
     ("nsrkit/montecarlo.py",
      "SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)",
      "SHIFT = 65 - (GUIDE_BUCKETS.bit_length() - 1)",
@@ -227,7 +239,7 @@ MUTANTS = [
      "if False:",
      ["tests/test_cli.py::TestNonFiniteInputs::test_grid_span_overflow_exit_2"]),
     # the linear grid's points where its step underflows to 0, all put at lo
-    ("nsrkit/cli.py",
+    ("nsrkit/scalar.py",
      "return [i / div * delta + lo for i in range(div)] + [hi]",
      "return [lo] * div + [hi]",
      ["tests/test_cli.py::test_linear_grid_is_linspace_bit_for_bit"]),

@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from nsrkit import (
     analytic_fnsr,
     assess_observable,
     dephasing_family,
-    enhancement_scan,
     gaussian_probe,
     number_operator,
     optimal_calibration,
@@ -25,6 +26,7 @@ from nsrkit import cli, errors
 from nsrkit.cli import main
 from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, _number_moments
 from nsrkit.operators import MAX_DIM, Operator
+from nsrkit.scalar import _enhancement_ratio
 
 from conftest import dephasing_covariant_sld, fock_dephasing_spec
 
@@ -317,6 +319,41 @@ class TestNsrCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_observable_file_tokens_across_chunks(self):
+        # a token cut by a chunk's end is joined to its rest, at every chunk size
+        text = "dim 2\n 1+0j\t0.5-2e-3j\r\n\n0.5+2e-3j  -7 \n"
+        for size in range(1, len(text) + 2):
+            chunks = list(cli._token_chunks(io.StringIO(text), size))
+            assert [t for chunk in chunks for t in chunk] == text.split(), size
+
+    @pytest.mark.parametrize("text, message", [
+        ("dim 2\n1 2 3\n", "expected 4 entries, found 3"),
+        ("dim 2\n1 x 3\n", "expected 4 entries, found 3"),  # the count before the entry
+        ("dim 2\n1 2 2 3 4\n", "expected 4 entries, found 5"),
+        ("dim 2\n1 x x 3\n", "complex() arg is a malformed string"),
+        ("dim\n", "expected header 'dim <n>'"),
+        ("size 2\n1 0 0 1\n", "expected header 'dim <n>'"),
+    ], ids=["short", "short-malformed", "long", "malformed", "no-dim", "no-header"])
+    def test_observable_file_errors(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "nsr", "--observable", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err, err
+
+    def test_observable_file_streams(self, tmp_path):
+        # the tokens pass in chunks into one n*n array: the peak is that array
+        # and the Operator's copies of it, not the file's d^2 tokens (8x)
+        path = number_file(tmp_path / "n512.txt", 512)
+        tracemalloc.start()
+        try:
+            op = cli.load_observable(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(op.matrix, np.diag(np.arange(512.0)))
+        assert peak <= 4.5 * op.matrix.nbytes, peak / op.matrix.nbytes
+
     @pytest.mark.parametrize("argv", [("nsr", "--observable"), ("qfi", "--family", "pure", "--h")],
                              ids=["nsr", "qfi-pure"])
     def test_negative_dim_observable_file(self, capsys, tmp_path, argv):
@@ -403,20 +440,25 @@ class TestFig2Command:
     @pytest.mark.parametrize("argv, grid_t, grid_n", [
         ((), DEFAULT_TWO_BETA_SQ_GRID, DEFAULT_N_GRID),
         (("--grid-two-beta-sq", "1e-320:700:4", "--grid-N", "1e-300:50:5"),
-         np.geomspace(1e-320, 700.0, 4), np.geomspace(1e-300, 50.0, 5)),
+         cli._parse_grid("1e-320:700:4", log=True), cli._parse_grid("1e-300:50:5", log=True)),
     ], ids=["default", "edges"])
     def test_left_table_is_csv_text(self, capsys, tmp_path, argv, grid_t, grid_n):
-        # written straight from the arrays, in the bytes csv.writer gives
+        # every cell the scalar route's ratio to the bit, and each row's first
+        # maximum, in the bytes csv.writer gives
         code, _, _ = run_cli(capsys, "fig2", "--out", str(tmp_path), *argv)
         assert code == 0
-        scan = enhancement_scan(grid_t, grid_n)
+        table = [[_enhancement_ratio(n, math.sqrt(t / 2.0)) for n in grid_n] for t in grid_t]
         rows = [(t, n, ratio, int(ratio >= 1.0))
-                for t, row in zip(scan.two_beta_sq.tolist(), scan.ratio.tolist())
-                for n, ratio in zip(scan.n.tolist(), row)]
-        with open(tmp_path / "fig2_left.csv", newline="") as fh:
-            text = fh.read()
-        assert text == cli._csv_text(["two_beta_sq", "N", "ratio", "enhanced"], rows)
-        assert len(rows) == grid_t.size * grid_n.size
+                for t, row in zip(grid_t, table) for n, ratio in zip(grid_n, row)]
+        best = [(t, row[j], grid_n[j])
+                for t, row, j in zip(grid_t, table, np.argmax(table, axis=1).tolist())]
+        for name, header, want in (
+            ("fig2_left.csv", ["two_beta_sq", "N", "ratio", "enhanced"], rows),
+            ("fig2_right.csv", ["two_beta_sq", "max_ratio", "argmax_N"], best),
+        ):
+            with open(tmp_path / name, newline="") as fh:
+                assert fh.read() == cli._csv_text(header, want), name
+        assert len(rows) == len(grid_t) * len(grid_n)
 
     def test_single_point_log_grid_at_zero(self, capsys, tmp_path):
         # lo > 0 is needed only to space a log grid; one point at 0 is valid
@@ -849,9 +891,14 @@ def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_o_d_routes_import_no_numpy(tmp_path):
-    # nsr (quadrature and number), scan and qfi --family pure --h number run
-    # on nsrkit.scalar, their error exits included
+    # nsr (quadrature and number), scan, fig2 and qfi --family pure --h number
+    # run on nsrkit.scalar, their error exits included
     runs = [
+        (("fig2", "--out", str(tmp_path / "fig2")), 0),
+        (("fig2", "--out", str(tmp_path / "fig2-grids"), "--grid-two-beta-sq", "0.05:1.0:10",
+          "--grid-N", "0.05:10000:60"), 0),
+        (("fig2", "--out", str(tmp_path / "fig2-huge"), "--grid-N", "1e308:1.7e308:3"), 2),
+        (("fig2", "--out", str(tmp_path / "fig2-zero"), "--grid-two-beta-sq", "0:1:3"), 2),
         (("nsr", "--alpha", "1", "--r", "0.5", "--beta", "0.3", "--phi-true", "0.3",
           "--out", str(tmp_path / "nsr.json")), 0),
         (("nsr", "--observable", "number", "--alpha", "1", "--beta", "0.3", "--dim", "2048"), 0),
@@ -878,6 +925,7 @@ def test_o_d_routes_import_no_numpy(tmp_path):
     for (argv, code), (got, numpy_loaded) in zip(runs, results):
         assert (got, numpy_loaded) == (code, False), argv
     assert json.loads((tmp_path / "nsr.json").read_text())["command"] == "nsr"
+    assert len((tmp_path / "fig2" / "fig2_left.csv").read_text().splitlines()) == 12001
 
 
 LAZY_IMPORT_CHILD = """
@@ -919,6 +967,33 @@ def test_linear_grid_is_linspace_bit_for_bit(spec):
     assert np.array(cli._parse_grid(spec), dtype=float).tobytes() == want.tobytes()
     if spec.endswith("e-324:4") or spec.startswith("-5e-324"):
         assert (hi - lo) / (count - 1) == 0.0  # linspace's branch for a step that underflows
+
+
+@pytest.mark.parametrize("spec", [
+    "0.01:1.0:60", "0.05:10000:200", "0.05:1.0:10", "0.05:10000:60", "1e-320:700:4",
+    "1e-300:50:5", "0.3:7:2", "2:2:5", "1e-300:1e300:101", "1e308:1.7e308:3",
+    "1:1.7976931348623157e308:9", "1.5e308:1.7976931348623157e308:50",
+])
+def test_log_grid_is_geomspace_with_exact_ends(spec):
+    # one numpy-free rule: 10 ** y at linspace's exponents, both ends pinned
+    lo, hi, count = float(spec.split(":")[0]), float(spec.split(":")[1]), int(spec.split(":")[2])
+    grid = cli._parse_grid(spec, log=True)
+    assert len(grid) == count and (grid[0], grid[-1]) == (lo, hi)
+    assert all(type(x) is float for x in grid)
+    assert grid == sorted(grid)
+    with np.errstate(over="ignore"):  # numpy forms its last point before pinning it
+        want = np.geomspace(lo, hi, count)
+    assert np.max(np.abs(np.array(grid) - want) / want) <= 1e-14
+
+
+def test_log_grid_defaults_and_single_points():
+    assert DEFAULT_TWO_BETA_SQ_GRID == tuple(cli._parse_grid("0.01:1:60", log=True))
+    assert DEFAULT_N_GRID == tuple(cli._parse_grid("0.05:1e4:200", log=True))
+    # one point is lo itself, also at 0, where no log is taken
+    assert cli._parse_grid("0:0:1", log=True) == [0.0]
+    assert cli._parse_grid("0.5:3:1", log=True) == [0.5]
+    with pytest.raises(ValueError, match="needs lo > 0"):
+        cli._parse_grid("0:1:2", log=True)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -977,9 +1052,9 @@ def test_out_of_memory_exit_2(tmp_path):
     # qfi --dim 2048 needs about 145 MB above import at its peak, the dim-1699
     # adaptive mc about 145 MB. Most of these caps stop them in a LAPACK
     # workspace, whose MemoryError carries no text: the message then names
-    # the command and its --dim. The two dense FILE routes hold the file's
-    # d^2 tokens and complex entries before the matrix, several hundred MB at
-    # dim 2048.
+    # the command and its --dim. The two dense FILE routes stream the file
+    # into one matrix, but the Operator's checks hold four 64 MiB copies of
+    # it at dim 2048.
     path = number_file(tmp_path / "n2048.txt", 2048)
     nsr_file = ("nsr", "--observable", path, "--alpha", "1", "--beta", "0.3", "--dim", "2048")
     qfi_file = ("qfi", "--family", "pure", "--h", path, "--state", "coherent:1", "--dim", "2048")

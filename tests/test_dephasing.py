@@ -37,7 +37,7 @@ from nsrkit import (
     r_opt,
     variance,
 )
-from nsrkit import dephasing, scalar
+from nsrkit import scalar
 from nsrkit.dephasing import (
     DEFAULT_N_GRID,
     DEFAULT_TWO_BETA_SQ_GRID,
@@ -673,7 +673,7 @@ class TestEnhancementScan:
             assert np.array_equal(getattr(first, field), getattr(second, field))
         # cells are independent: the reversed grids give the reversed table
         flipped = enhancement_scan(grid_t[::-1], grid_n[::-1]).ratio[::-1, ::-1]
-        np.testing.assert_allclose(flipped, first.ratio, rtol=1e-14, atol=0.0)
+        assert flipped.tolist() == first.ratio.tolist()
 
     def test_region_flags(self):
         scan = enhancement_scan([0.05, 1.0], np.geomspace(0.05, 1e4, 60))
@@ -744,7 +744,8 @@ def scalar_scan(grid_t, grid_n):
 
 
 class TestEnhancementScanParity:
-    """The array route of enhancement_scan against the scalar closed forms."""
+    """enhancement_scan, the arrays of the scalar table, against the scalar
+    closed forms cell by cell: equal to the bit."""
 
     @pytest.mark.parametrize("grid_t, grid_n", [
         (DEFAULT_TWO_BETA_SQ_GRID, DEFAULT_N_GRID),
@@ -761,8 +762,7 @@ class TestEnhancementScanParity:
             scan = enhancement_scan(grid_t, grid_n)
         ratio, argmax = scalar_scan(grid_t, grid_n)
         assert scan.ratio.shape == ratio.shape
-        np.testing.assert_allclose(scan.ratio, ratio, rtol=1e-14, atol=0.0)
-        assert np.array_equal(scan.ratio >= 1.0, ratio >= 1.0)
+        assert scan.ratio.tolist() == ratio.tolist()
         assert np.array_equal(scan.argmax, argmax)
 
     @pytest.mark.parametrize("grid_t, grid_n", [
@@ -780,20 +780,26 @@ class TestEnhancementScanParity:
         assert type(grid_error.value) is type(scalar_error.value) is OverflowError
         assert str(grid_error.value) == str(scalar_error.value)
 
-    @pytest.mark.parametrize("scalar_too", [True, False], ids=["both-routes", "grid-only"])
-    def test_sinh_sq_above_n_is_rejected(self, monkeypatch, scalar_too):
-        # an r_opt that leaves no excitation for alpha: the grid must reject it,
-        # with the scalar route's error where that route rejects it too
-        form = dephasing._r_opt_form
+    @pytest.mark.parametrize("route", ["both-routes"])
+    def test_sinh_sq_above_n_is_rejected(self, monkeypatch, route):
+        # an r_opt that leaves no excitation for alpha: the table and the
+        # point route share the one per-cell form, and both reject it
+        form = scalar._r_opt_form
 
-        def drifted(xp, n_mean, beta):
-            return form(xp, n_mean, beta) + (1.0 if scalar_too or xp is np else 0.0)
+        def drifted(n_mean, w, root):
+            return form(n_mean, w, root) + 1.0
 
-        # the grid's form is dephasing's, the scalar route's is scalar's
-        monkeypatch.setattr(dephasing, "_r_opt_form", drifted)
         monkeypatch.setattr(scalar, "_r_opt_form", drifted)
-        with pytest.raises(NumericalConsistencyError, match="sinh" if scalar_too else "grid"):
+        with pytest.raises(NumericalConsistencyError, match="sinh"):
             enhancement_scan([0.1], [1.0, 2.0])
+
+    def test_cell_the_replay_accepts_still_fails(self, monkeypatch):
+        # a failing cell whose replay returns raises rather than entering the table
+        monkeypatch.setattr(scalar, "_r_opt_form", lambda n_mean, w, root: 50.0)
+        monkeypatch.setattr(scalar, "_enhancement_ratio", lambda n_mean, beta: 1.0)
+        with pytest.raises(NumericalConsistencyError, match="N=2.0 fails on the table"):
+            enhancement_scan([0.1], [2.0, 3.0])
+
 
 class TestAnalyticNumericAgreement:
     GRID = [(a, r, b) for a in (0.5, 1.0) for r in (0.0, 0.3) for b in (0.0, 0.3)]
