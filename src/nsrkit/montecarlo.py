@@ -43,8 +43,9 @@ PROB_NEG_TOL = 1e-12
 GUIDE_BUCKETS = 2**12
 # A 64-bit word's bucket is its top log2(GUIDE_BUCKETS) bits.
 SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)
-# Generator words read per step of the sampler, whatever the sample count.
-CHUNK = 2**14
+# Generator words read per step of the sampler, whatever the sample count;
+# the sampler's node-word buffer holds CHUNK // 8 of them.
+CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,12 @@ class _GuideTable:
     floor(u * GUIDE_BUCKETS) is w >> SHIFT, and u >= cdf_k exactly when
     w >= edge_k = ceil(cdf_k * 2^53) << 11. A word whose bucket holds no CDF
     node takes the bucket's first index, so only the bucket is counted. The
-    others are copied into a buffer, which is counted against the integer
-    edges (an in-place sort, searchsorted and a difference) when the next
-    chunk's node words would not fit, and once at the end. Words are read
-    CHUNK at a time and each buffer the table owns holds at most CHUNK words
-    of its kind, so memory does not grow with nu.
+    others are copied into a buffer of CHUNK // 8 words, which is counted
+    against the integer edges (an in-place sort, searchsorted and a
+    difference) when the next step's node words would not fit, and once at
+    the end; a step with more node words than the buffer holds is counted at
+    once. Words are read CHUNK at a time, and a step's words are dropped
+    before the next step's are read, so memory is O(CHUNK), whatever nu.
     """
 
     def __init__(self, p: np.ndarray, nu: int):
@@ -120,7 +122,7 @@ class _GuideTable:
         n = min(nu, CHUNK)
         self._bucket = np.empty(n, dtype=np.uint64)
         self._in_node = np.empty(n, dtype=bool)
-        self._held = np.empty(n, dtype=np.uint64)
+        self._held = np.empty(max(n // 8, 1), dtype=np.uint64)
 
     def _below(self, held: np.ndarray) -> np.ndarray:
         """How many held words lie below each edge, then how many there are;
@@ -141,6 +143,10 @@ class _GuideTable:
             per_bucket += np.bincount(bucket, minlength=GUIDE_BUCKETS)
             in_node = self._holds_node.take(bucket, out=self._in_node[:n], mode="clip")
             node_words = words[in_node]
+            del words  # not held while the next step's words are read
+            if node_words.size > self._held.size:
+                below += self._below(node_words)
+                continue
             if held + node_words.size > self._held.size:
                 below += self._below(self._held[:held])
                 held = 0

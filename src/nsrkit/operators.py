@@ -59,8 +59,11 @@ class Operator:
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
-        scale = np.abs(m).max()
-        if scale > 0 and np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
+        scale = skew = 0.0
+        for i in range(0, m.shape[0], 64):  # row blocks: no d x d temporary
+            scale = max(scale, np.abs(m[i:i + 64]).max())
+            skew = max(skew, np.abs(m[i:i + 64] - m[:, i:i + 64].conj().T).max())
+        if scale > 0 and skew > HERMITICITY_RTOL * scale:
             raise ContractViolationError("matrix is not hermitian within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

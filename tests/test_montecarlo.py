@@ -278,24 +278,42 @@ class TestGuideTableSampler:
             counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
 
     def test_buffer_counted_several_times_per_repeat(self):
-        # nodes in most buckets, so about half of all words are node words and
-        # the CHUNK-word buffer is counted several times within one repeat
-        p = np.random.default_rng(3000).random(3000) + 0.5
-        p /= p.sum()
-        cdf = choice_cdf(p)
+        # with a node in about size of the 4096 buckets, a step holds about
+        # size / 4096 of CHUNK node words: at size 400 the CHUNK // 8-word
+        # buffer fills every step or two and is counted several times within
+        # one repeat; at 3000 no full step's node words fit in it, so each such
+        # step is counted at once
         nu = 6 * CHUNK + 123
-        table = _GuideTable(p, nu)
-        flushes = []
-        below = table._below
-        table._below = lambda held: flushes.append(held.size) or below(held)
-        for seed in range(3):
-            flushes.clear()
-            counts = table.counts(np.random.default_rng(seed))
-            assert len(flushes) >= 3 and max(flushes) <= CHUNK
-            u = np.random.default_rng(seed).random(nu)
-            np.testing.assert_array_equal(
-                counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
-            np.testing.assert_array_equal(counts, choice_counts(p, nu, seed))
+        for size, direct in ((400, 0), (3000, 6)):
+            p = np.random.default_rng(size).random(size) + 0.5
+            p /= p.sum()
+            cdf = choice_cdf(p)
+            table = _GuideTable(p, nu)
+            flushes = []
+            below = table._below
+            table._below = lambda held: flushes.append(held.size) or below(held)
+            for seed in range(3):
+                flushes.clear()
+                counts = table.counts(np.random.default_rng(seed))
+                assert len(flushes) >= 3 and max(flushes) <= CHUNK
+                assert sum(f > CHUNK // 8 for f in flushes) == direct, flushes
+                u = np.random.default_rng(seed).random(nu)
+                np.testing.assert_array_equal(
+                    counts, np.bincount(cdf.searchsorted(u, side="right"), minlength=p.size))
+                np.testing.assert_array_equal(counts, choice_counts(p, nu, seed))
+
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.0), (2.0, 1.0)], ids=["case-study", "large-probe"])
+    def test_step_size_changes_no_draw(self, monkeypatch, alpha, r):
+        # at the benchmark's two probes the estimates are the same at any CHUNK
+        spec = case_study_spec(alpha=alpha, r=r)
+        trials, adaptive = [], []
+        for chunk in (2**10, 2**14, 2**15):
+            monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+            trials.append(run_trials(spec, 0.7, nu=100000, repeats=3, seed=5).estimates)
+            adaptive.append(adaptive_calibrate(spec, 0.7, batch=100000, rounds=2, seed=5)[0])
+        for estimates in (trials, adaptive):
+            for other in estimates[1:]:
+                np.testing.assert_array_equal(other, estimates[0])
 
     def test_words_at_the_edges(self):
         # u = (w >> 11) 2^-53 >= cdf_k exactly when w >= ceil(cdf_k 2^53) << 11.
@@ -318,16 +336,20 @@ class TestGuideTableSampler:
         assert counts[p == 0.0].sum() == 0
 
     def test_run_trials_memory_does_not_grow_with_nu(self):
-        # holding the 2e6 draws of one repeat would take 16 MB or more
+        # holding the 2e6 draws of one repeat would take 16 MB or more; from
+        # 2e5 draws on, every buffer is at its full size
         spec = case_study_spec()
         run_trials(spec, 0.7, nu=1000, repeats=2, seed=0)  # warm caches and imports
-        tracemalloc.start()
-        try:
-            run_trials(spec, 0.7, nu=2_000_000, repeats=2, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        peaks = []
+        for nu in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                run_trials(spec, 0.7, nu=nu, repeats=2, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * 2**20
+        assert peaks[1] - peaks[0] <= 64 * 2**10, peaks
         # At dim 134 the probe and X_0's eigenbasis alone peak near 2.3 MB,
         # whatever nu, so one measurement step is traced on its own: about
         # 1.45% of draws are node words, and holding those of 2e7 draws would

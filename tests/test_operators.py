@@ -341,6 +341,15 @@ class TestTypeContracts:
         # within HERMITICITY_RTOL of the largest entry is hermitian
         Operator(np.array([[1e3, 1e-10], [0.0, 1.0]], dtype=complex))
 
+    def test_non_hermitian_entry_in_the_last_row_block(self):
+        # rows are checked 64 at a time: at dim 200 the last block holds rows
+        # 192..199, and a non-real diagonal entry there is seen by no other
+        m = np.diag(np.arange(200.0)).astype(complex)
+        Operator(m)
+        m[199, 199] += 1j
+        with pytest.raises(ContractViolationError, match="not hermitian"):
+            Operator(m)
+
     def test_density_is_operator(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]))
         assert isinstance(rho, Operator)
