@@ -180,7 +180,7 @@ def load_observable(path: str):
         raise ValueError(f"{path}: expected {n * n} entries, found {found}")
     if malformed:
         raise malformed
-    return Operator(flat.reshape(n, n))
+    return Operator._adopt(flat.reshape(n, n))  # flat is fresh: no second copy
 
 
 def _parse_state(text: str, dim: int | None = None) -> list[float]:

@@ -17,7 +17,7 @@ so no density matrix is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .operators import _ladder_entries
 from .scalar import (
     IMAG_RESIDUE_TOL,
     TRACE_TOL,
+    PhaseFamilySpec,
     SensitivityReport,
     _finite,
     _quadrature_reports,
@@ -231,7 +232,7 @@ def _prepare(spec, phi_true: float, nu: int):
     Re rho(x) alone (_real_state, from the probe amplitudes); it and the
     kernel are built once, and each Born distribution is one d x d product."""
     _sample_count(nu)
-    spec = replace(spec, probe=spec.probe_state())
+    spec = PhaseFamilySpec(spec.probe_state(), spec.diffusion, spec.phi_domain)
     report_at = _quadrature_reports(spec, phi_true)
     optimal = report_at(-math.pi / 2.0)
     spacing, sd = math.ulp(phi_true), optimal.nsr / math.sqrt(nu)

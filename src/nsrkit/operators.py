@@ -39,8 +39,8 @@ from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines 
 )
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
+def _as_complex_matrix(entries, adopt: bool = False) -> np.ndarray:
+    m = (np.asarray if adopt else np.array)(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
@@ -57,8 +57,8 @@ class Operator:
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
+    def __post_init__(self, adopt: bool = False):
+        m = _as_complex_matrix(self.matrix, adopt)
         scale = skew = 0.0
         for i in range(0, m.shape[0], 64):  # row blocks: no d x d temporary
             scale = max(scale, np.abs(m[i:i + 64]).max())
@@ -67,6 +67,14 @@ class Operator:
             raise ContractViolationError("matrix is not hermitian within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _adopt(cls, matrix):
+        """Operator(matrix) of a complex array the library just built, without the copy."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", matrix)
+        Operator.__post_init__(op, adopt=True)
+        return op
 
     @property
     def dim(self) -> int:
@@ -85,18 +93,18 @@ class DensityMatrix(Operator):
                 f"negative eigenvalue {evals.min():.3e} beyond tolerance"
             )
 
-    def _check_hermitian_unit_trace(self):
-        super().__post_init__()
+    def _check_hermitian_unit_trace(self, adopt: bool = False):
+        super().__post_init__(adopt)
         tr = np.trace(self.matrix)
         if not abs(tr - 1.0) <= TRACE_TOL:  # also rejects a NaN trace
             raise ContractViolationError(f"trace {tr} differs from 1 beyond tolerance")
 
     @classmethod
     def _positive(cls, matrix) -> "DensityMatrix":
-        """A state positive by how the library built it: checked but for the eigensolve."""
+        """A state positive by how the library built it: adopted, checked but for the eigensolve."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", matrix)
-        rho._check_hermitian_unit_trace()
+        rho._check_hermitian_unit_trace(adopt=True)
         return rho
 
     @classmethod

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (
@@ -71,8 +70,40 @@ def check_dim(dim: int) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class GaussianProbeSpec:
+class _Value:
+    """__slots__ fields set once, by __init__; eq, hash and repr as in a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, checks included
+        return type(self), self._values()
+
+
+class GaussianProbeSpec(_Value):
     """Real displacement/squeezing pair defining a probe D(alpha) S(r) |0> on
     the first dim Fock states.
 
@@ -81,25 +112,20 @@ class GaussianProbeSpec:
     dim can hold such a probe) and dim <= MAX_DIM.
     """
 
-    alpha: float
-    r: float
-    dim: int
+    __slots__ = ("alpha", "r", "dim")
 
-    def __post_init__(self):
-        _finite("alpha", self.alpha)
-        _finite("r", self.r)
-        if self.dim < 2:
+    def __init__(self, alpha: float, r: float, dim: int):
+        super().__init__(alpha, r, dim)
+        _finite("alpha", alpha)
+        _finite("r", r)
+        if dim < 2:
             raise InvalidDimensionError("truncation dimension must be >= 2")
         c0 = self.vacuum_amplitude
         if c0 < sys.float_info.min:
             raise NumericalConsistencyError(
-                f"probe vacuum amplitude underflows ({c0:.3e}) at alpha={self.alpha}, r={self.r}"
+                f"probe vacuum amplitude underflows ({c0:.3e}) at alpha={alpha}, r={r}"
             )
-        check_dim(self.dim)
-
-    @property
-    def mean_excitation(self) -> float:
-        return self.alpha**2 + math.sinh(self.r) ** 2
+        check_dim(dim)
 
     @property
     def vacuum_amplitude(self) -> float:
@@ -165,26 +191,25 @@ def _fock(dim: int, n: int) -> list[float]:
     return [float(k == n) for k in range(dim)]
 
 
-@dataclass(frozen=True)
-class DiffusionParams:
+class DiffusionParams(_Value):
     """Degree beta >= 0 of the Gaussian phase diffusion."""
 
-    beta: float
+    __slots__ = ("beta",)
 
-    def __post_init__(self):
-        _finite_non_negative("beta", self.beta)
+    def __init__(self, beta: float):
+        super().__init__(beta)
+        _finite_non_negative("beta", beta)
 
 
-@dataclass(frozen=True)
-class PhaseFamilySpec:
+class PhaseFamilySpec(_Value):
     """Probe + diffusion + phase interval defining one estimation problem."""
 
-    probe: GaussianProbeSpec | StateVector
-    diffusion: DiffusionParams
-    phi_domain: tuple[float, float]
+    __slots__ = ("probe", "diffusion", "phi_domain")
 
-    def __post_init__(self):
-        lo, hi = self.phi_domain
+    def __init__(self, probe: GaussianProbeSpec | StateVector, diffusion: DiffusionParams,
+                 phi_domain: tuple[float, float]):
+        super().__init__(probe, diffusion, phi_domain)
+        lo, hi = phi_domain
         if not (hi > lo):
             raise ContractViolationError(f"phi_domain ({lo}, {hi}) must be a nonempty interval")
         # phi +- pi may round each end by up to its spacing of doubles
@@ -203,19 +228,15 @@ class PhaseFamilySpec:
         return gaussian_probe(self.probe)
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Statistics of one (family, x, observable) triple.
+class SensitivityReport(_Value):
+    """Statistics of one (family, x, observable) triple: nsr is the parameter
+    uncertainty propagated from the observable's noise, fisher = slope^2 /
+    variance its square inverse."""
 
-    nsr is the parameter uncertainty propagated from the observable's noise;
-    fisher = slope^2 / variance is its square inverse.
-    """
+    __slots__ = ("mean", "variance", "slope", "nsr", "fisher")
 
-    mean: float
-    variance: float
-    slope: float
-    nsr: float
-    fisher: float
+    def __init__(self, mean: float, variance: float, slope: float, nsr: float, fisher: float):
+        super().__init__(mean, variance, slope, nsr, fisher)
 
 
 def _sensitivity_report(mean: float, var: float, slope: float) -> SensitivityReport:

@@ -253,6 +253,11 @@ MUTANTS = [
      "return [i / div * delta + lo for i in range(div)] + [hi]",
      "return [lo] * div + [hi]",
      ["tests/test_cli.py::test_linear_grid_is_linspace_bit_for_bit"]),
+    # the scalar layer's value types with fields that can be reassigned
+    ("nsrkit/scalar.py",
+     'raise AttributeError(f"cannot assign to field {name!r}")',
+     "object.__setattr__(self, name, value)",
+     ["tests/test_operators.py::TestScalarValueTypes::test_fields_are_read_only"]),
 ]
 
 

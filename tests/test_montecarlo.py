@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import statistics
@@ -97,7 +96,8 @@ class TestMeasurementModel:
         monkeypatch.setattr(montecarlo, "_GuideTable", lambda p, nu: tables.append(p))
         spec = case_study_spec(alpha=alpha, r=r)
         c = spec.probe_state().amplitudes
-        rotated = dataclasses.replace(spec, probe=StateVector(c * np.exp(-0.4j * np.arange(c.size))))
+        rotated = PhaseFamilySpec(StateVector(c * np.exp(-0.4j * np.arange(c.size))), spec.diffusion,
+                                  spec.phi_domain)
         model = MeasurementModel.from_observable(quadrature(0.0, spec.dim))
         for probe_spec in (spec, rotated):
             _, _, measurement = montecarlo._prepare(probe_spec, 0.7, 100)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -8,11 +10,14 @@ import pytest
 from nsrkit import (
     ContractViolationError,
     DensityMatrix,
+    DiffusionParams,
     DimensionMismatchError,
     GaussianProbeSpec,
     InvalidDimensionError,
     NumericalConsistencyError,
     Operator,
+    PhaseFamilySpec,
+    SensitivityReport,
     StateVector,
     TruncationError,
     default_truncation_dim,
@@ -463,3 +468,76 @@ class TestTypeContracts:
             fock_state(4, 4)
         with pytest.raises(InvalidDimensionError):
             fock_state(4, -1)
+
+    def test_adopt_holds_the_array_with_operators_checks(self):
+        # the library's fresh arrays are adopted, not copied; Operator(...)
+        # still copies what a caller passes
+        m = np.diag(np.arange(3.0)).astype(complex)
+        assert not np.shares_memory(Operator(m).matrix, m) and m.flags.writeable
+        op = Operator._adopt(m)
+        assert op.matrix is m and not m.flags.writeable and op.dim == 3
+        for bad, error, fragment in [
+            (np.array([[0, 1], [0, 0]], dtype=complex), ContractViolationError, "not hermitian"),
+            (np.full((2, 2), np.nan, dtype=complex), ContractViolationError, "non-finite"),
+            (np.zeros((2, 3), dtype=complex), InvalidDimensionError, "square matrix"),
+            (np.zeros((0, 0), dtype=complex), InvalidDimensionError, "empty matrix"),
+        ]:
+            with pytest.raises(error, match=fragment):
+                Operator._adopt(bad)
+        with pytest.raises(ContractViolationError, match="trace"):
+            DensityMatrix._positive(np.eye(2, dtype=complex))
+        rho = DensityMatrix._positive(np.diag([0.25, 0.75]).astype(complex))
+        assert isinstance(rho, DensityMatrix) and not rho.matrix.flags.writeable
+
+
+def scalar_values():
+    probe = GaussianProbeSpec(1.0, 0.0, 16)
+    return [probe, DiffusionParams(0.3), PhaseFamilySpec(probe, DiffusionParams(0.3), (-1.0, 2.0)),
+            SensitivityReport(1.0, 2.0, 3.0, 4.0, 5.0)]
+
+
+class TestScalarValueTypes:
+    """nsrkit.scalar's value types are frozen slotted classes that behave as
+    frozen dataclasses of the same fields, without importing dataclasses."""
+
+    @pytest.mark.parametrize("value", scalar_values(), ids=lambda v: type(v).__name__)
+    def test_fields_are_read_only(self, value):
+        before = repr(value)
+        for name in value.__slots__:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, 0.0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+        assert repr(value) == before
+
+    @pytest.mark.parametrize("value", scalar_values(), ids=lambda v: type(v).__name__)
+    def test_equality_hash_and_repr_by_field_value(self, value):
+        fields = tuple(getattr(value, name) for name in value.__slots__)
+        twin = type(value)(*fields)
+        assert twin == value and hash(twin) == hash(value) and len({twin, value}) == 1
+        assert value != fields and fields != value
+        assert all(value != other for other in scalar_values() if type(other) is not type(value))
+        reference = dataclasses.make_dataclass(type(value).__name__, value.__slots__, frozen=True)
+        assert repr(value) == repr(reference(*fields))
+        assert hash(value) == hash(reference(*fields))
+        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+
+    def test_repr_and_inequality(self):
+        assert repr(GaussianProbeSpec(1.0, 0.0, 16)) == "GaussianProbeSpec(alpha=1.0, r=0.0, dim=16)"
+        assert GaussianProbeSpec(1.0, 0.0, 16) != GaussianProbeSpec(1.0, 0.0, 17)
+        assert DiffusionParams(0.3) != DiffusionParams(0.4)
+
+    def test_keyword_construction(self):
+        # as perfbench/setup_probe.py and the README's example build them
+        psi = gaussian_probe(GaussianProbeSpec.with_default_dim(alpha=1.0, r=0.5))
+        spec = PhaseFamilySpec(probe=psi, diffusion=DiffusionParams(beta=0.3),
+                               phi_domain=(-math.pi, math.pi))
+        assert (spec.probe, spec.diffusion.beta, spec.phi_domain) == (psi, 0.3, (-math.pi, math.pi))
+        assert spec.dim == psi.dim and spec.probe_state() is psi
+        assert GaussianProbeSpec(alpha=1.0, r=0.0, dim=16) == GaussianProbeSpec(1.0, 0.0, 16)
+        report = SensitivityReport(mean=1.0, variance=2.0, slope=3.0, nsr=4.0, fisher=5.0)
+        assert report == SensitivityReport(1.0, 2.0, 3.0, 4.0, 5.0)
+        with pytest.raises(ContractViolationError, match="beta must be finite and >= 0"):
+            DiffusionParams(beta=-1.0)
