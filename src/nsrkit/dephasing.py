@@ -17,26 +17,8 @@ import numpy as np
 from .errors import ContractViolationError
 from .estimation import ParamFamily, _sld_in_eigenbasis
 from .operators import DensityMatrix, Operator, fock_ladder
-from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines them)
-    DEFAULT_N_GRID,
-    DEFAULT_TWO_BETA_SQ_GRID,
-    DiffusionParams,
-    PhaseFamilySpec,
-    _finite,
-    _finite_non_negative,
-    _number_moments,
-    _quadrature_reports,
-    _ratio_table,
-    analytic_fnsr,
-    c_q,
-    enhancement_threshold,
-    max_enhancement_ratio,
-    no_squeeze_ratio_bound,
-    optimal_calibration,
-    optimal_fnsr,
-    r_max,
-    r_opt,
-)
+from .scalar import PhaseFamilySpec, _finite, _finite_non_negative, _ratio_table
+from .scalar import analytic_fnsr, enhancement_threshold  # noqa: F401  (perfbench/traced.py)
 
 
 def _delta_n(dim: int) -> np.ndarray:
@@ -64,7 +46,7 @@ def _real_state(c: np.ndarray, kernel: np.ndarray, x: float) -> np.ndarray:
 def _dephased(state: np.ndarray, beta: float) -> DensityMatrix:
     """A state's matrix times the kernel: a state by the Schur product theorem
     (Horn & Johnson, Matrix Analysis, 7.5.3)."""
-    return DensityMatrix._positive(state * _kernel(state.shape[0], beta))
+    return DensityMatrix._adopt(state * _kernel(state.shape[0], beta))
 
 
 def dephase_channel(rho: DensityMatrix, phi: float, beta: float) -> DensityMatrix:
@@ -92,7 +74,7 @@ def dephasing_family(spec: PhaseFamilySpec) -> ParamFamily:
     base = _dephased(np.outer(amp, amp.conj()), spec.diffusion.beta)
 
     def derivative_at(phi: float) -> Operator:
-        return Operator(-1j * dn * base.phase_shifted(phi).matrix)
+        return Operator._adopt(-1j * dn * base.phase_shifted(phi).matrix)
 
     return ParamFamily(
         dim=psi.dim,
@@ -106,7 +88,7 @@ def quadrature(phi_exp: float, dim: int) -> Operator:
     """Observable a e^{i phi_exp} + a^dag e^{-i phi_exp} (vacuum variance 1)."""
     _finite("phi_exp", phi_exp)
     a, adag = fock_ladder(dim)
-    return Operator(a * np.exp(1j * phi_exp) + adag * np.exp(-1j * phi_exp))
+    return Operator._adopt(a * np.exp(1j * phi_exp) + adag * np.exp(-1j * phi_exp))
 
 
 def _covariant_sld(c: np.ndarray, beta: float) -> tuple[float, float]:

@@ -31,11 +31,7 @@ from .operators import (
     real_trace,
     variance,
 )
-from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines them)
-    VARIANCE_ZERO_RTOL,
-    SensitivityReport,
-    _sensitivity_report,
-)
+from .scalar import SensitivityReport, _sensitivity_report
 
 # Eigenvalue-pair cut for the SLD solve, relative to the largest eigenvalue.
 SLD_EIG_CUT_REL = 1e-12
@@ -133,7 +129,7 @@ def sld(rho: DensityMatrix, drho: Operator) -> Operator:
     """
     _, vecs, _, l_eig, _ = _solve_sld(rho, drho)
     l_mat = vecs @ l_eig @ vecs.conj().T
-    return Operator((l_mat + l_mat.conj().T) / 2)
+    return Operator._adopt((l_mat + l_mat.conj().T) / 2)
 
 
 def qfi(fam: ParamFamily, x: float) -> float:
@@ -180,7 +176,7 @@ def pure_unitary_family(h: Operator, psi: StateVector) -> ParamFamily:
     def derivative_at(x: float) -> Operator:
         amp = psi_at(x).amplitudes
         damp = -1j * (h.matrix @ amp)
-        return Operator(np.outer(damp, amp.conj()) + np.outer(amp, damp.conj()))
+        return Operator._adopt(np.outer(damp, amp.conj()) + np.outer(amp, damp.conj()))
 
     return ParamFamily(
         dim=h.dim,

@@ -49,7 +49,7 @@ SHIFT = 64 - (GUIDE_BUCKETS.bit_length() - 1)
 CHUNK = 2**15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Eigendecomposition of an observable, exposing Born-rule probabilities."""
 
@@ -161,14 +161,14 @@ class _GuideTable:
         return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationCurve:
     """The exact calibration curve <m>_x = A cos(x - x0) of a quadrature m on
     a phase family, on the half period where it is monotone.
 
     xs = (x0, x0 + pi) are the ends of that half period and means = (A, -A)
-    the means there; window = (lo, hi), inside xs, is the range of x the
-    estimates are clamped to.
+    the means there, read-only arrays; window = (lo, hi), inside xs, is the
+    range of x the estimates are clamped to.
     """
 
     xs: np.ndarray
@@ -202,8 +202,10 @@ def build_curve(report_at, start: float, domain: tuple[float, float]) -> Calibra
             f"monotone window ({start:.4g}, {start + math.pi:.4g}) has no "
             f"overlap with the domain {domain}"
         )
-    return CalibrationCurve(xs=np.array([x0, x0 + math.pi]),
-                            means=np.array([amplitude, -amplitude]), window=(lo, hi))
+    xs, means = np.array([x0, x0 + math.pi]), np.array([amplitude, -amplitude])
+    xs.setflags(write=False)
+    means.setflags(write=False)
+    return CalibrationCurve(xs=xs, means=means, window=(lo, hi))
 
 
 def invert_mean(curve: CalibrationCurve, observed_mean: float) -> tuple[float, bool]:

@@ -4,8 +4,9 @@ An Operator is a Hermitian matrix by construction, and a DensityMatrix is an
 Operator that also has unit trace and no negative eigenvalue; each checks its
 invariants once, when it is built, and holds a read-only complex numpy
 matrix. Only DensityMatrix(...) and from_matrix prove positivity, with an
-eigensolve; the states the library builds are positive by construction and
-skip it. The ladder matrices, the only non-Hermitian ones, are plain arrays.
+eigensolve; a matrix the library builds is adopted (Operator._adopt) without a
+copy, and a state it builds, positive by construction, without the eigensolve.
+The ladder matrices, the only non-Hermitian ones, are plain arrays.
 Conventions: hbar = 1 and the quadrature a e^{i phi} + a^dag e^{-i phi} is
 normalized so the vacuum variance is 1.
 """
@@ -22,43 +23,46 @@ from .errors import (
     InvalidDimensionError,
     NumericalConsistencyError,
 )
-from .scalar import (  # noqa: F401  (re-exported: the numpy-free layer defines them)
+from .scalar import (
     HERMITICITY_RTOL,
     IMAG_RESIDUE_TOL,
-    LEAKAGE_TOL,
-    MAX_DIM,
     PSD_TOL,
-    TAIL_TARGET,
     TRACE_TOL,
     GaussianProbeSpec,
     _finite,
     _fock,
     _probe,
-    check_dim,
-    default_truncation_dim,
 )
 
 
-def _as_complex_matrix(entries, adopt: bool = False) -> np.ndarray:
-    m = (np.asarray if adopt else np.array)(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise InvalidDimensionError("empty matrix")
-    if not np.isfinite(m).all():
-        raise ContractViolationError("matrix has a non-finite entry")
-    return m
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an ndarray has no truth value
 class Operator:
     """A Hermitian matrix: dense, complex, square and read-only, equal to its
     conjugate transpose within HERMITICITY_RTOL of its largest entry."""
 
     matrix: np.ndarray
 
-    def __post_init__(self, adopt: bool = False):
-        m = _as_complex_matrix(self.matrix, adopt)
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", self._hold(np.array(self.matrix, dtype=complex)))
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray):
+        """cls(matrix) of a complex array the library just built: the array is
+        held, not copied, after the same checks but for DensityMatrix's
+        eigensolve, as such a state is positive by how it was built."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "matrix", cls._hold(matrix))
+        return value
+
+    @classmethod
+    def _hold(cls, m: np.ndarray) -> np.ndarray:
+        """m, checked square, non-empty, finite and Hermitian, made read-only."""
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
+        if m.shape[0] < 1:
+            raise InvalidDimensionError("empty matrix")
+        if not np.isfinite(m).all():
+            raise ContractViolationError("matrix has a non-finite entry")
         scale = skew = 0.0
         for i in range(0, m.shape[0], 64):  # row blocks: no d x d temporary
             scale = max(scale, np.abs(m[i:i + 64]).max())
@@ -66,64 +70,54 @@ class Operator:
         if scale > 0 and skew > HERMITICITY_RTOL * scale:
             raise ContractViolationError("matrix is not hermitian within tolerance")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def _adopt(cls, matrix):
-        """Operator(matrix) of a complex array the library just built, without the copy."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "matrix", matrix)
-        Operator.__post_init__(op, adopt=True)
-        return op
+        return m
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix(Operator):
     """Positive-semidefinite, unit-trace Operator."""
 
     def __post_init__(self):
-        self._check_hermitian_unit_trace()
+        super().__post_init__()
         evals = np.linalg.eigvalsh(self.matrix)
         if evals.min() < -PSD_TOL:
             raise ContractViolationError(
                 f"negative eigenvalue {evals.min():.3e} beyond tolerance"
             )
 
-    def _check_hermitian_unit_trace(self, adopt: bool = False):
-        super().__post_init__(adopt)
-        tr = np.trace(self.matrix)
+    @classmethod
+    def _hold(cls, m: np.ndarray) -> np.ndarray:
+        m = super()._hold(m)
+        tr = np.trace(m)
         if not abs(tr - 1.0) <= TRACE_TOL:  # also rejects a NaN trace
             raise ContractViolationError(f"trace {tr} differs from 1 beyond tolerance")
-
-    @classmethod
-    def _positive(cls, matrix) -> "DensityMatrix":
-        """A state positive by how the library built it: adopted, checked but for the eigensolve."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", matrix)
-        rho._check_hermitian_unit_trace(adopt=True)
-        return rho
+        return m
 
     @classmethod
     def from_matrix(cls, matrix) -> "DensityMatrix":
-        m = _as_complex_matrix(matrix)
-        return cls((m + m.conj().T) / 2)
+        """cls of the Hermitian part of matrix; a matrix that is not square
+        and finite is passed on as it is, for the checks to report."""
+        m = np.array(matrix, dtype=complex)
+        if m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all():
+            m = (m + m.conj().T) / 2
+        return cls(m)
 
     def phase_shifted(self, phi: float) -> "DensityMatrix":
         """D rho D^dag with D = diag(e^{-i phi n}), n the Fock index.
 
         Conjugation by a unitary keeps the spectrum, so the state stays
-        positive and is built through _positive, without an eigensolve.
+        positive and is adopted (_adopt), without an eigensolve.
         """
         _finite("phase shift", phi)
         ph = np.exp(-1j * phi * np.arange(self.dim))
-        return DensityMatrix._positive(self.matrix * np.outer(ph, ph.conj()))
+        return DensityMatrix._adopt(self.matrix * np.outer(ph, ph.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state in the computational (Fock) basis whose squared norm is
     within TRACE_TOL of 1, the tolerance its projector's trace is held to."""
@@ -146,7 +140,7 @@ class StateVector:
 
     def density_matrix(self) -> DensityMatrix:
         """|psi><psi|, a projector, so positive by construction."""
-        return DensityMatrix._positive(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._adopt(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def _ladder_entries(dim: int) -> np.ndarray:
@@ -171,7 +165,7 @@ def number_operator(dim: int) -> Operator:
     """n = a^dag a, diagonal (0, 1, ..., dim-1)."""
     if dim < 2:
         raise InvalidDimensionError(f"number operator needs dim >= 2, got {dim}")
-    return Operator(np.diag(np.arange(dim, dtype=float)).astype(complex))
+    return Operator._adopt(np.diag(np.arange(dim, dtype=float)).astype(complex))
 
 
 def fock_state(dim: int, n: int) -> StateVector:

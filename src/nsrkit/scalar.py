@@ -2,10 +2,11 @@
 amplitude recurrence, the O(d) sums over its amplitudes and the closed forms
 of the phase-diffusion case study, all on Python floats and `math`.
 
-The numpy modules (operators, estimation, dephasing) re-export every name
-defined here, so `nsr`, `scan`, `fig2` and `qfi --family pure --h number` run
-without importing numpy. Sums over amplitudes are math.fsum, so each is exactly
-rounded.
+Each name defined here has this module as its one home; the numpy modules
+(operators, estimation, dephasing, montecarlo) import the names they use.
+`nsr`, `scan`, `fig2` and `qfi --family pure --h number` run on this layer
+alone, without importing numpy. Sums over amplitudes are math.fsum, so each
+is exactly rounded.
 """
 
 from __future__ import annotations

@@ -258,6 +258,25 @@ MUTANTS = [
      'raise AttributeError(f"cannot assign to field {name!r}")',
      "object.__setattr__(self, name, value)",
      ["tests/test_operators.py::TestScalarValueTypes::test_fields_are_read_only"]),
+    # a DensityMatrix, adopted or built, without its unit-trace check
+    ("nsrkit/operators.py",
+     "if not abs(tr - 1.0) <= TRACE_TOL:",
+     "if False:",
+     ["tests/test_operators.py"]),
+    # a StateVector compared field by field, so == on twins raises
+    ("nsrkit/operators.py",
+     "@dataclass(frozen=True, eq=False)\nclass StateVector:",
+     "@dataclass(frozen=True)\nclass StateVector:",
+     ["tests/test_operators.py::TestArrayValueTypes"]),
+    ("nsrkit/montecarlo.py",
+     "    xs.setflags(write=False)\n    means.setflags(write=False)\n",
+     "",
+     ["tests/test_montecarlo.py::TestBuildCurve::test_arrays_are_read_only"]),
+    # a report's floats rounded to 12 digits in its CSV form
+    ("nsrkit/cli.py",
+     "flat[key] = value",
+     "flat[key] = round(value, 12) if isinstance(value, float) else value",
+     ["tests/test_golden.py"]),
 ]
 
 

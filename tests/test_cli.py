@@ -1,4 +1,7 @@
+import ast
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
@@ -24,9 +27,14 @@ from nsrkit import (
 )
 from nsrkit import cli, errors
 from nsrkit.cli import main
-from nsrkit.dephasing import DEFAULT_N_GRID, DEFAULT_TWO_BETA_SQ_GRID, _number_moments
-from nsrkit.operators import MAX_DIM, Operator
-from nsrkit.scalar import _enhancement_ratio
+from nsrkit.operators import Operator
+from nsrkit.scalar import (
+    DEFAULT_N_GRID,
+    DEFAULT_TWO_BETA_SQ_GRID,
+    MAX_DIM,
+    _enhancement_ratio,
+    _number_moments,
+)
 
 from conftest import dephasing_covariant_sld, fock_dephasing_spec
 
@@ -256,20 +264,21 @@ class TestNsrCommand:
     ], ids=["nsr-quadrature", "nsr-phi-exp", "scan-numeric", "nsr-number"])
     def test_quadrature_builds_no_matrix(self, capsys, monkeypatch, argv, dense):
         # the quadrature's and the number operator's statistics come from the
-        # probe's sums: no Operator (DensityMatrix included) and no family;
-        # cli imports dephasing_family from nsrkit.dephasing where it calls it
+        # probe's sums: no Operator (DensityMatrix included, adopted or not:
+        # each is checked by _hold) and no family; cli imports
+        # dephasing_family from nsrkit.dephasing where it calls it
         built = {"operators": 0, "families": 0}
-        post_init, family = Operator.__post_init__, nsrkit.dephasing.dephasing_family
+        hold, family = Operator._hold, nsrkit.dephasing.dephasing_family
 
-        def counted_post_init(self):
+        def counted_hold(*args):  # (cls or self, m), or (m) through super()
             built["operators"] += 1
-            post_init(self)
+            return hold(args[-1])
 
         def counted_family(spec):
             built["families"] += 1
             return family(spec)
 
-        monkeypatch.setattr(Operator, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Operator, "_hold", counted_hold)
         monkeypatch.setattr(nsrkit.dephasing, "dephasing_family", counted_family)
         assert run_cli(capsys, *argv)[0] == 0
         assert (built["operators"] > 0, built["families"]) == (dense, int(dense))
@@ -930,6 +939,20 @@ def test_o_d_routes_import_no_numpy(tmp_path):
         assert (got, numpy_loaded, dataclasses_loaded) == (code, False, False), argv
     assert json.loads((tmp_path / "nsr.json").read_text())["command"] == "nsr"
     assert len((tmp_path / "fig2" / "fig2_left.csv").read_text().splitlines()) == 12001
+
+
+@pytest.mark.parametrize("module", ["operators", "estimation", "dephasing", "montecarlo"])
+def test_scalar_names_imported_only_where_used(module):
+    # each name of nsrkit.scalar has one home: a numpy module imports from it
+    # only the names it uses, but for the two that perfbench/traced.py wraps
+    # where nsrkit.dephasing holds them
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"nsrkit.{module}")))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "scalar"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    traced = {"analytic_fnsr", "enhancement_threshold"} if module == "dephasing" else set()
+    assert imported and imported - used == traced
 
 
 LAZY_IMPORT_CHILD = """

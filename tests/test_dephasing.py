@@ -38,15 +38,17 @@ from nsrkit import (
     variance,
 )
 from nsrkit import scalar
-from nsrkit.dephasing import (
+from nsrkit.errors import SupportTruncationWarning
+from nsrkit.estimation import SLD_EIG_CUT_REL, _solve_sld
+from nsrkit.operators import Operator, StateVector
+from nsrkit.scalar import (
     DEFAULT_N_GRID,
     DEFAULT_TWO_BETA_SQ_GRID,
+    PSD_TOL,
+    TRACE_TOL,
     _number_moments,
     _quadrature_reports,
 )
-from nsrkit.errors import SupportTruncationWarning
-from nsrkit.estimation import SLD_EIG_CUT_REL, _solve_sld
-from nsrkit.operators import PSD_TOL, TRACE_TOL, Operator, StateVector
 
 from conftest import dephasing_covariant_sld, fock_dephasing_spec
 from oracles import (

@@ -188,7 +188,7 @@ class TestQfi:
             raise AssertionError("built a matrix")
 
         monkeypatch.setattr(StateVector, "density_matrix", refuse)
-        monkeypatch.setattr(Operator, "__post_init__", refuse)
+        monkeypatch.setattr(Operator, "_hold", refuse)
         assert pure_unitary_qfi(h, psi) == pytest.approx(expected[0], rel=1e-12)
         assert pure_unitary_sample_size_bound(h, psi) == pytest.approx(expected[1], rel=1e-8)
 

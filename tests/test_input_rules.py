@@ -28,7 +28,7 @@ from nsrkit import (
     r_opt,
     run_trials,
 )
-from nsrkit.dephasing import _quadrature_reports
+from nsrkit.scalar import _quadrature_reports
 
 from conftest import fock_dephasing_spec
 

@@ -33,7 +33,7 @@ from nsrkit import (  # noqa: E402
     quadrature,
 )
 
-from nsrkit.operators import MAX_DIM  # noqa: E402
+from nsrkit.scalar import MAX_DIM  # noqa: E402
 
 from conftest import fock_dephasing_spec  # noqa: E402
 

@@ -38,8 +38,8 @@ from nsrkit import (
     run_trials,
 )
 from nsrkit import montecarlo, operators
-from nsrkit.dephasing import _quadrature_reports
 from nsrkit.montecarlo import CHUNK, GUIDE_BUCKETS, SHIFT, _GuideTable
+from nsrkit.scalar import _quadrature_reports
 
 from conftest import SIGMA_Z, plus_state
 from oracles import random_density_mat, random_hermitian
@@ -394,6 +394,19 @@ class TestBuildCurve:
         np.testing.assert_allclose(curve.means, [amplitude, -amplitude], atol=1e-7)
         np.testing.assert_allclose(curve.xs, [phi_exp, phi_exp + math.pi], atol=1e-12)
         np.testing.assert_allclose(curve.window, [phi_exp, phi_exp + math.pi], atol=1e-12)
+
+    def test_arrays_are_read_only(self):
+        # writeable, means[0] = -means[0] would move invert_mean(curve, 0.3)
+        # from -0.16487 to +0.16487 without an error
+        spec = case_study_spec(phi_true=0.0)
+        curve = build_curve(_quadrature_reports(spec, 0.0), optimal_calibration(0.0),
+                            spec.phi_domain)
+        before = invert_mean(curve, 0.3)
+        assert before[0] == pytest.approx(-0.16487, abs=1e-5)
+        for arr in (curve.xs, curve.means):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -arr[0]
+        assert invert_mean(curve, 0.3) == before
 
     def test_beta_zero_amplitude(self):
         spec = case_study_spec(beta=0.0)
@@ -793,11 +806,11 @@ def test_one_state_per_measurement(monkeypatch):
 def test_no_operator_built(monkeypatch, alpha, r):
     # mc reads X_0 and each Born distribution as real arrays: no Operator,
     # DensityMatrix or dense family is built
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("mc built an Operator")
 
     spec = case_study_spec(alpha=alpha, r=r)
-    monkeypatch.setattr(Operator, "__post_init__", refuse)
+    monkeypatch.setattr(Operator, "_hold", refuse)
     run = run_trials(spec, 0.7, nu=1000, repeats=3, seed=0)
     assert run.estimates.shape == (3,)
     estimates, *_ = adaptive_calibrate(spec, 0.7, batch=1000, rounds=3, seed=0)

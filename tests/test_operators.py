@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from nsrkit import (
+    CalibrationCurve,
     ContractViolationError,
     DensityMatrix,
     DiffusionParams,
     DimensionMismatchError,
     GaussianProbeSpec,
     InvalidDimensionError,
+    MeasurementModel,
     NumericalConsistencyError,
     Operator,
     PhaseFamilySpec,
@@ -29,7 +31,8 @@ from nsrkit import (
     quadrature,
     variance,
 )
-from nsrkit.operators import MAX_DIM, check_dim, real_trace
+from nsrkit.operators import real_trace
+from nsrkit.scalar import MAX_DIM, check_dim
 
 from oracles import (
     coherent_amplitudes,
@@ -485,9 +488,38 @@ class TestTypeContracts:
             with pytest.raises(error, match=fragment):
                 Operator._adopt(bad)
         with pytest.raises(ContractViolationError, match="trace"):
-            DensityMatrix._positive(np.eye(2, dtype=complex))
-        rho = DensityMatrix._positive(np.diag([0.25, 0.75]).astype(complex))
+            DensityMatrix._adopt(np.eye(2, dtype=complex))
+        rho = DensityMatrix._adopt(np.diag([0.25, 0.75]).astype(complex))
         assert isinstance(rho, DensityMatrix) and not rho.matrix.flags.writeable
+
+
+# Each builds a fresh value that holds an array, equal in value to the last.
+ARRAY_VALUES = {
+    "Operator": lambda: Operator(np.diag([1.0, -1.0])),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
+    "StateVector": lambda: StateVector([1.0, 0.0]),
+    "MeasurementModel": lambda: MeasurementModel.from_observable(number_operator(3)),
+    "CalibrationCurve": lambda: CalibrationCurve(xs=np.array([0.0, math.pi]),
+                                                 means=np.array([2.0, -2.0]), window=(0.5, 2.5)),
+}
+
+
+class TestArrayValueTypes:
+    """A value that holds an array is equal only to itself and hashes by
+    identity: a field-wise == on arrays has no truth value."""
+
+    @pytest.mark.parametrize("build", ARRAY_VALUES.values(), ids=ARRAY_VALUES.keys())
+    def test_twins_compare_unequal_and_hash(self, build):
+        value, twin = build(), build()
+        assert value == value and value != twin and not value == twin
+        assert hash(value) == hash(value) and len({value, twin, value}) == 2
+
+    def test_state_vector_probe_spec_in_a_set(self):
+        psi = StateVector([1.0, 0.0])
+        spec = PhaseFamilySpec(psi, DiffusionParams(0.3), (-1.0, 1.0))
+        twin = PhaseFamilySpec(psi, DiffusionParams(0.3), (-1.0, 1.0))
+        assert spec == twin and len({spec, twin}) == 1
+        assert spec != PhaseFamilySpec(StateVector([1.0, 0.0]), DiffusionParams(0.3), (-1.0, 1.0))
 
 
 def scalar_values():
