@@ -47,9 +47,9 @@ class Operator:
 
     @classmethod
     def _adopt(cls, matrix: np.ndarray):
-        """cls(matrix) of a complex array the library just built: the array is
-        held, not copied, after the same checks but for DensityMatrix's
-        eigensolve, as such a state is positive by how it was built."""
+        """cls(matrix) of a complex array the library just built: held, not
+        copied, after the same checks but for DensityMatrix's eigensolve, which
+        from_matrix runs next; the other such states are positive as built."""
         value = object.__new__(cls)
         object.__setattr__(value, "matrix", cls._hold(matrix))
         return value
@@ -83,11 +83,14 @@ class DensityMatrix(Operator):
 
     def __post_init__(self):
         super().__post_init__()
-        evals = np.linalg.eigvalsh(self.matrix)
-        if evals.min() < -PSD_TOL:
-            raise ContractViolationError(
-                f"negative eigenvalue {evals.min():.3e} beyond tolerance"
-            )
+        self._prove_positive()
+
+    def _prove_positive(self) -> "DensityMatrix":
+        """self, once an eigensolve finds no eigenvalue below -PSD_TOL."""
+        low = np.linalg.eigvalsh(self.matrix).min()
+        if low < -PSD_TOL:
+            raise ContractViolationError(f"negative eigenvalue {low:.3e} beyond tolerance")
+        return self
 
     @classmethod
     def _hold(cls, m: np.ndarray) -> np.ndarray:
@@ -99,12 +102,13 @@ class DensityMatrix(Operator):
 
     @classmethod
     def from_matrix(cls, matrix) -> "DensityMatrix":
-        """cls of the Hermitian part of matrix; a matrix that is not square
-        and finite is passed on as it is, for the checks to report."""
+        """cls of the Hermitian part of matrix, formed in place in one copy; a
+        matrix not square and finite is passed on as it is, for the checks."""
         m = np.array(matrix, dtype=complex)
         if m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all():
-            m = (m + m.conj().T) / 2
-        return cls(m)
+            m += m.conj().T
+            m *= 0.5
+        return cls._adopt(m)._prove_positive()
 
     def phase_shifted(self, phi: float) -> "DensityMatrix":
         """D rho D^dag with D = diag(e^{-i phi n}), n the Fock index.

@@ -333,20 +333,32 @@ def optimal_calibration(phi_true: float) -> float:
     return wrapped - math.pi
 
 
-def _beta_terms(beta: float) -> tuple[float, float, float, float, float]:
-    """The beta-only factors of r_opt, analytic_fnsr and c_q: w = e^{-4 beta^2},
-    sqrt(1 - w^2), e^{-2 beta^2}, 1 - w (by expm1, exact near 0) and 8 beta^2."""
+def _beta_terms(beta: float) -> tuple[float, float, float, float, float, float]:
+    """w = e^{-4 beta^2}, sqrt(1 - w^2) and e^{2 beta^2} (inf where it overflows)
+    for _r_opt_form, e^{-2 beta^2} and 1 - w (by expm1, exact near 0) for
+    _fnsr_form, and 8 beta^2 for _c_q_form: the beta-only factors of a cell."""
     b2 = beta**2
-    return (math.exp(-4.0 * b2), math.sqrt(-math.expm1(-8.0 * b2)),
+    try:
+        grow = math.exp(2.0 * b2)
+    except OverflowError:  # beta above about 18.8
+        grow = math.inf
+    return (math.exp(-4.0 * b2), math.sqrt(-math.expm1(-8.0 * b2)), grow,
             math.exp(-2.0 * b2), -math.expm1(-4.0 * b2), 8.0 * b2)
 
 
 def _fnsr_form(r, alpha, decay, noise):
-    """analytic_fnsr's quotient at decay = e^{-2 beta^2} and noise =
-    1 - e^{-4 beta^2}, exact where e^{-2r} and sinh 2r are finite: |r| below
-    about 354.9."""
-    num = 4.0 * alpha**2 * decay
-    return num / (math.exp(-2.0 * r) + noise * (2.0 * alpha**2 + math.sinh(2.0 * r)))
+    """analytic_fnsr at decay = e^{-2 beta^2} and noise = 1 - e^{-4 beta^2},
+    for |r| <= 709. Raises OverflowError where 4 alpha^2 is not finite."""
+    a4 = 4.0 * alpha**2
+    if not a4 < math.inf:  # float multiplication overflows to inf without raising
+        raise OverflowError(f"4 alpha^2 overflows at alpha={alpha}")
+    try:
+        return a4 * decay / (math.exp(-2.0 * r) + noise * (2.0 * alpha**2 + math.sinh(2.0 * r)))
+    except OverflowError:  # e^{-2r} or sinh 2r overflows: |r| beyond about 354.9
+        if r < 0 or noise > 0 or a4 == 0.0:
+            return 0.0  # the anti-squeezed quadrature, or the diffusion, swamps the signal
+        e_r = math.exp(r)  # no diffusion: 4 alpha^2 e^{2r}, where e^{-2r} is subnormal
+        return a4 * e_r * e_r
 
 
 def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
@@ -358,23 +370,12 @@ def analytic_fnsr(r: float, alpha: float, beta: float) -> float:
         e^{-2r} + (1 - e^{-4 beta^2})(2 alpha^2 + sinh 2r)
 
     Guarded against overflow for |r| beyond ~354; raises OverflowError where
-    4 alpha^2 overflows, also for numpy scalars, which are taken as floats.
+    4 alpha^2 is not finite, also for numpy scalars, which are taken as floats.
     """
     r, alpha, beta = _finite("r", r), _finite("alpha", alpha), _finite_non_negative("beta", beta)
-    if math.isinf(4.0 * alpha**2):  # float multiplication overflows to inf without raising
-        raise OverflowError(f"4 alpha^2 overflows at alpha={alpha}")
-    try:
-        if not math.isinf(2.0 * r):  # math.exp and math.sinh take inf without raising
-            _, _, decay, noise, _ = _beta_terms(beta)
-            return _fnsr_form(r, alpha, decay, noise)
-    except OverflowError:  # e^{-2r} or sinh 2r overflows: |r| beyond about 354.9
-        pass
-    if r < 0 or beta**2 > 0 or alpha**2 == 0.0:
-        return 0.0  # the anti-squeezed quadrature, or the diffusion, swamps the signal
-    # no diffusion: 4 alpha^2 e^{2r}, where e^{-2r} is subnormal; beyond
-    # r = 709 the product overflows to inf for every alpha^2 > 0
-    e_r = math.exp(min(r, 709.0))
-    return 4.0 * alpha**2 * e_r * e_r
+    _, _, _, decay, noise, _ = _beta_terms(beta)
+    # the value does not depend on r beyond |r| = 709, and 2r stays finite
+    return _fnsr_form(min(max(r, -709.0), 709.0), alpha, decay, noise)
 
 
 def r_max(beta: float) -> float:
@@ -395,15 +396,25 @@ def r_max(beta: float) -> float:
     return 0.25 * math.log1p(2.0 * math.exp(-u) / -math.expm1(-u))
 
 
-def _r_opt_form(n_mean, w, root):
-    """r_opt's closed form at w = e^{-4 beta^2} and root = sqrt(1 - w^2)."""
-    q = 1.0 / (2.0 * n_mean + 1.0)
+def _r_opt_form(n_mean, w, root, grow):
+    """r_opt and sinh^2 r at w = e^{-4 beta^2}, root = sqrt(1 - w^2) and grow =
+    e^{2 beta^2}; OverflowError where (2N + 1) e^{2 beta^2} is not finite, and
+    NumericalConsistencyError where sinh^2 r exceeds N, leaving alpha none."""
+    m = 2.0 * n_mean + 1.0
+    if not m * grow < math.inf:  # overflows silently
+        raise OverflowError(f"(2N + 1) e^{{2 beta^2}} overflows at N={n_mean}")
+    q = 1.0 / m
     p = 2.0 * n_mean * q
     s = math.hypot(root, w * q)  # sqrt(1 - w^2 + w^2 q^2)
     a = (1.0 + w) * (2.0 - q) - w * q * q  # >= 1
     b = q * q * (4.0 + 2.0 * w) + 4.0 * (1.0 + w) * p * (2.0 * q + p)
     x = w * p * (1.0 + w) * b / ((a + q * s) * (1.0 + w + s) * (w * q + s))
-    return 0.5 * math.log1p(x)
+    r = 0.5 * math.log1p(x)
+    sinh_sq = math.sinh(r) ** 2
+    if sinh_sq > n_mean + 1e-12 * max(1.0, n_mean):
+        raise NumericalConsistencyError(
+            f"r_opt={r} puts sinh^2 r above N={n_mean}; no excitation left for alpha")
+    return r, sinh_sq
 
 
 def r_opt(n_mean: float, beta: float) -> float:
@@ -420,15 +431,8 @@ def r_opt(n_mean: float, beta: float) -> float:
     terms, which neither cancels nor overflows.
     """
     n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
-    if math.isinf((2.0 * n_mean + 1.0) * math.exp(2.0 * beta**2)):  # overflows silently
-        raise OverflowError(f"(2N + 1) e^{{2 beta^2}} overflows at N={n_mean}")
-    w, root, *_ = _beta_terms(beta)
-    r = _r_opt_form(n_mean, w, root)
-    if math.sinh(r) ** 2 > n_mean + 1e-12 * max(1.0, n_mean):
-        raise NumericalConsistencyError(
-            f"r_opt={r} puts sinh^2 r above N={n_mean}; no excitation left for alpha"
-        )
-    return r
+    w, root, grow, *_ = _beta_terms(beta)
+    return _r_opt_form(n_mean, w, root, grow)[0]
 
 
 def _c_q_form(n_mean, eight_beta_sq, top):
@@ -442,15 +446,15 @@ def c_q(n_mean: float, beta: float) -> float:
     """Standard-limit benchmark 4N / (1 + 8 beta^2 N), finite up to the
     largest N; numpy scalars are taken as floats."""
     n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
-    return _c_q_form(n_mean, _beta_terms(beta)[4], max(n_mean, 1.0))
+    return _c_q_form(n_mean, 8.0 * beta**2, max(n_mean, 1.0))
 
 
 def optimal_fnsr(n_mean: float, beta: float) -> float:
     """Quadrature Fisher value at the optimum squeezing for mean excitation N."""
-    n_mean, beta = float(n_mean), float(beta)
-    r = r_opt(n_mean, beta)
-    alpha_sq = max(n_mean - math.sinh(r) ** 2, 0.0)
-    return analytic_fnsr(r, math.sqrt(alpha_sq), beta)
+    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
+    w, root, grow, decay, noise, _ = _beta_terms(beta)
+    r, sinh_sq = _r_opt_form(n_mean, w, root, grow)
+    return _fnsr_form(r, math.sqrt(max(n_mean - sinh_sq, 0.0)), decay, noise)
 
 
 def no_squeeze_ratio_bound(n_mean: float, beta: float) -> float:
@@ -465,51 +469,41 @@ def no_squeeze_ratio_bound(n_mean: float, beta: float) -> float:
     return (1.0 / top + 8.0 * beta**2 * u) / (math.exp(tb) / top + 4.0 * math.sinh(tb) * u)
 
 
+def _ratio_row(terms, two_beta_sq, ns) -> list[float]:
+    """optimal_fnsr / c_q at each N of ns, for the beta whose _beta_terms are
+    terms, from the three per-cell forms. Raises what a form raises, and
+    OverflowError naming 2 beta^2 and N where a ratio is not finite."""
+    w, root, grow, decay, noise, eight_beta_sq = terms
+    row = []
+    for n in ns:
+        r, sinh_sq = _r_opt_form(n, w, root, grow)
+        ratio = (_fnsr_form(r, math.sqrt(max(n - sinh_sq, 0.0)), decay, noise)
+                 / _c_q_form(n, eight_beta_sq, max(n, 1.0)))
+        if not ratio < math.inf:
+            raise OverflowError(f"enhancement ratio overflows at 2 beta^2={two_beta_sq}, N={n}")
+        row.append(ratio)
+    return row
+
+
 def _enhancement_ratio(n_mean: float, beta: float) -> float:
-    """optimal_fnsr / c_q at one point of the (beta, N) plane."""
-    return optimal_fnsr(n_mean, beta) / c_q(n_mean, beta)
+    """optimal_fnsr / c_q at one point of the (beta, N) plane: the one cell
+    of _ratio_row, the route of Fig. 2's table and threshold search."""
+    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
+    return _ratio_row(_beta_terms(beta), 2.0 * beta**2, [n_mean])[0]
 
 
 def _ratio_table(two_beta_sq_grid, n_grid) -> tuple[list[list[float]], list[int]]:
-    """Fig. 2's table in O(cells): for each 2 beta^2, the row of
-    _enhancement_ratio(N, sqrt(2 beta^2 / 2)) over n_grid, bit for bit, as
-    it runs the point functions' per-cell forms after _beta_terms once per
-    row; and the index of the row's first maximum. The first cell in row
-    order that the scalar route may reject (a ratio not finite, sinh^2 r
-    above N, (2N + 1) e^{2 beta^2} overflowing, an arithmetic error) is
-    replayed through _enhancement_ratio, which raises what that route raises;
-    NumericalConsistencyError if it passes."""
+    """Fig. 2's table in O(cells): for each 2 beta^2, the _ratio_row over
+    n_grid at beta = sqrt(2 beta^2 / 2), after _beta_terms once per row, so
+    each cell is _enhancement_ratio's bit for bit and raises what it raises;
+    and the index of each row's first maximum."""
     tbs, ns = [float(t) for t in two_beta_sq_grid], [float(n) for n in n_grid]
     if not tbs or not all(0.0 <= t < math.inf for t in tbs):
         raise ContractViolationError("two_beta_sq grid must be nonempty, finite and >= 0")
     if not ns or not all(0.0 < n < math.inf for n in ns):
         raise ContractViolationError("N grid must be nonempty, finite and positive")
-    rows, argmax = [], []
-    for t in tbs:
-        beta, row = math.sqrt(t / 2.0), []
-        try:
-            w, root, decay, noise, eight_beta_sq = _beta_terms(beta)
-            grow = math.exp(2.0 * beta**2)
-            for n in ns:
-                r = _r_opt_form(n, w, root)
-                sinh_sq = math.sinh(r) ** 2
-                alpha = math.sqrt(max(n - sinh_sq, 0.0))
-                ratio = (_fnsr_form(r, alpha, decay, noise)
-                         / _c_q_form(n, eight_beta_sq, max(n, 1.0)))
-                if not ((2.0 * n + 1.0) * grow < math.inf
-                        and sinh_sq <= n + 1e-12 * max(1.0, n) and ratio < math.inf):
-                    break
-                row.append(ratio)
-        except (ArithmeticError, ValueError):
-            pass  # the replay raises it as the scalar route does
-        if len(row) < len(ns):
-            _enhancement_ratio(ns[len(row)], beta)
-            raise NumericalConsistencyError(
-                f"enhancement ratio at 2 beta^2={t}, N={ns[len(row)]} fails on the table, "
-                "where the scalar closed forms accept the point")
-        rows.append(row)
-        argmax.append(row.index(max(row)))
-    return rows, argmax
+    rows = [_ratio_row(_beta_terms(math.sqrt(t / 2.0)), t, ns) for t in tbs]
+    return rows, [row.index(max(row)) for row in rows]
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -545,8 +539,7 @@ def _golden_max(fun, lo: float, hi: float) -> float:
     relative."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
     while b - a > 1e-12 * max(1.0, abs(a) + abs(b)):
         if fc > fd:
@@ -564,11 +557,13 @@ def max_enhancement_ratio(beta: float) -> tuple[float, float]:
     """Max over N of optimal_fnsr/c_q at fixed beta: one golden-section
     search in log N over [0.05, 1e4], the whole range of Fig. 2's
     DEFAULT_N_GRID (the rule pins both ends), on which the ratio is unimodal
-    (its slope changes sign at most once). Where it still rises at the range end, the search converges
-    to that end. Returns (max_ratio, argmax_N)."""
+    (its slope changes sign at most once). Where it still rises at the range
+    end, the search converges to that end. Returns (max_ratio, argmax_N)."""
+    beta = _finite_non_negative("beta", beta)
+    terms, two_beta_sq = _beta_terms(beta), 2.0 * beta**2
 
     def ratio_log(u: float) -> float:
-        return _enhancement_ratio(math.exp(u), beta)
+        return _ratio_row(terms, two_beta_sq, [math.exp(u)])[0]
 
     u_star = _golden_max(ratio_log, math.log(0.05), math.log(1e4))
     return ratio_log(u_star), math.exp(u_star)
@@ -580,14 +575,12 @@ def enhancement_threshold() -> float:
     lo, hi = 0.01, 1.0
 
     def excess(tbs: float) -> float:
-        beta = math.sqrt(tbs / 2.0)
-        return max_enhancement_ratio(beta)[0] - 1.0
+        return max_enhancement_ratio(math.sqrt(tbs / 2.0))[0] - 1.0
 
     f_lo, f_hi = excess(lo), excess(hi)
     if f_lo <= 0 or f_hi >= 0:
         raise NumericalConsistencyError(
-            f"no sign change on [{lo}, {hi}]: excess {f_lo:.3e} .. {f_hi:.3e}"
-        )
+            f"no sign change on [{lo}, {hi}]: excess {f_lo:.3e} .. {f_hi:.3e}")
     while hi - lo > 1e-4:
         mid = (lo + hi) / 2.0
         if excess(mid) > 0:

@@ -99,24 +99,41 @@ MUTANTS = [
      "complex(math.cos(offset), -math.sin(offset))",
      ["tests/test_dephasing.py::TestQuadratureReports"]),
     # c_q's per-cell form without its scaling by top = max(N, 1), and its
-    # beta-only factor 8 beta^2 halved in the table and the point functions
+    # factor 8 beta^2 halved in c_q and in _beta_terms, which the table and
+    # the threshold search read
     ("nsrkit/scalar.py",
      "4.0 * u / (1.0 / top + eight_beta_sq * u)",
      "4.0 * u / (1.0 + eight_beta_sq * u)",
      ["tests/test_dephasing.py::TestBenchmarks", "tests/test_dephasing.py::TestEnhancementScan"]),
+    ("nsrkit/scalar.py",
+     "_c_q_form(n_mean, 8.0 * beta**2, ",
+     "_c_q_form(n_mean, 4.0 * beta**2, ",
+     ["tests/test_dephasing.py::TestBenchmarks"]),
     ("nsrkit/scalar.py",
      "-math.expm1(-4.0 * b2), 8.0 * b2)",
      "-math.expm1(-4.0 * b2), 4.0 * b2)",
      ["tests/test_dephasing.py::TestEnhancementScan"]),
     # the table's first maximum of a row taken as its last
     ("nsrkit/scalar.py",
-     "argmax.append(row.index(max(row)))",
-     "argmax.append(len(row) - 1 - row[::-1].index(max(row)))",
+     "[row.index(max(row)) for row in rows]",
+     "[len(row) - 1 - row[::-1].index(max(row)) for row in rows]",
      ["tests/test_dephasing.py::TestEnhancementScan"]),
+    # the per-cell forms without the sinh^2 r <= N check, and a cell whose
+    # ratio overflows let into the table
     ("nsrkit/scalar.py",
-     "and sinh_sq <= n + 1e-12 * max(1.0, n) and ratio < math.inf",
-     "and ratio < math.inf",
+     "if sinh_sq > n_mean + 1e-12 * max(1.0, n_mean):",
+     "if False:",
      ["tests/test_dephasing.py::TestEnhancementScanParity"]),
+    ("nsrkit/scalar.py",
+     "if not ratio < math.inf:",
+     "if False:",
+     ["tests/test_dephasing.py::TestEnhancementScanParity::test_cell_whose_ratio_overflows_raises",
+      "tests/test_cli.py::TestFig2Command::test_overflowing_ratio_exit_2"]),
+    # from_matrix's Hermitian part without its halving
+    ("nsrkit/operators.py",
+     "            m *= 0.5\n",
+     "",
+     ["tests/test_operators.py::TestTypeContracts::test_from_matrix_holds_two_copies"]),
     # the log grid without its pinned last point: 10 ** log10(hi) for hi
     ("nsrkit/scalar.py",
      "for y in exponents[1:-1]] + [hi]",

@@ -478,6 +478,18 @@ class TestFig2Command:
                              "--grid-two-beta-sq", "0:0:1", "--grid-N", "1:1:1")
         assert code == 0
 
+    def test_overflowing_ratio_exit_2(self, capsys, tmp_path):
+        # at 2 beta^2 = 0, 4 alpha^2 e^{2r} overflows from N of about 4e153: an
+        # input out of range, as for the other cells that overflow, and no
+        # table is written
+        code, out, err = run_cli(capsys, "fig2", "--out", str(tmp_path),
+                                 "--grid-two-beta-sq", "0:0:1", "--grid-N", "1e154:1e154:1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: an input is out of range: "
+                       "enhancement ratio overflows at 2 beta^2=0.0, N=1e+154\n")
+        assert os.listdir(tmp_path) == []
+
 
 class TestMcCommand:
     def test_seed_reproducibility(self, capsys):

@@ -784,23 +784,34 @@ class TestEnhancementScanParity:
 
     @pytest.mark.parametrize("route", ["both-routes"])
     def test_sinh_sq_above_n_is_rejected(self, monkeypatch, route):
-        # an r_opt that leaves no excitation for alpha: the table and the
-        # point route share the one per-cell form, and both reject it
-        form = scalar._r_opt_form
+        # _r_opt_form with its log1p drifted by 2, so that r grows by 1 and
+        # leaves no excitation for alpha: the form's own check rejects it, on
+        # the table and on the point route, which share the form
+        class DriftedMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
 
-        def drifted(n_mean, w, root):
-            return form(n_mean, w, root) + 1.0
+            @staticmethod
+            def log1p(x):
+                return math.log1p(x) + 2.0
 
-        monkeypatch.setattr(scalar, "_r_opt_form", drifted)
+        monkeypatch.setattr(scalar, "math", DriftedMath())
         with pytest.raises(NumericalConsistencyError, match="sinh"):
             enhancement_scan([0.1], [1.0, 2.0])
+        with pytest.raises(NumericalConsistencyError, match="sinh"):
+            r_opt(1.0, math.sqrt(0.05))
 
-    def test_cell_the_replay_accepts_still_fails(self, monkeypatch):
-        # a failing cell whose replay returns raises rather than entering the table
-        monkeypatch.setattr(scalar, "_r_opt_form", lambda n_mean, w, root: 50.0)
-        monkeypatch.setattr(scalar, "_enhancement_ratio", lambda n_mean, beta: 1.0)
-        with pytest.raises(NumericalConsistencyError, match="N=2.0 fails on the table"):
-            enhancement_scan([0.1], [2.0, 3.0])
+    def test_cell_whose_ratio_overflows_raises(self):
+        # at 2 beta^2 = 0, 4 alpha^2 e^{2r} overflows from N of about 4e153:
+        # optimal_fnsr keeps its documented inf, and the ratio's cell raises,
+        # on the table and on the point route alike
+        assert optimal_fnsr(1e154, 0.0) == math.inf
+        message = "enhancement ratio overflows at 2 beta^2=0.0, N=1e+154"
+        with pytest.raises(OverflowError) as grid_error:
+            enhancement_scan([0.0], [1.0, 1e154])
+        with pytest.raises(OverflowError) as point_error:
+            scalar._enhancement_ratio(1e154, 0.0)
+        assert str(grid_error.value) == str(point_error.value) == message
 
 
 class TestAnalyticNumericAgreement:
