@@ -6,9 +6,9 @@ failure never leaves a partial output behind.
 
 Exit codes, by error type: 0 success, 2 bad input or out of memory, 3 NumericalError.
 
-The module imports no numpy: nsr (quadrature and number), scan, fig2 and
-qfi --family pure --h number run on the numpy-free layer (scalar), and the
-branches that need a numpy module import it where they start.
+The module imports no numpy: nsr (quadrature and number), scan, fig2, qfi
+--family pure --h number and qfi --family dephasing up to SCALAR_SLD_MAX_DIM
+run on the numpy-free layer (scalar); other branches import numpy where they start.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from .scalar import (
     DEFAULT_N_GRID,
     DEFAULT_TWO_BETA_SQ_GRID,
     MAX_DIM,
+    SCALAR_SLD_MAX_DIM,
     DiffusionParams,
     GaussianProbeSpec,
     PhaseFamilySpec,
+    _covariant_sld_floats,
     _finite,
     _fock,
     _geomspace,
@@ -275,10 +277,7 @@ def cmd_qfi(args) -> int:
         for flag, value in (("--state", args.state), ("--h", args.h), ("--x", args.x)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --family pure only")
-        from .dephasing import _covariant_sld
-
         spec = _dephasing_spec(_resolve_alpha(args), args.r, args.beta, args.dim, args.phi_true)
-        c = spec.probe_state().amplitudes
         report = {
             "command": "qfi",
             "family": "dephasing",
@@ -286,7 +285,12 @@ def cmd_qfi(args) -> int:
             "dim": spec.dim,
             "fnsr_quadrature": analytic_fnsr(spec.probe.r, spec.probe.alpha, args.beta),
         }
-        report["qfi"], hi = _covariant_sld(c, spec.diffusion.beta)
+        if spec.dim <= SCALAR_SLD_MAX_DIM:
+            report["qfi"], hi = _covariant_sld_floats(_probe(spec.probe), spec.diffusion.beta)
+        else:
+            from .dephasing import _covariant_sld
+
+            report["qfi"], hi = _covariant_sld(spec.probe_state().amplitudes, spec.diffusion.beta)
     # L = iA has a +- spectrum; a zero SLD prints min 0.0, not -0.0
     report["sld_spectrum"] = {"min": 0.0 - hi, "max": hi, "dim": report["dim"]}
     _emit(_report_text(report, args.format), args.out)

@@ -10,7 +10,6 @@ by the symmetric logarithmic derivative, and the maximum is the QFI.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +19,6 @@ from .errors import (
     ContractViolationError,
     DimensionMismatchError,
     NoInformationError,
-    SupportTruncationWarning,
     UndefinedResidualError,
 )
 from .operators import (
@@ -31,13 +29,8 @@ from .operators import (
     real_trace,
     variance,
 )
-from .scalar import SensitivityReport, _sensitivity_report
+from .scalar import SLD_EIG_CUT_REL, SensitivityReport, _sensitivity_report, _warn_support_leak
 
-# Eigenvalue-pair cut for the SLD solve, relative to the largest eigenvalue.
-SLD_EIG_CUT_REL = 1e-12
-# Weight of drho outside the kept support that triggers a warning, relative
-# to the largest entry of drho.
-SUPPORT_LEAK_RTOL = 1e-8
 # Step of the central difference of derivative_at that gives d^2 rho/dx^2;
 # 1e-3 and 1e-4 leave up to 5.9e-6 and 6e-8 relative error in G (dim 16-116).
 CURVATURE_STEP = 1e-5
@@ -88,13 +81,8 @@ def _sld_in_eigenbasis(evals: np.ndarray, y: np.ndarray, scale: float):
     X is doubled in place and <X^2> summed by row blocks: no 2Y or |X|^2 at d x d."""
     pair_sums = evals[:, None] + evals[None, :]
     kept = pair_sums > SLD_EIG_CUT_REL * max(evals.max(), 0.0)
-    if scale > 0 and not kept.all() and np.abs(y[~kept]).max() > SUPPORT_LEAK_RTOL * scale:
-        warnings.warn(
-            "drho has weight outside the regularized support of rho; "
-            "formally divergent directions truncated from the SLD",
-            SupportTruncationWarning,
-            stacklevel=4,  # the caller of qfi or sld
-        )
+    if scale > 0 and not kept.all():
+        _warn_support_leak(np.abs(y[~kept]).max(), scale, 4)  # the caller of qfi or sld
     x = np.zeros_like(y)
     np.divide(y, pair_sums, out=x, where=kept)
     x *= 2.0

@@ -4,15 +4,17 @@ of the phase-diffusion case study, all on Python floats and `math`.
 
 Each name defined here has this module as its one home; the numpy modules
 (operators, estimation, dephasing, montecarlo) import the names they use.
-`nsr`, `scan`, `fig2` and `qfi --family pure --h number` run on this layer
-alone, without importing numpy. Sums over amplitudes are math.fsum, so each
-is exactly rounded.
+`nsr`, `scan`, `fig2`, `qfi --family pure --h number` and `qfi --family
+dephasing` up to SCALAR_SLD_MAX_DIM run on this layer alone, without numpy.
+Sums over amplitudes are math.fsum, so each is exactly rounded.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
+from operator import mul
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
     DegenerateObservableError,
     InvalidDimensionError,
     NumericalConsistencyError,
+    SupportTruncationWarning,
     TruncationError,
 )
 
@@ -36,6 +39,13 @@ TAIL_TARGET = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 # Variance this small (relative to <m^2>) is treated as an exact eigenstate.
 VARIANCE_ZERO_RTOL = 1e-13
+# Eigenvalue-pair cut for the SLD solve, relative to the largest eigenvalue.
+SLD_EIG_CUT_REL = 1e-12
+# Weight of drho outside the kept support that warns, relative to drho's largest entry.
+SUPPORT_LEAK_RTOL = 1e-8
+# Largest dim at which qfi --family dephasing takes _covariant_sld_floats (measured).
+SCALAR_SLD_MAX_DIM = 27
+JACOBI_RTOL = sys.float_info.epsilon
 # Largest truncation dimension accepted from the policy or a command line: one
 # dense complex matrix at this size is 64 MiB.
 MAX_DIM = 2048
@@ -322,6 +332,74 @@ def _number_moments(c) -> tuple[float, float]:
     p = [(x * x.conjugate()).real for x in c]
     mean = math.fsum(n * pn for n, pn in enumerate(p))
     return mean, max(math.fsum(n * n * pn for n, pn in enumerate(p)) - mean**2, 0.0)
+
+
+def _warn_support_leak(leak: float, scale: float, stacklevel: int):
+    """The SLD solve's warning: drho's weight on the cut pairs above SUPPORT_LEAK_RTOL scale."""
+    if scale > 0 and leak > SUPPORT_LEAK_RTOL * scale:
+        warnings.warn("drho has weight outside the regularized support of rho; formally "
+                      "divergent directions truncated from the SLD", SupportTruncationWarning,
+                      stacklevel=stacklevel + 1)
+
+
+def _jacobi(a: list[list[float]], vectors: bool = True, sweeps: int = 30):
+    """Eigenvalues of the real symmetric matrix a (rows, overwritten) and, with
+    vectors, orthonormal eigenvectors as rows, in the same order: cyclic Jacobi,
+    Rutishauser's rotation (Golub & Van Loan, 8.5), O(d^3) a sweep. A sweep
+    rotates the pairs with |a_pq| > JACOBI_RTOL sqrt(|a_pp a_qq|), JACOBI_RTOL =
+    eps, which gives graded PSD matrices' small eigenpairs to relative accuracy
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992));
+    NumericalConsistencyError if all of `sweeps` = 30 sweeps rotate."""
+    d = len(a)
+    v = [_fock(d, k) for k in range(d)] if vectors else None
+    for _ in range(sweeps):
+        rotated = False
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                rp, rq = a[p], a[q]
+                if abs(rp[q]) <= JACOBI_RTOL * math.sqrt(abs(rp[p])) * math.sqrt(abs(rq[q])):
+                    continue
+                rotated = True
+                theta = (rq[q] - rp[p]) / (2.0 * rp[q])
+                t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s, tau, h = t * c, t * c / (1.0 + c), t * rp[q]
+                a[p] = [x - s * (y + tau * x) for x, y in zip(rp, rq)]
+                a[q] = [y + s * (x - tau * y) for x, y in zip(rp, rq)]
+                a[p][p], a[q][q], a[p][q], a[q][p] = rp[p] - h, rq[q] + h, 0.0, 0.0
+                for row, x, y in zip(a, a[p], a[q]):
+                    row[p], row[q] = x, y
+                if vectors:
+                    v[p], v[q] = ([x - s * (y + tau * x) for x, y in zip(v[p], v[q])],
+                                  [y + s * (x - tau * y) for x, y in zip(v[p], v[q])])
+        if not rotated:
+            return [a[i][i] for i in range(d)], v
+    raise NumericalConsistencyError(
+        f"Jacobi eigensolve of a dim-{d} matrix did not converge in {sweeps} sweeps")
+
+
+def _covariant_sld_floats(c: list[float], beta: float) -> tuple[float, float]:
+    """dephasing._covariant_sld on floats for real amplitudes c, O(d^3): rho0 = V diag(p) V^T
+    by _jacobi and y = V^T C V, C_ij = (j - i) rho0_ij, which is (p_j - p_k) (V^T n V)_jk
+    without the difference of close eigenvalues; A, the QFI, the warning and the largest
+    eigenvalue as there, by an eigenvalues-only _jacobi of A^T A, A scaled by 2^-e."""
+    rho0 = [[ci * cj * math.exp(-(beta**2) * float((i - j) ** 2)) for j, cj in enumerate(c)]
+            for i, ci in enumerate(c)]
+    comm = [[(j - i) * x for j, x in enumerate(row)] for i, row in enumerate(rho0)]
+    p, v = _jacobi(rho0)
+    cv = [[math.fsum(map(mul, row, vk)) for row in comm] for vk in v]  # C v_k
+    y = [[math.fsum(map(mul, vj, cvk)) for cvk in cv] for vj in v]
+    cut = SLD_EIG_CUT_REL * max(max(p), 0.0)
+    a = [[2.0 * yjk / (pj + pk) if pj + pk > cut else 0.0 for pk, yjk in zip(p, yj)]
+         for pj, yj in zip(p, y)]
+    _warn_support_leak(max((abs(yjk) for pj, yj in zip(p, y) for pk, yjk in zip(p, yj)
+                            if not pj + pk > cut), default=0.0),
+                       max(abs(x) for row in comm for x in row), 3)  # the caller of cmd_qfi
+    qfi = math.fsum(pj * math.fsum(x * x for x in row) for pj, row in zip(p, a))
+    e = math.frexp(max(abs(x) for row in a for x in row))[1]
+    cols = [[math.ldexp(x, -e) for x in col] for col in zip(*a)]
+    ata = [[math.fsum(map(mul, ci, cj)) for cj in cols] for ci in cols]
+    return qfi, math.ldexp(math.sqrt(max(max(_jacobi(ata, vectors=False)[0]), 0.0)), e)
 
 
 def optimal_calibration(phi_true: float) -> float:

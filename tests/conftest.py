@@ -13,6 +13,7 @@ from nsrkit import (
     pure_unitary_family,
 )
 from nsrkit.dephasing import _covariant_sld
+from nsrkit.scalar import _covariant_sld_floats, _probe
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,6 +53,12 @@ def dephasing_covariant_sld(spec: PhaseFamilySpec) -> tuple[float, float]:
     """_covariant_sld on the orbit of dephasing_family(spec), as
     qfi --family dephasing calls it: (QFI, largest SLD eigenvalue)."""
     return _covariant_sld(spec.probe_state().amplitudes, spec.diffusion.beta)
+
+
+def dephasing_covariant_sld_floats(spec: PhaseFamilySpec) -> tuple[float, float]:
+    """_covariant_sld_floats on the probe amplitudes as floats, as
+    qfi --family dephasing calls it up to SCALAR_SLD_MAX_DIM."""
+    return _covariant_sld_floats(_probe(spec.probe), spec.diffusion.beta)
 
 
 @pytest.fixture

@@ -289,6 +289,38 @@ MUTANTS = [
      "    xs.setflags(write=False)\n    means.setflags(write=False)\n",
      "",
      ["tests/test_montecarlo.py::TestBuildCurve::test_arrays_are_read_only"]),
+    # the float route's Jacobi rotation with the sign of s flipped, and
+    # without its column update, which leaves the matrix unsymmetric
+    ("nsrkit/scalar.py",
+     "s, tau, h = t * c, t * c / (1.0 + c), t * rp[q]",
+     "s, tau, h = -t * c, t * c / (1.0 + c), t * rp[q]",
+     ["tests/test_dephasing.py::TestJacobi"]),
+    ("nsrkit/scalar.py",
+     "row[p], row[q] = x, y",
+     "pass",
+     ["tests/test_dephasing.py::TestJacobi"]),
+    # the float route's SLD without the factor 2 of A = 2 y / (p_j + p_k),
+    # its pair cut at 0 in place of SLD_EIG_CUT_REL, and A^T A without its
+    # scaling against underflow (the cut's > as >= is equivalent: no pair
+    # sum of a state's eigenvalues lands on the cut exactly)
+    ("nsrkit/scalar.py",
+     "2.0 * yjk / (pj + pk)",
+     "yjk / (pj + pk)",
+     ["tests/test_dephasing.py::TestCovariantSldFloats"]),
+    ("nsrkit/scalar.py",
+     "cut = SLD_EIG_CUT_REL * max(max(p), 0.0)",
+     "cut = 0.0",
+     ["tests/test_dephasing.py::TestCovariantSldFloats"]),
+    ("nsrkit/scalar.py",
+     "cols = [[math.ldexp(x, -e) for x in col]",
+     "cols = [[x for x in col]",
+     ["tests/test_dephasing.py::TestCovariantSldFloats"]),
+    # <a> without its diffusion factor e^{-beta^2}, which lifts the
+    # quadrature's Fisher value above the QFI
+    ("nsrkit/scalar.py",
+     "a1 = math.exp(-(beta**2)) * _complex_fsum(",
+     "a1 = _complex_fsum(",
+     ["tests/test_invariants.py::test_fisher_chain"]),
     # a report's floats rounded to 12 digits in its CSV form
     ("nsrkit/cli.py",
      "flat[key] = value",

@@ -98,6 +98,30 @@ def poisson_central_moment(lam: float, order: int, cutoff: int = 200) -> float:
     return float((((ks - mean) ** order) * p).sum())
 
 
+def wrapped_normal_fisher(beta: float, points: int = 4096) -> float:
+    """Fisher information, the integral of p'^2 / p over the circle, of the
+    location family p(theta - phi), p the wrapped normal of variance
+    2 beta^2, whose Fourier coefficients are e^{-beta^2 k^2}. The trapezoid
+    rule on `points` equispaced nodes, exact to roundoff for this smooth
+    periodic integrand. For beta >= 0.3, p and p' are the Fourier series;
+    below, the Poisson form, Gaussians at theta + 2 pi m for |m| <= 3, as
+    there the series' p underflows near theta = pi. Where p underflows to 0,
+    so does the integrand."""
+    theta = -math.pi + 2.0 * math.pi * np.arange(points) / points
+    if beta >= 0.3:
+        k = np.arange(1, int(27.0 / beta) + 2)  # e^{-beta^2 k^2} < 1e-300 beyond
+        weight = np.exp(-(beta * k) ** 2)
+        p = (1.0 + 2.0 * np.cos(np.outer(theta, k)) @ weight) / (2.0 * math.pi)
+        dp = -2.0 * np.sin(np.outer(theta, k)) @ (k * weight) / (2.0 * math.pi)
+    else:
+        var = 2.0 * beta**2
+        x = theta[:, None] + 2.0 * math.pi * np.arange(-3, 4)
+        gauss = np.exp(-(x**2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+        p, dp = gauss.sum(axis=1), (-x / var * gauss).sum(axis=1)
+    positive = p > 0.0
+    return float((dp[positive] ** 2 / p[positive]).sum() * 2.0 * math.pi / points)
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2

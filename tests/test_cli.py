@@ -32,11 +32,12 @@ from nsrkit.scalar import (
     DEFAULT_N_GRID,
     DEFAULT_TWO_BETA_SQ_GRID,
     MAX_DIM,
+    SCALAR_SLD_MAX_DIM,
     _enhancement_ratio,
     _number_moments,
 )
 
-from conftest import dephasing_covariant_sld, fock_dephasing_spec
+from conftest import dephasing_covariant_sld_floats, fock_dephasing_spec
 
 
 def run_cli(capsys, *argv):
@@ -169,7 +170,7 @@ class TestQfiCommand:
 
     @pytest.mark.parametrize("argv, route_qfi", [
         (("--family", "dephasing", "--alpha", "1", "--beta", "0.3"),
-         lambda: dephasing_covariant_sld(fock_dephasing_spec(1.0, 0.0, 0.3))[0]),
+         lambda: dephasing_covariant_sld_floats(fock_dephasing_spec(1.0, 0.0, 0.3))[0]),
         (("--family", "pure", "--state", "coherent:1.0"), coherent_number_four_var),
     ], ids=["dephasing", "pure"])
     def test_csv_flattens_sld_spectrum(self, capsys, argv, route_qfi):
@@ -199,8 +200,10 @@ class TestQfiCommand:
         ("--family", "pure", "--state", "vacuum"),
     ], ids=["case", "large", "vacuum", "pure", "pure-vacuum"])
     def test_dephasing_route_is_real(self, capsys, monkeypatch, eig_calls, argv):
-        # the dephasing family: one real eigh of rho(0) and one real eigvalsh
-        # of A^T A; the pure family: the closed form 4 Var(n), no eigensolver.
+        # the dephasing family above SCALAR_SLD_MAX_DIM: one real eigh of
+        # rho(0) and one real eigvalsh of A^T A; up to it (the case and the
+        # vacuum, dim 16), the float route and no numpy eigensolver; the pure
+        # family: the closed form 4 Var(n), no eigensolver.
         # Neither builds a family or solves for the generator's eigenbasis.
         # cli imports dephasing_family from nsrkit.dephasing where it calls it
         families = []
@@ -211,10 +214,21 @@ class TestQfiCommand:
         assert (code, err) == (0, "")
         assert families == []
         solves = [("eigh", np.float64), ("eigvalsh", np.float64)]
-        assert eig_calls == (solves if "dephasing" in argv else [])
+        dense = "dephasing" in argv and json.loads(out)["dim"] > SCALAR_SLD_MAX_DIM
+        assert eig_calls == (solves if dense else [])
         spectrum = json.loads(out)["sld_spectrum"]
         assert spectrum["min"] == -spectrum["max"]
         assert '"min": -0.0' not in out
+
+    def test_jacobi_sweep_cap_exit_3(self, capsys, monkeypatch):
+        # the float route's Jacobi solve capped at one sweep: a numerical error
+        jacobi = nsrkit.scalar._jacobi
+        monkeypatch.setattr(nsrkit.scalar, "_jacobi",
+                            lambda a, vectors=True: jacobi(a, vectors, sweeps=1))
+        code, out, err = run_cli(capsys, "qfi", "--alpha", "1", "--beta", "0.3")
+        assert (code, out) == (3, "")
+        assert err == ("error: Jacobi eigensolve of a dim-16 matrix did not converge "
+                       "in 1 sweeps\n")
 
     def test_state_spec_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "qfi", "--family", "pure", "--h", "number",
@@ -915,9 +929,10 @@ def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_o_d_routes_import_no_numpy(tmp_path):
-    # nsr (quadrature and number), scan, fig2 and qfi --family pure --h number
-    # run on nsrkit.scalar, their error exits included, and load neither numpy
-    # nor dataclasses (whose import pulls in inspect, ast and dis)
+    # nsr (quadrature and number), scan, fig2, qfi --family pure --h number
+    # and qfi --family dephasing up to SCALAR_SLD_MAX_DIM run on nsrkit.scalar,
+    # their error exits included, and load neither numpy nor dataclasses (whose
+    # import pulls in inspect, ast and dis)
     runs = [
         (("fig2", "--out", str(tmp_path / "fig2")), 0),
         (("fig2", "--out", str(tmp_path / "fig2-grids"), "--grid-two-beta-sq", "0.05:1.0:10",
@@ -935,6 +950,8 @@ def test_o_d_routes_import_no_numpy(tmp_path):
         (("qfi", "--family", "pure", "--h", "number", "--state", "gaussian:1:0.5",
           "--x", "0.7"), 0),
         (("qfi", "--family", "pure", "--state", "fock:3", "--format", "csv"), 0),
+        (("qfi", "--family", "dephasing", "--alpha", "1", "--beta", "0.3"), 0),
+        (("qfi", "--alpha", "0", "--beta", "0.3", "--dim", str(SCALAR_SLD_MAX_DIM)), 0),
         (("nsr", "--alpha", "nan"), 2),
         (("nsr", "--dim", "3000"), 2),
         (("qfi", "--family", "pure", "--state", "fock:2", "--dim", "3000"), 2),

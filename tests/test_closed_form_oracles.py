@@ -8,6 +8,8 @@ import pytest
 
 from nsrkit import analytic_fnsr, c_q, no_squeeze_ratio_bound, r_max, r_opt
 
+from oracles import wrapped_normal_fisher
+
 mp = pytest.importorskip("mpmath")
 
 RTOL = 1e-13
@@ -97,3 +99,34 @@ def test_c_q(n, beta):
 @pytest.mark.parametrize("n", NS)
 def test_no_squeeze_ratio_bound(n, beta):
     assert_close(no_squeeze_ratio_bound(n, beta), ratio_bound_reference(n, beta))
+
+
+def wrapped_normal_fisher_reference(beta):
+    """The integral of p'^2 / p over [-pi, pi] by mpmath quadrature at 30
+    digits, p the wrapped normal of variance 2 beta^2 as a sum of Gaussians
+    over |m| <= 6 images, split at the peak."""
+    with mp.workdps(30):
+        var = 2 * mp.mpf(beta) ** 2
+        images = range(-6, 7)
+
+        def integrand(theta):
+            xs = [theta + 2 * mp.pi * m for m in images]
+            gs = [mp.exp(-x**2 / (2 * var)) / mp.sqrt(2 * mp.pi * var) for x in xs]
+            p = mp.fsum(gs)
+            dp = mp.fsum(-x / var * g for x, g in zip(xs, gs))
+            return dp**2 / p
+
+        width = 8 * mp.sqrt(var)
+        cuts = [-mp.pi, 0, mp.pi] if width >= mp.pi else [-mp.pi, -width, 0, width, mp.pi]
+        return mp.quad(integrand, cuts)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 1.0])
+def test_wrapped_normal_fisher(beta):
+    """The test oracle (Poisson form below beta = 0.3, Fourier series from
+    it) against mpmath quadrature, to 1e-12 relative; at most 1/(2 beta^2),
+    the Fisher information of the unwrapped normal, to the same 1e-12."""
+    got = wrapped_normal_fisher(beta)
+    want = wrapped_normal_fisher_reference(beta)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+    assert got <= (1.0 + 1e-12) / (2.0 * beta**2)

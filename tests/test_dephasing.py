@@ -39,18 +39,20 @@ from nsrkit import (
 )
 from nsrkit import scalar
 from nsrkit.errors import SupportTruncationWarning
-from nsrkit.estimation import SLD_EIG_CUT_REL, _solve_sld
+from nsrkit.dephasing import _covariant_sld
+from nsrkit.estimation import _solve_sld
 from nsrkit.operators import Operator, StateVector
 from nsrkit.scalar import (
     DEFAULT_N_GRID,
     DEFAULT_TWO_BETA_SQ_GRID,
     PSD_TOL,
+    SLD_EIG_CUT_REL,
     TRACE_TOL,
     _number_moments,
     _quadrature_reports,
 )
 
-from conftest import dephasing_covariant_sld, fock_dephasing_spec
+from conftest import dephasing_covariant_sld, dephasing_covariant_sld_floats, fock_dephasing_spec
 from oracles import (
     check_derivative,
     gauss_hermite_dephase,
@@ -429,6 +431,114 @@ class TestCovariantSld:
                                DiffusionParams(0.3), (-math.pi, math.pi))
         with pytest.raises(ContractViolationError, match="real probe amplitudes"):
             dephasing_covariant_sld(spec)
+
+
+def jacobi_check(matrix: np.ndarray, tol: float):
+    """_jacobi on a real symmetric matrix against numpy.linalg.eigvalsh: the
+    sorted eigenvalues within tol times the largest |eigenvalue| (tol itself
+    when all are 0), the eigenvector rows orthonormal to tol, A v = lambda v
+    to the same bound, and the eigenvalues-only run equal bit for bit."""
+    p, v = scalar._jacobi(matrix.tolist())
+    want = np.linalg.eigvalsh(matrix)
+    top = max(float(np.abs(want).max()), 1.0 if not want.any() else 0.0)
+    assert np.abs(np.sort(p) - want).max() <= tol * top
+    rows = np.array(v)
+    assert np.abs(rows @ rows.T - np.eye(len(p))).max() <= tol
+    assert np.abs(matrix @ rows.T - rows.T * np.array(p)).max() <= tol * top
+    assert scalar._jacobi(matrix.tolist(), vectors=False) == (p, None)
+    return p, rows
+
+
+class TestJacobi:
+    """_jacobi against numpy.linalg.eigh. Bounds, fixed before the first run:
+    eigenvalues, orthonormality and residual to 1e-13 (relative to the
+    largest |eigenvalue|) on random matrices up to dim 27 and on the
+    repeated-eigenvalue case; exact on diagonal and zero matrices; 1e-15 on
+    the graded PSD rho0 of the case study, eigenvalues from 1e-17 to 1."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 27])
+    def test_random_symmetric(self, rng, dim):
+        a = rng.normal(size=(dim, dim))
+        jacobi_check(a + a.T, 1e-13)
+
+    def test_diagonal_and_zero_exact(self):
+        diag = np.diag([3.0, -1.0, 0.0, 2.5, 1e-300])
+        assert scalar._jacobi(diag.tolist()) == (diag.diagonal().tolist(), np.eye(5).tolist())
+        assert scalar._jacobi(np.zeros((4, 4)).tolist()) == ([0.0] * 4, np.eye(4).tolist())
+        jacobi_check(np.zeros((3, 3)), 1e-13)
+
+    def test_repeated_eigenvalues(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        p, _ = jacobi_check(q @ np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]) @ q.T, 1e-13)
+        assert np.sort(p) == pytest.approx([1.0, 1.0, 1.0, 2.0, 2.0, 3.0], rel=1e-13)
+
+    def test_graded_psd_rho0(self):
+        spec = fock_dephasing_spec(1.0, 0.0, 0.3)
+        c = spec.probe_state().amplitudes.real
+        n = np.arange(c.size)
+        rho0 = np.outer(c, c) * np.exp(-0.09 * (n[:, None] - n) ** 2.0)
+        p, _ = jacobi_check(rho0, 1e-15)
+        assert min(p) < 1e-15 and max(p) > 0.5
+
+    def test_sweep_cap_raises(self, rng):
+        a = rng.normal(size=(5, 5))
+        with pytest.raises(NumericalConsistencyError, match="did not converge in 1 sweeps"):
+            scalar._jacobi((a + a.T).tolist(), sweeps=1)
+
+
+class TestCovariantSldFloats:
+    """The float route of qfi --family dephasing, _covariant_sld_floats,
+    against the real numpy route _covariant_sld, the 40-digit formula and the
+    pure closed form. Tolerances, fixed before the first run: the QFI to
+    1e-13 relative (exactly 0 where the numpy route gives 0), the largest
+    SLD eigenvalue to 1e-5 relative of the numpy route (its near-null
+    eigenvectors), 1e-10 of the 40-digit value at dim 16, and both to 1e-10
+    of the closed forms without diffusion."""
+
+    @pytest.mark.parametrize("alpha, r, beta", [
+        (1.0, 0.0, 0.3), (1.5, 0.0, 0.05), (0.7, -0.2, 1.0), (2.0, 0.0, 0.7),
+        (1.0, 0.0, 3.0), (1e-8, 0.0, 0.3), (0.0, 0.0, 0.3), (0.0, 0.3, 0.3),
+    ])
+    def test_matches_numpy_route(self, alpha, r, beta):
+        spec = fock_dephasing_spec(alpha, r, beta)
+        got_qfi, got_max = dephasing_covariant_sld_floats(spec)
+        want_qfi, want_max = dephasing_covariant_sld(spec)
+        assert abs(got_qfi - want_qfi) <= 1e-13 * want_qfi
+        assert got_max == pytest.approx(want_max, rel=1e-5)
+
+    def test_zero_sld(self):
+        assert dephasing_covariant_sld_floats(fock_dephasing_spec(0.0, 0.0, 0.3)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.0), (1.5, 0.0), (0.5, 0.2)])
+    def test_pure_limit(self, alpha, r):
+        spec = fock_dephasing_spec(alpha, r, 0.0)
+        four_var = 4.0 * _number_moments(spec.probe_state().amplitudes)[1]
+        got_qfi, got_max = dephasing_covariant_sld_floats(spec)
+        assert got_qfi == pytest.approx(four_var, rel=1e-10)
+        assert got_max == pytest.approx(math.sqrt(four_var), rel=1e-10)
+
+    def test_matches_40_digits(self):
+        mp = pytest.importorskip("mpmath")
+        spec = fock_dephasing_spec(1.0, 0.0, 0.3)
+        want_qfi, want_max = mp_covariant_sld(spec, mp)
+        got_qfi, got_max = dephasing_covariant_sld_floats(spec)
+        assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
+        assert got_max == pytest.approx(want_max, rel=1e-10)
+
+    def test_support_truncation_warning_as_numpy_route(self):
+        # the inputs of TestCovariantSld's warning case: both routes warn
+        c = np.array([1.0, 1e-7, 1e-7])
+        c /= np.linalg.norm(c)
+        with pytest.warns(SupportTruncationWarning):
+            got_qfi, _ = scalar._covariant_sld_floats(c.tolist(), 0.3)
+        with pytest.warns(SupportTruncationWarning):
+            want_qfi, _ = _covariant_sld(c, 0.3)
+        assert got_qfi == pytest.approx(want_qfi, rel=1e-13)
+        # and neither warns without the tiny amplitudes' weight (the filter
+        # in pyproject.toml turns a UserWarning into an error)
+        c = np.array([1.0, 0.5, 0.25]) / math.sqrt(1.3125)
+        assert scalar._covariant_sld_floats(c.tolist(), 0.3)[0] == pytest.approx(
+            _covariant_sld(c, 0.3)[0], rel=1e-13)
 
 
 class TestCovariantSldPureOrbit:

@@ -33,9 +33,16 @@ from nsrkit import (  # noqa: E402
     quadrature,
 )
 
-from nsrkit.scalar import MAX_DIM  # noqa: E402
+from nsrkit.dephasing import _covariant_sld  # noqa: E402
+from nsrkit.scalar import (  # noqa: E402
+    MAX_DIM,
+    _covariant_sld_floats,
+    _probe,
+    _quadrature_reports,
+)
 
 from conftest import fock_dephasing_spec  # noqa: E402
+from oracles import wrapped_normal_fisher  # noqa: E402
 
 phases = st.floats(-math.pi, math.pi)
 
@@ -97,3 +104,33 @@ def test_phase_family_invariants(alpha, r, beta, phi1, phi2, offset):
         f_shift = 4.0 * t2 * f_closed * (f_closed / s_closed**2 + 1.0 / s_closed)
     fisher = assess_observable(fam, phi1, m_opt).fisher
     assert abs(fisher - f_closed) <= f_shift + 1e-10 * max(1.0, f_closed)
+
+
+# (alpha, r): policy dims 16 to 26, so that every QFI route runs on each
+CHAIN_PROBES = [(0.3, 0.0), (1.0, 0.0), (1.5, 0.0), (2.0, 0.0), (0.0, 0.3), (0.5, 0.2),
+                (0.7, -0.2), (1.2, 0.1), (-1.0, 0.1)]
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.3, 0.7, 1.0])
+def test_fisher_chain(beta):
+    """F_NSR <= F_Q <= F_wrap(beta) on nine probes at phase 0: the Fisher
+    value of the quadrature at three angles (_quadrature_reports) is at most
+    the QFI (Braunstein & Caves, PRL 72, 3439 (1994)), and the QFI, by the
+    float route, _covariant_sld and library qfi, at most the Fisher
+    information of the wrapped normal location family the diffusion averages
+    over (data processing; Escher, de Matos Filho & Davidovich, Nat. Phys. 7,
+    406 (2011)), from the oracle, which shares no code with nsrkit. Both hold
+    exactly on the truncated space; the slack, fixed before the first run, is
+    1e-12 relative. F_C, the Fisher information of measuring X's
+    eigenbasis, between the first two, is not tested here."""
+    f_wrap = wrapped_normal_fisher(beta)
+    for alpha, r in CHAIN_PROBES:
+        spec = fock_dephasing_spec(alpha, r, beta)
+        report = _quadrature_reports(spec, 0.0)
+        f_nsr = max(report(offset).fisher for offset in (-math.pi / 2.0, -1.0, 0.4))
+        routes = (_covariant_sld_floats(_probe(spec.probe), beta)[0],
+                  _covariant_sld(spec.probe_state().amplitudes, beta)[0],
+                  qfi(dephasing_family(spec), 0.0))
+        for f_q in routes:
+            assert f_nsr <= f_q * (1.0 + 1e-12), (alpha, r, f_nsr, f_q)
+            assert f_q <= f_wrap * (1.0 + 1e-12), (alpha, r, f_q, f_wrap)

@@ -10,8 +10,32 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nsrkit import c_q, optimal_fnsr  # noqa: E402
-from nsrkit.scalar import _ratio_table  # noqa: E402
+import numpy as np  # noqa: E402
+
+from nsrkit import (  # noqa: E402
+    DiffusionParams,
+    GaussianProbeSpec,
+    PhaseFamilySpec,
+    TruncationError,
+    assess_observable,
+    c_q,
+    default_truncation_dim,
+    dephasing_family,
+    gaussian_probe,
+    number_operator,
+    optimal_fnsr,
+    quadrature,
+)
+from nsrkit.dephasing import _covariant_sld  # noqa: E402
+from nsrkit.estimation import _solve_sld  # noqa: E402
+from nsrkit.scalar import (  # noqa: E402
+    SCALAR_SLD_MAX_DIM,
+    _covariant_sld_floats,
+    _number_moments,
+    _probe,
+    _quadrature_reports,
+    _ratio_table,
+)
 
 # 2 beta^2 at 0, subnormal, and over [1e-6, 700]; N over (1e-300, 1.7e308)
 two_beta_sq = st.one_of(
@@ -55,3 +79,72 @@ def test_ratio_table_cells_match_point_functions(tbs, ns):
     else:
         assert type(error.value) is type(failing)
         assert str(error.value) == str(failing)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(alpha=st.floats(-2.0, 2.0), r=st.floats(-0.4, 0.4), beta=st.floats(0.0, 1.5),
+       extra=st.integers(0, 4))
+def test_covariant_sld_floats_match_numpy_routes(alpha, r, beta, extra):
+    """_covariant_sld_floats against _covariant_sld and against _solve_sld on
+    the dense family at phase 0, at 30 examples of (alpha, r, beta) and dims
+    from the policy's to 4 more, up to SCALAR_SLD_MAX_DIM. Tolerances, fixed
+    before the first run: the QFI to 1e-13 relative (0 where the references
+    give 0), the largest SLD eigenvalue to 1e-5 relative, as its near-null
+    eigenvectors allow. _covariant_sld reads that eigenvalue as 0 where it
+    is below about 1e-154, as its A^T A underflows (alpha = 0, r = 1.65e-227:
+    4.67e-227 by the dense route and the float one), so there the float route
+    is held to the dense route alone."""
+    dim = default_truncation_dim(alpha, r) + extra
+    if dim > SCALAR_SLD_MAX_DIM:
+        return
+    probe = GaussianProbeSpec(alpha, r, dim)
+    spec = PhaseFamilySpec(probe, DiffusionParams(beta), (-math.pi, math.pi))
+    got_qfi, got_max = _covariant_sld_floats(_probe(probe), beta)
+    real_qfi, real_max = _covariant_sld(gaussian_probe(probe).amplitudes, beta)
+    fam = dephasing_family(spec)
+    *_, l_eig, dense_qfi = _solve_sld(fam.state_at(0.0), fam.derivative_at(0.0))
+    dense_max = float(np.linalg.eigvalsh(l_eig).max())
+    assert abs(got_qfi - real_qfi) <= 1e-13 * real_qfi
+    assert abs(got_qfi - dense_qfi) <= 1e-13 * dense_qfi
+    assert abs(got_max - dense_max) <= 1e-5 * dense_max
+    if dense_max >= 1e-150:
+        assert abs(got_max - real_max) <= 1e-5 * real_max
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(alpha=st.floats(-2.5, 2.5), r=st.floats(-0.8, 0.8), beta=st.floats(0.0, 1.5),
+       shift=st.integers(-6, 8), phi=st.floats(-50.0, 50.0),
+       offset=st.floats(-math.pi, math.pi))
+def test_four_sums_match_dense_family(alpha, r, beta, shift, phi, offset):
+    """_quadrature_reports (the quadrature at angle phi + offset) and
+    _number_moments against assess_observable on the dense family at phase
+    phi, at 100 examples, the dim drawn from 6 below the policy's to 8 above.
+    Where the probe leaks past LEAKAGE_TOL, both probe routes raise
+    TruncationError. Tolerance, fixed before the first run, with s = 1 +
+    <X^2> (dense): mean, slope and variance within e = 1e-12 s; the Fisher
+    value within (10 e (2 |slope| + fisher) + e^2) / variance, their
+    propagation to first order and, where the slope is 0, second; the number
+    operator's mean and variance within 1e-12 (1 + <n^2>), and its dense
+    slope within the same of 0."""
+    probe = GaussianProbeSpec(alpha, r, max(2, default_truncation_dim(alpha, r) + shift))
+    spec = PhaseFamilySpec(probe, DiffusionParams(beta), (phi - math.pi, phi + math.pi))
+    try:
+        c = _probe(probe)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            gaussian_probe(probe)
+        return
+    fam = dephasing_family(spec)
+    got = _quadrature_reports(spec, phi)(offset)
+    want = assess_observable(fam, phi, quadrature(phi + offset, probe.dim))
+    e = 1e-12 * (1.0 + want.variance + want.mean**2)
+    for field in ("mean", "slope", "variance"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= e, field
+    fisher_tol = (10.0 * e * (2.0 * abs(want.slope) + want.fisher) + e * e) / want.variance
+    assert abs(got.fisher - want.fisher) <= fisher_tol
+    mean, var = _number_moments(c)
+    dense = assess_observable(fam, phi, number_operator(probe.dim))
+    s = 1.0 + dense.variance + dense.mean**2
+    assert abs(mean - dense.mean) <= 1e-12 * s
+    assert abs(var - dense.variance) <= 1e-12 * s
+    assert abs(dense.slope) <= 1e-12 * s
