@@ -27,6 +27,7 @@ from .scalar import (
     analytic_fnsr,
     c_q,
     default_truncation_dim,
+    enhancement_scan,
     enhancement_threshold,
     max_enhancement_ratio,
     no_squeeze_ratio_bound,
@@ -45,8 +46,7 @@ _LAZY = {
     "estimation": ("ParamFamily", "assess_observable", "calibration_curvature",
                    "optimality_residual", "pure_unitary_family", "pure_unitary_qfi",
                    "pure_unitary_sample_size_bound", "qfi", "sample_size_bound", "sld"),
-    "dephasing": ("EnhancementScan", "dephase_channel", "dephasing_family", "enhancement_scan",
-                  "quadrature"),
+    "dephasing": ("dephase_channel", "dephasing_family", "quadrature"),
     "montecarlo": ("CalibrationCurve", "MeasurementModel", "TrialRun", "adaptive_calibrate",
                    "build_curve", "invert_mean", "mean_inversion_condition", "run_trials"),
 }

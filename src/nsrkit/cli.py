@@ -42,11 +42,11 @@ from .scalar import (
     _number_moments,
     _probe,
     _quadrature_reports,
-    _ratio_table,
     _sensitivity_report,
     analytic_fnsr,
     check_dim,
     default_truncation_dim,
+    enhancement_scan,
     enhancement_threshold,
     optimal_calibration,
 )
@@ -355,14 +355,14 @@ def _left_table(two_beta_sq, n_grid, rows) -> Iterator[str]:
 
 def cmd_fig2(args) -> int:
     """Fig. 2's enhancement region from its closed forms on floats
-    (_ratio_table): fig2_left.csv holds every cell of the (2 beta^2, N) grid,
+    (enhancement_scan): fig2_left.csv holds every cell of the (2 beta^2, N) grid,
     fig2_right.csv each row's first maximum over N, and stdout the threshold
     2 beta^2."""
     tbs_grid = (_parse_grid(args.grid_two_beta_sq, log=True) if args.grid_two_beta_sq
                 else DEFAULT_TWO_BETA_SQ_GRID)
     n_grid = _parse_grid(args.grid_N, log=True) if args.grid_N else DEFAULT_N_GRID
     _check_count("grid cells", len(tbs_grid) * len(n_grid))
-    rows, argmax = _ratio_table(tbs_grid, n_grid)
+    rows, argmax = enhancement_scan(tbs_grid, n_grid)
     right = _csv_text(
         ["two_beta_sq", "max_ratio", "argmax_N"],
         ((t, row[j], n_grid[j]) for t, row, j in zip(tbs_grid, rows, argmax)),

@@ -10,15 +10,15 @@ numeric pipeline must reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .estimation import ParamFamily, _sld_in_eigenbasis
 from .operators import DensityMatrix, Operator, fock_ladder
-from .scalar import PhaseFamilySpec, _finite, _finite_non_negative, _ratio_table
-from .scalar import analytic_fnsr, enhancement_threshold  # noqa: F401  (perfbench/traced.py)
+from .scalar import PhaseFamilySpec, _finite, _finite_non_negative
+# perfbench/traced.py wraps these three where this module holds them
+from .scalar import analytic_fnsr, enhancement_scan, enhancement_threshold  # noqa: F401
 
 
 def _delta_n(dim: int) -> np.ndarray:
@@ -114,36 +114,3 @@ def _covariant_sld(c: np.ndarray, beta: float) -> tuple[float, float]:
     a, qfi = _sld_in_eigenbasis(p, g, scale)
     del g
     return qfi, math.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])
-
-
-@dataclass(frozen=True, eq=False)  # ndarray fields have no truth value for __eq__
-class EnhancementScan:
-    """Grid scan of the squeezing enhancement over the standard benchmark, as
-    read-only arrays.
-
-    two_beta_sq: the grid's m values of 2 beta^2.
-    n: its k values of N.
-    ratio: (m, k) table of optimal_fnsr / c_q; ratio[i, j] is at
-    (two_beta_sq[i], n[j]), and a cell is enhanced where ratio >= 1.
-    argmax: for each 2 beta^2, the index into n of the first maximum of its
-    row of ratio.
-    """
-
-    two_beta_sq: np.ndarray
-    n: np.ndarray
-    ratio: np.ndarray
-    argmax: np.ndarray
-
-
-def enhancement_scan(two_beta_sq_grid, n_grid) -> EnhancementScan:
-    """scalar._ratio_table over one-dimensional grids, which are copied, not
-    frozen, as read-only arrays: every cell bit-identical to the scalar route."""
-    tbs = np.array(two_beta_sq_grid, dtype=float)
-    n = np.array(n_grid, dtype=float)
-    if tbs.ndim != 1 or n.ndim != 1:
-        raise ContractViolationError("the two_beta_sq and N grids must be one-dimensional")
-    ratio, argmax = _ratio_table(tbs.tolist(), n.tolist())
-    fields = (tbs, n, np.array(ratio), np.array(argmax))
-    for arr in fields:
-        arr.flags.writeable = False
-    return EnhancementScan(*fields)

@@ -563,23 +563,22 @@ def _ratio_row(terms, two_beta_sq, ns) -> list[float]:
     return row
 
 
-def _enhancement_ratio(n_mean: float, beta: float) -> float:
-    """optimal_fnsr / c_q at one point of the (beta, N) plane: the one cell
-    of _ratio_row, the route of Fig. 2's table and threshold search."""
-    n_mean, beta = _finite_non_negative("N", n_mean), _finite_non_negative("beta", beta)
-    return _ratio_row(_beta_terms(beta), 2.0 * beta**2, [n_mean])[0]
+def enhancement_scan(two_beta_sq_grid, n_grid) -> tuple[list[list[float]], list[int]]:
+    """Fig. 2's table in O(cells), as (rows, argmax): rows[i][j] is
+    optimal_fnsr / c_q at (two_beta_sq_grid[i], n_grid[j]) bit for bit, or
+    raises what they raise, and is enhanced where >= 1; argmax[i] indexes row
+    i's first maximum. Each row is one _ratio_row, after _beta_terms once. A
+    grid entry must be a real number, so a nested list or an array row is
+    rejected, whatever float() makes of it."""
+    from numbers import Real  # here, so that import nsrkit.cli does not load it
 
-
-def _ratio_table(two_beta_sq_grid, n_grid) -> tuple[list[list[float]], list[int]]:
-    """Fig. 2's table in O(cells): for each 2 beta^2, the _ratio_row over
-    n_grid at beta = sqrt(2 beta^2 / 2), after _beta_terms once per row, so
-    each cell is _enhancement_ratio's bit for bit and raises what it raises;
-    and the index of each row's first maximum."""
-    tbs, ns = [float(t) for t in two_beta_sq_grid], [float(n) for n in n_grid]
+    # an entry that is not a real number becomes NaN, which the rules reject
+    tbs, ns = ([float(v) if isinstance(v, Real) else math.nan for v in grid]
+               for grid in (two_beta_sq_grid, n_grid))
     if not tbs or not all(0.0 <= t < math.inf for t in tbs):
-        raise ContractViolationError("two_beta_sq grid must be nonempty, finite and >= 0")
+        raise ContractViolationError("two_beta_sq grid must be nonempty, real, finite and >= 0")
     if not ns or not all(0.0 < n < math.inf for n in ns):
-        raise ContractViolationError("N grid must be nonempty, finite and positive")
+        raise ContractViolationError("N grid must be nonempty, real, finite and positive")
     rows = [_ratio_row(_beta_terms(math.sqrt(t / 2.0)), t, ns) for t in tbs]
     return rows, [row.index(max(row)) for row in rows]
 
@@ -587,9 +586,10 @@ def _ratio_table(two_beta_sq_grid, n_grid) -> tuple[list[list[float]], list[int]
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
     """np.linspace's points as it computes them: i * step + lo with step =
     (hi - lo) / (count - 1), or (i / (count - 1)) * (hi - lo) + lo where step
-    underflows to 0, and the last point hi."""
+    underflows to 0, and the last point hi; one point is 0.0 * (hi - lo) + lo,
+    which gives a zero lo numpy's sign."""
     if count == 1:
-        return [lo]
+        return [0.0 * (hi - lo) + lo]
     div, delta = count - 1, hi - lo
     step = delta / div
     if step == 0:  # a span so small that the step underflows
@@ -600,7 +600,8 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 def _geomspace(lo: float, hi: float, count: int) -> list[float]:
     """np.geomspace's rule for 0 < lo <= hi on floats: 10.0 ** y at the
     _linspace points y from log10(lo) to log10(hi), both ends pinned to lo
-    and hi. libm's log10 and pow may differ from numpy's in the last bit."""
+    and hi. An inner point may be some 4 ln(10) |y| ulps from numpy's: an
+    end's log10 may differ in its last bit, which 10 ** y scales by |y| ln 10."""
     if count == 1:
         return [lo]
     exponents = _linspace(math.log10(lo), math.log10(hi), count)

@@ -134,6 +134,18 @@ MUTANTS = [
      "            m *= 0.5\n",
      "",
      ["tests/test_operators.py::TestTypeContracts::test_from_matrix_holds_two_copies"]),
+    # the table without its rule that a grid entry is a real number, so that
+    # float() takes what it can of a nested list or an array row
+    ("nsrkit/scalar.py",
+     "float(v) if isinstance(v, Real) else math.nan",
+     "float(v)",
+     ["tests/test_dephasing.py::TestEnhancementScan::test_rejects_entries_that_are_not_real"]),
+    # the linear grid's one point as lo, which keeps the sign of a zero lo
+    # that numpy's 0.0 * (hi - lo) + lo drops
+    ("nsrkit/scalar.py",
+     "return [0.0 * (hi - lo) + lo]",
+     "return [lo]",
+     ["tests/test_route_pairs.py::test_linspace_is_numpy_bit_for_bit"]),
     # the log grid without its pinned last point: 10 ** log10(hi) for hi
     ("nsrkit/scalar.py",
      "for y in exponents[1:-1]] + [hi]",

@@ -19,10 +19,12 @@ from nsrkit import (
     GaussianProbeSpec,
     analytic_fnsr,
     assess_observable,
+    c_q,
     dephasing_family,
     gaussian_probe,
     number_operator,
     optimal_calibration,
+    optimal_fnsr,
     quadrature,
 )
 from nsrkit import cli, errors
@@ -33,8 +35,8 @@ from nsrkit.scalar import (
     DEFAULT_TWO_BETA_SQ_GRID,
     MAX_DIM,
     SCALAR_SLD_MAX_DIM,
-    _enhancement_ratio,
     _number_moments,
+    enhancement_scan,
 )
 
 from conftest import dephasing_covariant_sld_floats, fock_dephasing_spec
@@ -453,7 +455,6 @@ class TestFig2Command:
         assert by_tbs[max(by_tbs)] < 1.0
 
     def test_row_content_matches_library(self, capsys, tmp_path):
-        from nsrkit import c_q, optimal_fnsr
         code, _, _ = run_cli(capsys, "fig2", "--out", str(tmp_path),
                              "--grid-two-beta-sq", "0.1:0.1:1", "--grid-N", "1:1:1")
         assert code == 0
@@ -473,7 +474,8 @@ class TestFig2Command:
         # maximum, in the bytes csv.writer gives
         code, _, _ = run_cli(capsys, "fig2", "--out", str(tmp_path), *argv)
         assert code == 0
-        table = [[_enhancement_ratio(n, math.sqrt(t / 2.0)) for n in grid_n] for t in grid_t]
+        table = [[optimal_fnsr(n, math.sqrt(t / 2.0)) / c_q(n, math.sqrt(t / 2.0))
+                  for n in grid_n] for t in grid_t]
         rows = [(t, n, ratio, int(ratio >= 1.0))
                 for t, row in zip(grid_t, table) for n, ratio in zip(grid_n, row)]
         best = [(t, row[j], grid_n[j])
@@ -970,18 +972,41 @@ def test_o_d_routes_import_no_numpy(tmp_path):
     assert len((tmp_path / "fig2" / "fig2_left.csv").read_text().splitlines()) == 12001
 
 
+def test_library_table_runs_without_numpy(tmp_path):
+    # nsrkit.enhancement_scan, Fig. 2's table, imports neither numpy nor
+    # dataclasses: it runs with packages of those names that raise ImportError
+    # first on the path
+    for name in ("numpy", "dataclasses"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "__init__.py").write_text(f"raise ImportError('no {name} here')\n")
+    src = os.path.dirname(os.path.dirname(nsrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    code = "import nsrkit; print(nsrkit.enhancement_scan([0.2143], [1.0, 10.0]))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{enhancement_scan([0.2143], [1.0, 10.0])}\n"
+
+
 @pytest.mark.parametrize("module", ["operators", "estimation", "dephasing", "montecarlo"])
 def test_scalar_names_imported_only_where_used(module):
     # each name of nsrkit.scalar has one home: a numpy module imports from it
-    # only the names it uses, but for the two that perfbench/traced.py wraps
+    # only the names it uses, but for the three that perfbench/traced.py wraps
     # where nsrkit.dephasing holds them
     tree = ast.parse(inspect.getsource(importlib.import_module(f"nsrkit.{module}")))
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "scalar"
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    traced = {"analytic_fnsr", "enhancement_threshold"} if module == "dephasing" else set()
+    traced = ({"analytic_fnsr", "enhancement_scan", "enhancement_threshold"}
+              if module == "dephasing" else set())
     assert imported and imported - used == traced
+
+
+def test_traced_table_is_the_one_fig2_calls():
+    # perfbench/traced.py wraps enhancement_scan where nsrkit.cli holds it,
+    # found through nsrkit.dephasing: one function object, so that the wrap
+    # reaches cmd_fig2's call
+    assert cli.enhancement_scan is nsrkit.dephasing.enhancement_scan is nsrkit.scalar.enhancement_scan
 
 
 LAZY_IMPORT_CHILD = """

@@ -772,42 +772,30 @@ class TestBenchmarks:
 
 class TestEnhancementScan:
     def test_beta_zero_column(self):
-        scan = enhancement_scan([0.0], [0.5, 1.0, 3.0])
-        for n, ratio in zip(scan.n, scan.ratio[0]):
+        grid_n = [0.5, 1.0, 3.0]
+        rows, _ = enhancement_scan([0.0], grid_n)
+        for n, ratio in zip(grid_n, rows[0]):
             assert ratio == pytest.approx(n + 1, rel=1e-12)
             assert ratio >= 1.0
 
     def test_order_independence(self):
         grid_t = [0.1, 0.4]
         grid_n = [0.5, 2.0, 8.0]
-        first, second = enhancement_scan(grid_t, grid_n), enhancement_scan(grid_t, grid_n)
-        for field in ("two_beta_sq", "n", "ratio", "argmax"):
-            assert np.array_equal(getattr(first, field), getattr(second, field))
+        assert enhancement_scan(grid_t, grid_n) == enhancement_scan(grid_t, grid_n)
         # cells are independent: the reversed grids give the reversed table
-        flipped = enhancement_scan(grid_t[::-1], grid_n[::-1]).ratio[::-1, ::-1]
-        assert flipped.tolist() == first.ratio.tolist()
+        rows, _ = enhancement_scan(grid_t, grid_n)
+        flipped, _ = enhancement_scan(grid_t[::-1], grid_n[::-1])
+        assert [row[::-1] for row in flipped[::-1]] == rows
 
     def test_region_flags(self):
-        scan = enhancement_scan([0.05, 1.0], np.geomspace(0.05, 1e4, 60))
-        assert scan.two_beta_sq.tolist() == [0.05, 1.0]
-        enhanced = scan.ratio >= 1.0
-        assert enhanced[0].any()
-        assert not enhanced[1].any()
-
-    def test_fields_are_read_only(self):
-        grid_n = np.array([0.5, 2.0])
-        scan = enhancement_scan([0.1], grid_n)
-        for field in ("two_beta_sq", "n", "ratio", "argmax"):
-            with pytest.raises(ValueError):
-                getattr(scan, field)[0] = 0.0
-        assert grid_n.flags.writeable  # the caller's grid is copied, not frozen
+        rows, _ = enhancement_scan([0.05, 1.0], np.geomspace(0.05, 1e4, 60))
+        assert any(ratio >= 1.0 for ratio in rows[0])
+        assert not any(ratio >= 1.0 for ratio in rows[1])
 
     def test_argmax_is_first_maximum(self):
         # equal N give equal ratios; the first of them is the row's maximum
-        scan = enhancement_scan([0.1, 0.5], [3.0, 3.0, 3.0])
-        assert scan.argmax.tolist() == [0, 0]
-        scan = enhancement_scan([0.5], [1.0, 1e4, 1e4, 2.0])  # rising up to 1e4
-        assert scan.argmax.tolist() == [1]
+        assert enhancement_scan([0.1, 0.5], [3.0, 3.0, 3.0])[1] == [0, 0]
+        assert enhancement_scan([0.5], [1.0, 1e4, 1e4, 2.0])[1] == [1]  # rising up to 1e4
 
     def test_threshold_near_021(self):
         thr = enhancement_threshold()
@@ -844,20 +832,39 @@ class TestEnhancementScan:
         with pytest.raises(ContractViolationError):
             enhancement_scan([0.1], [0.0])
 
+    @pytest.mark.parametrize("grid_t, grid_n", [
+        ([[0.1]], [1.0]),
+        ([0.1], [[1.0, 2.0]]),
+        (np.array([[0.1, 0.2]]), [1.0]),
+        ([0.1], np.array([[1.0], [2.0]])),  # float() takes each row on numpy 1.24
+        (np.array([[0.1]]), [1.0]),
+        (["0.1"], [1.0]),
+    ], ids=["nested-list", "nested-list-N", "2d-array", "column-N", "column", "string"])
+    def test_rejects_entries_that_are_not_real(self, grid_t, grid_n):
+        # each grid entry must be a real number, on any numpy: not a nested
+        # list, an array row or a string, whatever float() would make of it
+        with pytest.raises(ContractViolationError, match="real"):
+            scalar.enhancement_scan(grid_t, grid_n)
+
+    def test_numpy_grids_and_scalars_are_real(self):
+        grid_n = np.array([0.5, 2.0], dtype=np.float32)
+        want = enhancement_scan([0.1, 1], [0.5, 2.0])
+        assert enhancement_scan(np.array([0.1, 1.0]), grid_n) == want
+        assert enhancement_scan([np.float64(0.1), np.int64(1)], list(grid_n)) == want
 
 
 def scalar_scan(grid_t, grid_n):
-    """optimal_fnsr / c_q cell by cell, with beta built as the scalar route
-    builds it, and each row's first maximum."""
-    ratio = np.array([[optimal_fnsr(float(n), math.sqrt(float(t) / 2.0))
-                       / c_q(float(n), math.sqrt(float(t) / 2.0)) for n in grid_n]
-                      for t in grid_t])
-    return ratio, np.argmax(ratio, axis=1)
+    """optimal_fnsr / c_q cell by cell, with beta built as the table builds
+    it, and each row's first maximum."""
+    ratio = [[optimal_fnsr(float(n), math.sqrt(float(t) / 2.0))
+              / c_q(float(n), math.sqrt(float(t) / 2.0)) for n in grid_n]
+             for t in grid_t]
+    return ratio, np.argmax(ratio, axis=1).tolist()
 
 
 class TestEnhancementScanParity:
-    """enhancement_scan, the arrays of the scalar table, against the scalar
-    closed forms cell by cell: equal to the bit."""
+    """enhancement_scan, the scalar table, against the public point functions
+    optimal_fnsr / c_q cell by cell: equal to the bit."""
 
     @pytest.mark.parametrize("grid_t, grid_n", [
         (DEFAULT_TWO_BETA_SQ_GRID, DEFAULT_N_GRID),
@@ -871,11 +878,11 @@ class TestEnhancementScanParity:
     def test_cells_match_scalar_route(self, grid_t, grid_n):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scan = enhancement_scan(grid_t, grid_n)
-        ratio, argmax = scalar_scan(grid_t, grid_n)
-        assert scan.ratio.shape == ratio.shape
-        assert scan.ratio.tolist() == ratio.tolist()
-        assert np.array_equal(scan.argmax, argmax)
+            rows, argmax = enhancement_scan(grid_t, grid_n)
+        ratio, first = scalar_scan(grid_t, grid_n)
+        assert [list(map(float.hex, row)) for row in rows] == \
+            [list(map(float.hex, row)) for row in ratio]
+        assert argmax == first
 
     @pytest.mark.parametrize("grid_t, grid_n", [
         ([1e-20], [1.0, 5e307]),
@@ -914,14 +921,14 @@ class TestEnhancementScanParity:
     def test_cell_whose_ratio_overflows_raises(self):
         # at 2 beta^2 = 0, 4 alpha^2 e^{2r} overflows from N of about 4e153:
         # optimal_fnsr keeps its documented inf, and the ratio's cell raises,
-        # on the table and on the point route alike
+        # in a row of the table and as a one-cell table alike
         assert optimal_fnsr(1e154, 0.0) == math.inf
         message = "enhancement ratio overflows at 2 beta^2=0.0, N=1e+154"
         with pytest.raises(OverflowError) as grid_error:
             enhancement_scan([0.0], [1.0, 1e154])
-        with pytest.raises(OverflowError) as point_error:
-            scalar._enhancement_ratio(1e154, 0.0)
-        assert str(grid_error.value) == str(point_error.value) == message
+        with pytest.raises(OverflowError) as cell_error:
+            enhancement_scan([0.0], [1e154])
+        assert str(grid_error.value) == str(cell_error.value) == message
 
 
 class TestAnalyticNumericAgreement:
